@@ -17,7 +17,8 @@
 #ifndef MEMENTO_HW_ARENA_H
 #define MEMENTO_HW_ARENA_H
 
-#include <bitset>
+#include <array>
+#include <bit>
 #include <cstdint>
 
 #include "sim/config.h"
@@ -134,20 +135,74 @@ class ArenaGeometry
 };
 
 /**
+ * The header's 256-bit allocation bitmap, held as 64-bit words so the
+ * free-slot search skips a full word per step.
+ */
+class SlotBitmap
+{
+  public:
+    static constexpr unsigned kBits = 256;
+    static constexpr unsigned kWords = kBits / 64;
+
+    /** Bit @p i; false past the bitmap (a padding address is unset). */
+    bool
+    test(unsigned i) const
+    {
+        return i < kBits && ((words_[i / 64] >> (i % 64)) & 1) != 0;
+    }
+    void set(unsigned i) { words_[i / 64] |= bit(i); }
+    void reset(unsigned i) { words_[i / 64] &= ~bit(i); }
+    void flip(unsigned i) { words_[i / 64] ^= bit(i); }
+
+    unsigned
+    count() const
+    {
+        unsigned n = 0;
+        for (std::uint64_t w : words_)
+            n += static_cast<unsigned>(std::popcount(w));
+        return n;
+    }
+
+    /** Bits [64 * @p w, 64 * @p w + 64), bit 0 lowest. */
+    std::uint64_t word(unsigned w) const { return words_[w]; }
+
+    /**
+     * Lowest clear bit below @p limit, or @p limit when none is; bits
+     * at and past @p limit must be clear.
+     */
+    unsigned
+    firstClear(unsigned limit) const
+    {
+        for (unsigned w = 0; w * 64 < limit; ++w) {
+            const unsigned ones =
+                static_cast<unsigned>(std::countr_one(words_[w]));
+            if (ones < 64)
+                return w * 64 + ones;
+        }
+        return limit;
+    }
+
+  private:
+    static std::uint64_t bit(unsigned i) { return 1ull << (i % 64); }
+
+    std::array<std::uint64_t, kWords> words_{};
+};
+
+/**
  * Authoritative (memory-resident) state of one arena header. The HOT
  * caches this; hardware reads/writes are charged against the header's
  * physical address.
  */
 struct ArenaState
 {
-    static constexpr unsigned kMaxObjects = 256;
+    static constexpr unsigned kMaxObjects = SlotBitmap::kBits;
 
     Addr va = 0;       ///< Base virtual address (header VA field).
     Addr headerPa = 0; ///< Physical address of the header line.
     unsigned szclass = 0;
     /** Owning thread (§4: each thread allocates from its own arenas). */
     unsigned ownerThread = 0;
-    std::bitset<kMaxObjects> bitmap;
+    SlotBitmap bitmap;
     unsigned allocated = 0;
     /** 11-bit bypass counter: high-water accessed line index + 1. */
     unsigned bypassCounter = 0;
@@ -159,11 +214,7 @@ struct ArenaState
     unsigned
     findFreeSlot(unsigned capacity) const
     {
-        for (unsigned i = 0; i < capacity; ++i) {
-            if (!bitmap.test(i))
-                return i;
-        }
-        return capacity;
+        return bitmap.firstClear(capacity);
     }
 };
 

@@ -184,7 +184,7 @@ FunctionExecutor::run(const WorkloadSpec &spec, const Trace &trace,
         if (faulted && cfg.inject.traceCorruptAt == i + 1) {
             // A corrupt record frees an object that never existed.
             op.kind = OpKind::Free;
-            op.objId |= 1ull << 62;
+            op.objId = kCorruptObjId;
         }
         try {
             sim_error_if(check.maxOps != 0 && i >= check.maxOps,

@@ -300,7 +300,7 @@ applyTraceFaultPlan(const Trace &trace, const FaultPlan &plan,
     if (plan.traceCorruptAt != 0 && plan.traceCorruptAt <= out.size()) {
         TraceOp &op = out[plan.traceCorruptAt - 1];
         op.kind = OpKind::Free;
-        op.objId |= 1ull << 62;
+        op.objId = kCorruptObjId;
     }
     return out;
 }

@@ -54,14 +54,8 @@ addSpace(DigestBuilder &d, const MementoSpace &space)
         d.add(state.ownerThread);
         d.add(state.allocated);
         d.add(state.bypassCounter);
-        for (unsigned word = 0; word < ArenaState::kMaxObjects; word += 64) {
-            std::uint64_t bits = 0;
-            for (unsigned bit = 0; bit < 64; ++bit) {
-                if (state.bitmap.test(word + bit))
-                    bits |= 1ull << bit;
-            }
-            d.add(bits);
-        }
+        for (unsigned w = 0; w < SlotBitmap::kWords; ++w)
+            d.add(state.bitmap.word(w));
     }
 
     for (const auto &list : space.availList) {

@@ -1,5 +1,6 @@
 #include "wl/trace.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -42,6 +43,18 @@ opFromName(const std::string &name, OpKind &kind)
     return true;
 }
 
+/**
+ * Parse one unsigned decimal field. A sign, trailing characters, or a
+ * value above kTraceFieldMax fail the parse: nothing is truncated.
+ */
+bool
+fieldFromText(const std::string &text, std::uint32_t &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
 } // namespace
 
 void
@@ -64,10 +77,13 @@ readTraceOps(std::istream &is)
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
-        std::string name;
+        std::string name, value, obj_id, offset;
         TraceOp op;
-        ls >> name >> op.value >> op.objId >> op.offset;
-        if (ls.fail() || !opFromName(name, op.kind)) {
+        ls >> name >> value >> obj_id >> offset;
+        if (ls.fail() || !opFromName(name, op.kind) ||
+            !fieldFromText(value, op.value) ||
+            !fieldFromText(obj_id, op.objId) ||
+            !fieldFromText(offset, op.offset)) {
             throw SimError(ErrorCategory::Trace,
                            detail::formatMsg("trace parse error at line ",
                                              line_no),

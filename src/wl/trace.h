@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,16 +35,33 @@ enum class OpKind : std::uint8_t {
     FunctionEnd, ///< Function completes; batch-free everything live.
 };
 
-/** One operation. */
+/**
+ * One operation, packed into 16 bytes: a sweep keeps every workload's
+ * stream resident, so the op width sets the simulator's peak memory.
+ * The three operands are 32 bits wide, and the text format carries the
+ * same limit (see kTraceFieldMax).
+ */
 struct TraceOp
 {
     OpKind kind = OpKind::Compute;
-    std::uint64_t value = 0;  ///< Instructions (Compute) or size (Malloc).
-    std::uint64_t objId = 0;  ///< Object identity for Malloc/Free/L/S.
-    std::uint64_t offset = 0; ///< Byte offset for Load/Store/Static*.
+    std::uint32_t value = 0;  ///< Instructions (Compute) or size (Malloc).
+    std::uint32_t objId = 0;  ///< Object identity for Malloc/Free/L/S.
+    std::uint32_t offset = 0; ///< Byte offset for Load/Store/Static*.
 
     bool operator==(const TraceOp &) const = default;
 };
+static_assert(sizeof(TraceOp) == 16, "TraceOp must stay packed");
+
+/** Largest value any TraceOp field (and any text-format field) holds. */
+inline constexpr std::uint64_t kTraceFieldMax =
+    std::numeric_limits<decltype(TraceOp::value)>::max();
+
+/**
+ * The object id an injected corrupt record frees (inject.trace_corrupt_at).
+ * Generated traces never allocate it: their ids count up from 1 and
+ * the generator refuses to reach it.
+ */
+inline constexpr std::uint32_t kCorruptObjId = 1u << 31;
 
 /** A full operation stream. */
 using Trace = std::vector<TraceOp>;
@@ -53,7 +71,8 @@ void writeTrace(const Trace &trace, std::ostream &os);
 
 /**
  * Parse a trace written by writeTrace(). Throws SimError(Trace) on
- * malformed input (a user error, not a simulator bug), so a sweep can
+ * malformed input, including a negative field or one above
+ * kTraceFieldMax (a user error, not a simulator bug), so a sweep can
  * skip the bad trace and continue.
  */
 Trace readTrace(std::istream &is);

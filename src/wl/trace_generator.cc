@@ -5,17 +5,53 @@
 #include <unordered_set>
 #include <vector>
 
+#include "sim/logging.h"
 #include "sim/rng.h"
 #include "sim/size_class.h"
 
 namespace memento {
+namespace {
+
+/**
+ * Build one op. Each field must fit its 32-bit slot and ids must stay
+ * below kCorruptObjId: a spec that overflows them is a bug, never a
+ * reason to truncate.
+ */
+TraceOp
+makeOp(OpKind kind, std::uint64_t value, std::uint64_t obj_id,
+       std::uint64_t offset)
+{
+    panic_if(value > kTraceFieldMax || offset > kTraceFieldMax,
+             "trace generator: op field above 32 bits (value ", value,
+             ", offset ", offset, ")");
+    panic_if(obj_id >= kCorruptObjId, "trace generator: object id ",
+             obj_id, " reaches the reserved corrupt-record id");
+    return {kind, static_cast<std::uint32_t>(value),
+            static_cast<std::uint32_t>(obj_id),
+            static_cast<std::uint32_t>(offset)};
+}
+
+} // namespace
 
 Trace
 TraceGenerator::generate() const
 {
     Rng rng(spec_.seed * 0x9e3779b97f4a7c15ull + 0xD1B54A32D192ED03ull);
     Trace trace;
-    trace.reserve(spec_.numAllocs * 8);
+    // Reserve the stream's upper bound so it never regrows: a regrowth
+    // copy leaves the old buffer behind as a hole in the heap, and a
+    // sweep's peak memory is mostly traces. Per event: compute, static
+    // accesses, malloc, init stores, reuse loads and at most one free
+    // (plus FunctionEnd once); per burst: malloc, store and free per
+    // object, then one compute.
+    std::uint64_t max_ops = 1 + spec_.numAllocs *
+                                    (3 + spec_.staticAccesses +
+                                     spec_.touchStores + spec_.touchLoads);
+    if (spec_.burstEvery != 0) {
+        max_ops += spec_.numAllocs / spec_.burstEvery *
+                   (3 * (spec_.burstBytes / spec_.burstObjSize) + 1);
+    }
+    trace.reserve(max_ops);
 
     std::uint64_t next_id = 1;
 
@@ -45,15 +81,14 @@ TraceGenerator::generate() const
 
     for (std::uint64_t i = 0; i < spec_.numAllocs; ++i) {
         // Application compute between allocation events.
-        trace.push_back(
-            {OpKind::Compute, spec_.computePerAlloc, 0, 0});
+        trace.push_back(makeOp(OpKind::Compute, spec_.computePerAlloc, 0, 0));
 
         // Background references into the static working set.
         for (unsigned a = 0; a < spec_.staticAccesses; ++a) {
             const std::uint64_t off = rng.nextBelow(spec_.staticWsBytes);
-            trace.push_back({rng.nextBool(0.3) ? OpKind::StaticStore
-                                               : OpKind::StaticLoad,
-                             0, 0, off});
+            trace.push_back(makeOp(rng.nextBool(0.3) ? OpKind::StaticStore
+                                                     : OpKind::StaticLoad,
+                                   0, 0, off));
         }
 
         // The allocation itself.
@@ -62,7 +97,7 @@ TraceGenerator::generate() const
                                        ? spec_.largeDist.sample(rng)
                                        : spec_.sizeDist.sample(rng);
         const std::uint64_t id = next_id++;
-        trace.push_back({OpKind::Malloc, size, id, 0});
+        trace.push_back(makeOp(OpKind::Malloc, size, id, 0));
 
         // Initialize the object: stores to its leading lines.
         const unsigned obj_lines =
@@ -72,7 +107,7 @@ TraceGenerator::generate() const
                                     : obj_lines;
         for (unsigned t = 0; t < stores; ++t)
             trace.push_back(
-                {OpKind::Store, 0, id, touch_offset(size, t)});
+                makeOp(OpKind::Store, 0, id, touch_offset(size, t)));
 
         // Reuse loads over recently allocated objects.
         recent.push_back({id, size});
@@ -90,8 +125,8 @@ TraceGenerator::generate() const
                 target = &recent.back(); // The fresh object, never freed.
             const unsigned line = static_cast<unsigned>(rng.nextBelow(
                 (target->size + kLineSize - 1) / kLineSize));
-            trace.push_back({OpKind::Load, 0, target->objId,
-                             touch_offset(target->size, line)});
+            trace.push_back(makeOp(OpKind::Load, 0, target->objId,
+                                   touch_offset(target->size, line)));
         }
 
         // Schedule the death.
@@ -109,7 +144,7 @@ TraceGenerator::generate() const
             while (!due.empty() &&
                    due.begin()->first <= class_count[cls]) {
                 for (std::uint64_t dead : due.begin()->second) {
-                    trace.push_back({OpKind::Free, 0, dead, 0});
+                    trace.push_back(makeOp(OpKind::Free, 0, dead, 0));
                     freed.insert(dead);
                 }
                 due.erase(due.begin());
@@ -123,7 +158,7 @@ TraceGenerator::generate() const
             auto it = due_large.begin();
             while (it != due_large.end() && it->first <= i + 1) {
                 for (std::uint64_t dead : it->second) {
-                    trace.push_back({OpKind::Free, 0, dead, 0});
+                    trace.push_back(makeOp(OpKind::Free, 0, dead, 0));
                     freed.insert(dead);
                 }
                 it = due_large.erase(it);
@@ -141,19 +176,19 @@ TraceGenerator::generate() const
                 const std::uint64_t bid = next_id++;
                 burst_ids.push_back(bid);
                 trace.push_back(
-                    {OpKind::Malloc, spec_.burstObjSize, bid, 0});
-                trace.push_back({OpKind::Store, 0, bid, 0});
+                    makeOp(OpKind::Malloc, spec_.burstObjSize, bid, 0));
+                trace.push_back(makeOp(OpKind::Store, 0, bid, 0));
             }
-            trace.push_back({OpKind::Compute, spec_.computePerAlloc, 0,
-                             0});
+            trace.push_back(
+                makeOp(OpKind::Compute, spec_.computePerAlloc, 0, 0));
             for (std::uint64_t bid : burst_ids) {
-                trace.push_back({OpKind::Free, 0, bid, 0});
+                trace.push_back(makeOp(OpKind::Free, 0, bid, 0));
                 freed.insert(bid);
             }
         }
     }
 
-    trace.push_back({OpKind::FunctionEnd, 0, 0, 0});
+    trace.push_back(makeOp(OpKind::FunctionEnd, 0, 0, 0));
     return trace;
 }
 

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "machine/experiment.h"
+#include "sa/trace_check.h"
 #include "sim/config.h"
 #include "sim/error.h"
 #include "test_util.h"
@@ -52,6 +54,14 @@ struct FaultCase
     ErrorCategory expected;
     const char *substr;
 };
+
+// gtest would otherwise dump the raw bytes, pointers included, into the
+// listed test name, so the name would change with the binary's layout.
+void
+PrintTo(const FaultCase &fc, std::ostream *os)
+{
+    *os << fc.name;
+}
 
 constexpr FaultCase kFaultCases[] = {
     {"PoolExhaust", true, &FaultPlan::poolExhaustAtPage, 4, 0,
@@ -111,6 +121,35 @@ TEST(FaultInjectionTest, TraceCorruptionTagsOffendingOp)
     EXPECT_EQ(res.error->opIndex, 19u);
     // The partial window up to the fault is still reported.
     EXPECT_GT(res.cycles, 0u);
+}
+
+TEST(FaultInjectionTest, CorruptRecordFreesAnIdNoMallocUses)
+{
+    const WorkloadSpec spec = tinySpec(Language::Cpp);
+    const Trace trace = TraceGenerator(spec).generate();
+    for (const TraceOp &op : trace) {
+        if (op.kind == OpKind::Malloc) {
+            ASSERT_NE(op.objId, kCorruptObjId);
+        }
+    }
+    MachineConfig cfg = test::smallConfig();
+    cfg.inject.traceCorruptAt = 20;
+
+    // The static image of the plan and the executor corrupt the same
+    // record into the same free.
+    const Trace corrupted =
+        applyTraceFaultPlan(trace, cfg.inject, spec.id);
+    EXPECT_EQ(corrupted[19].kind, OpKind::Free);
+    EXPECT_EQ(corrupted[19].objId, kCorruptObjId);
+
+    const RunResult res = Experiment::tryRunOne(spec, trace, cfg);
+    ASSERT_TRUE(res.failed());
+    EXPECT_EQ(res.error->category, ErrorCategory::Trace);
+    EXPECT_EQ(res.error->opIndex, 19u);
+    EXPECT_NE(res.error->message.find("free of unknown object " +
+                                      std::to_string(kCorruptObjId)),
+              std::string::npos)
+        << res.error->message;
 }
 
 TEST(FaultInjectionTest, SetupFailureCapturedWithoutMetrics)

@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "hw/arena.h"
 #include "hw/bypass.h"
 #include "hw/hot.h"
 #include "hw/hw_object_allocator.h"
@@ -88,6 +89,43 @@ TEST_P(GeometryRoundTrip, ObjectAddressRoundTrips)
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, GeometryRoundTrip,
                          ::testing::Values(0u, 1u, 7u, 31u, 62u, 63u));
+
+// ---------------------------------------------------------------------
+// Arena state
+// ---------------------------------------------------------------------
+
+TEST(ArenaStateTest, FindFreeSlotFindsHolesAtWordEdges)
+{
+    // Holes on both sides of every 64-bit word boundary, plus the last
+    // slot: each is found only after the lower holes are filled.
+    ArenaState state;
+    for (unsigned i = 0; i < ArenaState::kMaxObjects; ++i)
+        state.bitmap.set(i);
+    const unsigned holes[] = {0, 63, 64, 127, 255};
+    for (unsigned h : holes)
+        state.bitmap.reset(h);
+    for (unsigned h : holes) {
+        EXPECT_EQ(state.findFreeSlot(ArenaState::kMaxObjects), h);
+        state.bitmap.set(h);
+    }
+    EXPECT_EQ(state.findFreeSlot(ArenaState::kMaxObjects),
+              ArenaState::kMaxObjects);
+    EXPECT_EQ(state.bitmap.count(), ArenaState::kMaxObjects);
+}
+
+TEST(ArenaStateTest, FullArenaBelow256ReturnsCapacity)
+{
+    for (unsigned capacity : {1u, 63u, 64u, 65u, 100u, 128u, 200u}) {
+        ArenaState state;
+        for (unsigned i = 0; i < capacity; ++i) {
+            ASSERT_EQ(state.findFreeSlot(capacity), i);
+            state.bitmap.set(i);
+        }
+        EXPECT_EQ(state.findFreeSlot(capacity), capacity) << capacity;
+        // The bits past the capacity are clear but are not free slots.
+        EXPECT_FALSE(state.bitmap.test(capacity));
+    }
+}
 
 // ---------------------------------------------------------------------
 // HOT

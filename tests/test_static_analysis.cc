@@ -29,22 +29,22 @@ namespace {
 // ---------------------------------------------------------------------
 
 TraceOp
-M(std::uint64_t id, std::uint64_t size)
+M(std::uint32_t id, std::uint32_t size)
 {
     return {OpKind::Malloc, size, id, 0};
 }
 TraceOp
-F(std::uint64_t id)
+F(std::uint32_t id)
 {
     return {OpKind::Free, 0, id, 0};
 }
 TraceOp
-L(std::uint64_t id, std::uint64_t off)
+L(std::uint32_t id, std::uint32_t off)
 {
     return {OpKind::Load, 0, id, off};
 }
 TraceOp
-S(std::uint64_t id, std::uint64_t off)
+S(std::uint32_t id, std::uint32_t off)
 {
     return {OpKind::Store, 0, id, off};
 }

@@ -46,16 +46,53 @@ TEST(TraceIo, SkipsCommentsAndBlankLines)
     EXPECT_EQ(parsed[0].value, 10u);
 }
 
+TEST(TraceIo, MaxFieldValuesRoundTrip)
+{
+    // Every field holds UINT32_MAX exactly; nothing wraps on the way.
+    const std::uint32_t max = UINT32_MAX;
+    Trace trace = {
+        {OpKind::Compute, max, 0, 0},
+        {OpKind::Malloc, max, max, 0},
+        {OpKind::Load, 0, max, max},
+        {OpKind::FunctionEnd, 0, 0, 0},
+    };
+    std::stringstream ss;
+    writeTrace(trace, ss);
+    EXPECT_NE(ss.str().find("M 4294967295 4294967295 0\n"),
+              std::string::npos);
+    EXPECT_EQ(readTrace(ss), trace);
+}
+
 TEST(TraceIo, MalformedLineThrows)
 {
-    std::stringstream ss("C 10 0 0\nM 64\nE 0 0 0\n");
-    try {
-        readTrace(ss);
-        FAIL() << "expected SimError";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.category(), ErrorCategory::Trace);
-        EXPECT_NE(std::string(e.what()).find("line 2"),
-                  std::string::npos);
+    // A missing field, a field above UINT32_MAX, or a negative field is
+    // a parse error at its 1-based line, never a truncated value.
+    const struct
+    {
+        const char *text;
+        std::uint64_t line;
+    } cases[] = {
+        {"C 10 0 0\nM 64\nE 0 0 0\n", 2},
+        {"M 4294967296 1 0\nE 0 0 0\n", 1},
+        {"C 10 0 0\nM 64 4294967297 0\nE 0 0 0\n", 2},
+        {"# c\nM 64 1 0\nL 0 1 18446744073709551616\nE 0 0 0\n", 3},
+        {"M -1 1 0\nE 0 0 0\n", 1},
+        {"M 64 1 0\nF 0 -1 0\nE 0 0 0\n", 2},
+        {"M 64 1 0\nL 0 1 -8\nE 0 0 0\n", 2},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        std::stringstream ss(c.text);
+        try {
+            readTrace(ss);
+            ADD_FAILURE() << "expected SimError";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Trace);
+            EXPECT_EQ(e.opIndex(), c.line);
+            EXPECT_NE(std::string(e.what()).find(
+                          "line " + std::to_string(c.line)),
+                      std::string::npos);
+        }
     }
 }
 
@@ -115,6 +152,14 @@ TEST_F(GeneratorTest, Deterministic)
     other.seed = 8;
     Trace c = TraceGenerator(other).generate();
     EXPECT_NE(a, c);
+}
+
+TEST_F(GeneratorTest, FieldAbove32BitsPanicsInsteadOfTruncating)
+{
+    WorkloadSpec s = spec();
+    s.numAllocs = 4;
+    s.computePerAlloc = 1ull << 32;
+    EXPECT_DEATH(TraceGenerator(s).generate(), "above 32 bits");
 }
 
 TEST_F(GeneratorTest, EveryFreeMatchesEarlierMalloc)
