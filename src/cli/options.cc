@@ -110,17 +110,6 @@ allFlags()
          [](CliOptions &o, const std::string &) {
              o.diagPolicy.werror = true;
          }},
-        {"--out", "FILE",
-         "benchmark JSON output path (default BENCH_PR8.json)",
-         [](CliOptions &o, const std::string &v) { o.outFile = v; }},
-        {"--repeat", "N",
-         "timed repetitions per workload; the median is reported",
-         [](CliOptions &o, const std::string &v) {
-             o.repeats = parsePositiveCount(v, "--repeat");
-         }},
-        {"--smoke", "",
-         "bench a reduced three-workload sweep (CI smoke mode)",
-         [](CliOptions &o, const std::string &) { o.smoke = true; }},
         {"--cache", "DIR",
          "crash-safe result store: resume, share, and merge sweeps",
          [](CliOptions &o, const std::string &v) {
@@ -200,11 +189,6 @@ allCommands()
          {"--jobs", "--json", "--allow", "--werror"}, 0, true},
         {"rules", "", "dump the registered diagnostic rule table",
          {"--json"}, 0},
-        {"bench", "",
-         "self-benchmark the simulator over the workload sweep",
-         {"--config", "--set", "--memento", "--jobs", "--json", "--out",
-          "--repeat", "--smoke", "--cache", "--no-cache", "--shard"},
-         0},
         {"fleet", "",
          "simulate a serverless node: arrivals, keep-alive, percentiles",
          {"--config", "--set", "--memento", "--jobs", "--json", "--cores",

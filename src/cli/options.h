@@ -2,7 +2,7 @@
  * @file
  * The shared command-line API of memento_sim.
  *
- * Every command (`run`, `compare`, `check`, `lint-config`, `bench`, …)
+ * Every command (`run`, `compare`, `check`, `lint-config`, `fleet`, …)
  * parses its options through one declarative flag table: each flag is
  * registered once with its value shape, help text, and application
  * function, and each command declares which flags it accepts. That
@@ -46,8 +46,6 @@ struct CliOptions
     bool keepGoing = false;
     bool digest = false;
     bool json = false;
-    /** bench: run the reduced smoke sweep instead of all workloads. */
-    bool smoke = false;
     /** --no-cache: ignore sweep.cache_dir from config files. */
     bool noCache = false;
     /** --revalidate: recompute a sample of cache hits and compare. */
@@ -55,11 +53,7 @@ struct CliOptions
     /** --help was seen; render help and exit 0 without running. */
     bool helpRequested = false;
     unsigned jobs = 0; ///< Sweep worker threads; 0 = hw concurrency.
-    /** bench: timed repetitions per workload (median is reported). */
-    unsigned repeats = 3;
     std::string traceFile;
-    /** bench: output JSON path. */
-    std::string outFile = "BENCH_PR8.json";
     DiagPolicy diagPolicy; ///< --allow / --werror (analysis commands).
     /** Variadic path arguments (lint-src [paths...]), in CLI order. */
     std::vector<std::string> paths;

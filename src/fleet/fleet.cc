@@ -432,8 +432,8 @@ runFleet(const FleetOptions &opts)
     report.fleet = cfg.fleet;
 
     // Stage 1: profile every workload in the mix through the sweep
-    // engine — default RunOptions, so `run`/`bench` and fleet all share
-    // the same cached run cells.
+    // engine — default RunOptions, so `run` and fleet share the same
+    // cached run cells.
     std::vector<SweepTask> tasks;
     tasks.reserve(mix.size());
     for (const WorkloadSpec &spec : mix)

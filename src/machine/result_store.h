@@ -113,7 +113,7 @@ class ResultStore
                        const MachineConfig &cfg, const RunOptions &opts,
                        std::string_view salt = {}) const;
 
-    /** Key from arbitrary tagged parts (bench cells and the like). */
+    /** Key from arbitrary tagged parts (e.g. the fleet summary cell). */
     CellKey derivedKey(std::initializer_list<std::string_view> parts) const;
 
     // ---- Generic cell layer ----

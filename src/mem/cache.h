@@ -43,7 +43,7 @@ class Cache
 
     // The per-access methods below are defined inline at the bottom of
     // this header: they run tens of millions of times per workload
-    // replay and dominate the self-benchmark profile when the compiler
+    // replay and dominate the perfbench profile when the compiler
     // cannot see their bodies from CacheHierarchy.
 
     /**

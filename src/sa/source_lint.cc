@@ -332,8 +332,9 @@ scopeFor(const std::string &subject)
         subject.find("fleet/arrivals") != std::string::npos ||
         hasAnySegment(subject, {"wl", "examples"}))
         s.random = false;
-    // Self-measurement is the one place host time is the *subject*.
-    if (hasAnySegment(subject, {"bench", "tools", "examples"}))
+    // The CLI and example front ends may stamp host time; simulator
+    // self-timing lives in perfbench/ and uses steady_clock only.
+    if (hasAnySegment(subject, {"tools", "examples"}))
         s.wallclock = false;
     // Model-layer code must raise SimError; the user-facing layers
     // (CLI parsing, workload lookup, schema errors) legitimately
@@ -714,7 +715,7 @@ class FileLinter
                                 "simulation/digest code; simulated "
                                 "results must derive from the cycle "
                                 "ledger only (self-timing belongs in "
-                                "bench/ via steady_clock)"));
+                                "perfbench/ via steady_clock)"));
                 }
             }
 

@@ -27,8 +27,8 @@
  *                                  RNG layer (sim/rng, wl/, fleet/arrivals).
  *   src-wallclock-in-sim           time()/std::chrono::system_clock/
  *                                  gettimeofday/localtime in simulation
- *                                  or digest code (bench/ self-timing via
- *                                  steady_clock is exempt).
+ *                                  or digest code (perfbench/ self-timing
+ *                                  via steady_clock is not flagged).
  *   src-naked-cout                 std::cout/std::cerr/printf writes
  *                                  outside the serialized logging layer
  *                                  (sim/logging) and the CLI front end.

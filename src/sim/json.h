@@ -2,8 +2,8 @@
  * @file
  * The one JSON emitter every `--json` surface of the simulator shares.
  *
- * All machine-readable output — `check` / `lint-config` findings, the
- * self-benchmark harness's BENCH_*.json — is produced through
+ * All machine-readable output — `check` / `lint-config` / `lint-src`
+ * findings, the `rules` table, the `fleet` report — is produced through
  * JsonWriter, so escaping, number formatting, and the document
  * envelope are identical everywhere and downstream tooling can parse
  * any command's output with one loader.
@@ -12,7 +12,7 @@
  *
  *     {
  *       "schema_version": 1,
- *       "kind": "diagnostics" | "bench" | ...,
+ *       "kind": "diagnostics" | "rules" | "fleet",
  *       ...
  *     }
  *

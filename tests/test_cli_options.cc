@@ -58,16 +58,6 @@ TEST(CliOptions, ParseAppliesRunFlags)
     EXPECT_FALSE(opts.json);
 }
 
-TEST(CliOptions, ParseAppliesBenchFlags)
-{
-    const CliOptions opts = parseCommandOptions(
-        command("bench"),
-        {"bench", "--smoke", "--repeat", "5", "--out", "x.json"}, 1);
-    EXPECT_TRUE(opts.smoke);
-    EXPECT_EQ(opts.repeats, 5u);
-    EXPECT_EQ(opts.outFile, "x.json");
-}
-
 TEST(CliOptions, ParseAppliesFleetFlags)
 {
     const CliOptions opts = parseCommandOptions(
@@ -85,8 +75,6 @@ TEST(CliOptions, ParseAppliesFleetFlags)
 TEST(CliOptions, DefaultsMatchDocumentedBehaviour)
 {
     const CliOptions opts;
-    EXPECT_EQ(opts.outFile, "BENCH_PR8.json");
-    EXPECT_EQ(opts.repeats, 3u);
     EXPECT_EQ(opts.jobs, 0u);
     EXPECT_FALSE(opts.cfg.memento.enabled);
 }
@@ -102,10 +90,11 @@ using CliOptionsDeath = ::testing::Test;
 
 TEST(CliOptionsDeath, UnacceptedFlagIsFatal)
 {
-    // `run` does not declare --out; the shared parser must say so.
+    // `run` does not declare fleet's --cores; the shared parser must
+    // say so.
     EXPECT_EXIT(parseCommandOptions(command("run"),
-                                    {"run", "aes", "--out", "x.json"}, 2),
-                ::testing::ExitedWithCode(1), "does not accept --out");
+                                    {"run", "aes", "--cores", "4"}, 2),
+                ::testing::ExitedWithCode(1), "does not accept --cores");
 }
 
 TEST(CliOptionsDeath, UnknownFlagIsFatal)
@@ -188,12 +177,12 @@ TEST(CliOptionsDeath, EmptyCacheDirIsFatal)
                 ::testing::ExitedWithCode(1), "--cache");
 }
 
-TEST(CliOptionsDeath, BenchRejectsRetry)
+TEST(CliOptionsDeath, FleetRejectsRetry)
 {
-    // bench has no per-cell retry semantics; the declarative command
+    // fleet has no per-cell retry semantics; the declarative command
     // table must reject the flag rather than silently ignoring it.
-    EXPECT_EXIT(parseCommandOptions(command("bench"),
-                                    {"bench", "--retry", "2"}, 1),
+    EXPECT_EXIT(parseCommandOptions(command("fleet"),
+                                    {"fleet", "--retry", "2"}, 1),
                 ::testing::ExitedWithCode(1), "does not accept --retry");
 }
 

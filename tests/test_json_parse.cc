@@ -136,7 +136,7 @@ TEST(JsonParse, WriterOutputRoundTrips)
     std::ostringstream os;
     JsonWriter w(os);
     w.beginObject();
-    writeSchemaHeader(w, "bench");
+    writeSchemaHeader(w, "fleet");
     w.member("count", std::uint64_t{18446744073709551615ull});
     w.member("name", "quo\"te\n");
     w.member("ratio", 0.125);
@@ -148,7 +148,7 @@ TEST(JsonParse, WriterOutputRoundTrips)
 
     const JsonValue v = parseOk(os.str());
     EXPECT_EQ(v.find("schema_version")->u64, kJsonSchemaVersion);
-    EXPECT_EQ(v.find("kind")->str, "bench");
+    EXPECT_EQ(v.find("kind")->str, "fleet");
     EXPECT_EQ(v.find("count")->u64, 18446744073709551615ull);
     EXPECT_EQ(v.find("name")->str, "quo\"te\n");
     EXPECT_EQ(v.find("ratio")->number, 0.125);

@@ -25,7 +25,7 @@ TEST(JsonWriter, GoldenDocumentShape)
     std::ostringstream os;
     JsonWriter w(os);
     w.beginObject();
-    writeSchemaHeader(w, "bench");
+    writeSchemaHeader(w, "fleet");
     w.member("count", std::uint64_t{42});
     w.member("ratio", 0.5);
     w.member("on", true);
@@ -41,7 +41,7 @@ TEST(JsonWriter, GoldenDocumentShape)
 
     const std::string expected = "{\n"
                                  "  \"schema_version\": 1,\n"
-                                 "  \"kind\": \"bench\",\n"
+                                 "  \"kind\": \"fleet\",\n"
                                  "  \"count\": 42,\n"
                                  "  \"ratio\": 0.5,\n"
                                  "  \"on\": true,\n"

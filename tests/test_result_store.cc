@@ -224,9 +224,9 @@ TEST(ResultStore, DerivedKeysSeparateParts)
     TempStoreDir dir("derived");
     ResultStore store = openStore(dir);
 
-    const CellKey a = store.derivedKey({"bench-workload", "aes", "3"});
-    EXPECT_FALSE(a == store.derivedKey({"bench-workload", "aes", "4"}));
-    EXPECT_FALSE(a == store.derivedKey({"bench-workload", "bfs", "3"}));
+    const CellKey a = store.derivedKey({"fleet-summary", "aes", "3"});
+    EXPECT_FALSE(a == store.derivedKey({"fleet-summary", "aes", "4"}));
+    EXPECT_FALSE(a == store.derivedKey({"fleet-summary", "bfs", "3"}));
     // Length-prefixed parts: ("ab","c") must not alias ("a","bc").
     EXPECT_FALSE(store.derivedKey({"ab", "c"}) ==
                  store.derivedKey({"a", "bc"}));
@@ -309,10 +309,10 @@ TEST(ResultStore, WrongCellKindIsDamage)
     ResultStore store = openStore(dir);
 
     const CellKey key = store.derivedKey({"some", "cell"});
-    store.storeCell(key, "bench", "{\"id\": \"aes\"}");
+    store.storeCell(key, "fleet", "{\"id\": \"aes\"}");
 
     // Asking for the same key under a different kind must not return
-    // the bench payload as a run payload.
+    // the fleet payload as a run payload.
     std::string payload;
     EXPECT_FALSE(store.loadCell(key, "run", payload));
     EXPECT_EQ(store.stats().quarantined, 1u);

@@ -218,6 +218,19 @@ TEST(SourceLintTokenizer, UnorderedIterationNeedsAnUnorderedDecl)
               0u);
 }
 
+TEST(SourceLintScope, WallclockUnderBenchIsFlagged)
+{
+    // Simulator self-timing lives in perfbench/, so a bench/ segment no
+    // longer exempts a file; the CLI front end still is.
+    const char *stamp = "auto t = std::chrono::system_clock::now();\n";
+    EXPECT_EQ(countRule(lintSnippet(stamp, "bench/fig08_speedup.cc"),
+                        "src-wallclock-in-sim"),
+              1u);
+    EXPECT_EQ(countRule(lintSnippet(stamp, "tools/memento_sim.cc"),
+                        "src-wallclock-in-sim"),
+              0u);
+}
+
 // ---------------------------------------------------------------------
 // Pipeline: byte-identical reports at any --jobs level.
 // ---------------------------------------------------------------------

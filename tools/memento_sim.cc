@@ -45,13 +45,6 @@
  *       README.md; CI regenerates the README section from it so the
  *       docs cannot drift from the registry.
  *
- *   memento_sim bench [options]
- *       Self-benchmark: replay the workload sweep and measure the
- *       simulator itself (ops/s, per-op latency percentiles, serial
- *       and parallel sweep wall time). Always writes the versioned
- *       JSON document to --out (default BENCH_PR8.json); --json also
- *       prints it to stdout instead of the text summary.
- *
  *   memento_sim fleet [options]
  *       Fleet-scale serverless node simulation (src/fleet): an
  *       open-loop arrival process (--arrival poisson|bursty|diurnal,
@@ -72,20 +65,21 @@
  *   memento_sim help [command]
  *       Render the global usage page or one command's options.
  *
- * Crash-safe sweeps: `run all`, `compare all`, and `bench` accept
- * --cache DIR, which persists every completed cell to a
- * content-addressed result store (machine/result_store.h). A killed or
- * interrupted sweep resumes from the cache with byte-identical stdout;
- * --shard I/N partitions a sweep across machines for later `merge`;
- * --retry N isolates flaky cells; --revalidate audits cached results
- * by recomputing a sample. All cache chatter goes to stderr.
+ * Crash-safe sweeps: `run all` and `compare all` accept --cache DIR,
+ * which persists every completed cell to a content-addressed result
+ * store (machine/result_store.h); `fleet` caches its profiles and
+ * summary there too. A killed or interrupted sweep resumes from the
+ * cache with byte-identical stdout; --shard I/N partitions a sweep
+ * across machines for later `merge`; --retry N isolates flaky cells;
+ * --revalidate audits cached results by recomputing a sample. All
+ * cache chatter goes to stderr.
  *
  * Every command parses through the shared declarative flag table in
  * src/cli/options.h: one parser, one --help renderer, one error style.
  * `memento_sim help <command>` (or `<command> --help`) lists exactly
  * the flags that command accepts; passing any other flag is an error.
  *
- * The check and lint-config --json findings and the bench document all
+ * The check, lint-config, lint-src, rules and fleet --json documents all
  * share the versioned JSON envelope of sim/json.h
  * (`"schema_version"`, `"kind"`).
  *
@@ -94,7 +88,7 @@
  * --keep-going the first failure stops the sweep. Simulator bugs still
  * panic and user errors on the command line are still fatal.
  *
- * Sweeps (run all / compare all / bench) fan individual runs out over
+ * Sweeps (run all / compare all) fan individual runs out over
  * the machine/sweep.h work-stealing pool and merge results back in
  * workload order, so parallelism never changes what gets printed.
  */
@@ -104,13 +98,11 @@
 #include <fstream>
 #include <memory>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "an/lifetime.h"
 #include "an/report.h"
-#include "bench/bench_harness.h"
 #include "cli/options.h"
 #include "fleet/fleet.h"
 #include "machine/breakdown.h"
@@ -122,7 +114,6 @@
 #include "sa/diag.h"
 #include "sa/source_lint.h"
 #include "sa/trace_check.h"
-#include "sim/atomic_io.h"
 #include "sim/json.h"
 #include "sim/error.h"
 #include "sim/logging.h"
@@ -646,48 +637,6 @@ cmdTrace(const std::string &id, const std::string &path)
 }
 
 int
-cmdBench(const CliOptions &opts)
-{
-    const std::unique_ptr<ResultStore> store = makeStore(opts);
-    fatal_if(opts.cfg.sweep.shardIndex >= opts.cfg.sweep.shardCount,
-             "sweep.shard_index (", opts.cfg.sweep.shardIndex,
-             ") must be below sweep.shard_count (",
-             opts.cfg.sweep.shardCount, ")");
-
-    BenchOptions bopts;
-    bopts.cfg = opts.cfg;
-    bopts.smoke = opts.smoke;
-    bopts.repeats = opts.repeats;
-    bopts.jobs = opts.jobs;
-    bopts.store = store.get();
-    bopts.shardIndex = opts.cfg.sweep.shardIndex;
-    bopts.shardCount = opts.cfg.sweep.shardCount;
-
-    std::cerr << "benchmarking the " << (bopts.smoke ? "smoke" : "full")
-              << " sweep (" << bopts.repeats
-              << " timed repeat(s) per workload)...\n";
-    const BenchReport report = runBench(bopts);
-    if (store != nullptr)
-        reportStoreStats(*store);
-
-    // The report lands atomically: a reader (or a crash) never sees a
-    // half-written BENCH_*.json under the final name.
-    std::ostringstream buf;
-    writeBenchJson(buf, report);
-    buf << "\n";
-    writeFileAtomic(opts.outFile, buf.str());
-
-    if (opts.json) {
-        writeBenchJson(std::cout, report);
-        std::cout << "\n";
-    } else {
-        printBenchText(std::cout, report);
-    }
-    std::cerr << "wrote " << opts.outFile << "\n";
-    return 0;
-}
-
-int
 cmdFleet(const CliOptions &opts)
 {
     const std::unique_ptr<ResultStore> store = makeStore(opts);
@@ -828,8 +777,6 @@ main(int argc, char **argv)
             return cmdLintSrc(opts);
         if (cmd == "rules")
             return cmdRules(opts);
-        if (cmd == "bench")
-            return cmdBench(opts);
         if (cmd == "fleet")
             return cmdFleet(opts);
     } catch (const SimError &e) {
