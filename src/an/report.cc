@@ -30,15 +30,21 @@ TextTable::cell(const std::string &value)
 void
 TextTable::cell(double value, int precision)
 {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(precision) << value;
-    cell(os.str());
+    cell(fixedStr(value, precision));
 }
 
 void
 TextTable::cell(std::uint64_t value)
 {
     cell(std::to_string(value));
+}
+
+void
+TextTable::row(std::vector<std::string> cells)
+{
+    panic_if(cells.size() > headers_.size(),
+             "row has more cells than headers");
+    rows_.push_back(std::move(cells));
 }
 
 void
@@ -73,12 +79,17 @@ TextTable::print(std::ostream &os) const
 }
 
 std::string
-percentStr(double fraction, int precision)
+fixedStr(double value, int precision)
 {
     std::ostringstream os;
-    os << std::fixed << std::setprecision(precision) << fraction * 100.0
-       << '%';
+    os << std::fixed << std::setprecision(precision) << value;
     return os.str();
+}
+
+std::string
+percentStr(double fraction, int precision)
+{
+    return fixedStr(fraction * 100.0, precision) + '%';
 }
 
 std::string

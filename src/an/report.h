@@ -1,8 +1,8 @@
 /**
  * @file
- * Text rendering helpers shared by the benchmark binaries: fixed-width
- * tables and ASCII bars so each bench prints rows directly comparable
- * to the paper's figures.
+ * Text rendering helpers shared by the CLI and the figure registry
+ * (an/figures.h): fixed-width tables and ASCII bars, so each figure
+ * prints rows directly comparable to the paper's.
  */
 
 #ifndef MEMENTO_AN_REPORT_H
@@ -26,6 +26,8 @@ class TextTable
     void cell(const std::string &value);
     void cell(double value, int precision = 2);
     void cell(std::uint64_t value);
+    /** Append a whole row of already-formatted cells. */
+    void row(std::vector<std::string> cells);
 
     /** Render with column alignment and a header separator. */
     void print(std::ostream &os) const;
@@ -34,6 +36,9 @@ class TextTable
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
 };
+
+/** Format @p value with @p precision fixed decimals, like "1.163". */
+std::string fixedStr(double value, int precision = 2);
 
 /** Format @p fraction as a percentage string like "16.3%". */
 std::string percentStr(double fraction, int precision = 1);

@@ -194,6 +194,9 @@ allCommands()
          {"--config", "--set", "--memento", "--jobs", "--json", "--cores",
           "--invocations", "--arrival", "--rate", "--cache", "--no-cache"},
          0},
+        {"figures", "<id>...|all",
+         "regenerate the paper's figures and tables in one sweep",
+         {"--jobs"}, 0, true},
         {"merge", "<out-dir> <in-dir>...",
          "merge partial result stores into one (validated union)",
          {}, 2},

@@ -55,7 +55,7 @@ struct CliOptions
     unsigned jobs = 0; ///< Sweep worker threads; 0 = hw concurrency.
     std::string traceFile;
     DiagPolicy diagPolicy; ///< --allow / --werror (analysis commands).
-    /** Variadic path arguments (lint-src [paths...]), in CLI order. */
+    /** Variadic arguments (lint-src paths, figures ids), in CLI order. */
     std::vector<std::string> paths;
 };
 
@@ -82,7 +82,8 @@ struct CommandSpec
     /** Required positional-argument count (before any flags). */
     std::size_t positionals = 0;
     /** Accept additional non-flag arguments into CliOptions::paths
-     * (lint-src [paths...]); otherwise a bare argument is an error. */
+     * (lint-src [paths...], figures ids); otherwise a bare argument is
+     * an error. */
     bool variadicPaths = false;
 };
 

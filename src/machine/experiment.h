@@ -78,6 +78,14 @@ struct RunResult
      * switch flushes the instance's HOT residue off the core.
      */
     std::uint64_t hotValidEntries = 0;
+    /**
+     * §6.6 fragmentation: the allocator's inactive-slot fraction (small
+     * object slots in allocated arenas that hold no live object). Not
+     * an end-of-run value: FunctionExecutor checks live bytes every
+     * 4096 mallocs and samples at the check with the highest live
+     * bytes (the latest such check on ties). Only a run with no check
+     * above zero live bytes samples at function exit, before teardown.
+     */
     double fragInactiveFraction = 0.0;
 
     /**

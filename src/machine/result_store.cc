@@ -270,19 +270,28 @@ ResultStore::ResultStore(ResultStoreOptions opts) : opts_(std::move(opts))
                  ec ? ": " + ec.message() : std::string());
 }
 
+CellIdentity
+cellIdentity(const std::string &workload, const MachineConfig &cfg,
+             const RunOptions &opts)
+{
+    return {workload, canonicalConfigText(cfg), opts.coldStart,
+            opts.chargeRpc, opts.computeDigest};
+}
+
 CellKey
 ResultStore::runCellKey(const std::string &workload,
                         const MachineConfig &cfg, const RunOptions &opts,
                         std::string_view salt) const
 {
+    const CellIdentity id = cellIdentity(workload, cfg, opts);
     DigestBuilder d;
     d.add(std::string_view("memento-run-cell"));
     d.add(std::string_view(opts_.codeVersion));
-    d.add(std::string_view(workload));
-    d.add(std::string_view(canonicalConfigText(cfg)));
-    d.add(static_cast<std::uint64_t>(opts.coldStart));
-    d.add(static_cast<std::uint64_t>(opts.chargeRpc));
-    d.add(static_cast<std::uint64_t>(opts.computeDigest));
+    d.add(std::string_view(id.workload));
+    d.add(std::string_view(id.configText));
+    d.add(static_cast<std::uint64_t>(id.coldStart));
+    d.add(static_cast<std::uint64_t>(id.chargeRpc));
+    d.add(static_cast<std::uint64_t>(id.computeDigest));
     d.add(salt);
     return CellKey{d.value()};
 }

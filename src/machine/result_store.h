@@ -35,6 +35,7 @@
 #ifndef MEMENTO_MACHINE_RESULT_STORE_H
 #define MEMENTO_MACHINE_RESULT_STORE_H
 
+#include <compare>
 #include <cstdint>
 #include <initializer_list>
 #include <mutex>
@@ -58,6 +59,27 @@ struct CellKey
 
     bool operator==(const CellKey &) const = default;
 };
+
+/**
+ * Everything that makes two run cells the same cell: the workload, the
+ * canonical configuration text, and the result-affecting run options.
+ * The store's keys digest exactly these fields, and sweeps that share
+ * cells (an/figures.h) deduplicate on them.
+ */
+struct CellIdentity
+{
+    std::string workload;
+    std::string configText;
+    bool coldStart = false;
+    bool chargeRpc = true;
+    bool computeDigest = false;
+
+    auto operator<=>(const CellIdentity &) const = default;
+};
+
+/** The identity of the cell that runs @p workload under @p cfg, @p opts. */
+CellIdentity cellIdentity(const std::string &workload,
+                          const MachineConfig &cfg, const RunOptions &opts);
 
 struct ResultStoreOptions
 {

@@ -56,6 +56,14 @@
  *       integer cycle counts, so output is byte-identical at any
  *       --jobs level and across --cache resumes.
  *
+ *   memento_sim figures <id>...|all [--jobs N]
+ *       Regenerate the paper's evidence (Figs. 2-3 and 8-14, Tables
+ *       1-3, the §6.1/§6.6/§6.7 studies, the design ablations) from
+ *       the an/figures.h registry. The union of the selected entries'
+ *       cells runs once, deduplicated, through one sweep engine; the
+ *       entries print in registry order, byte-identically at any
+ *       --jobs level (tests/golden/figures.txt holds `figures all`).
+ *
  *   memento_sim merge <out-dir> <in-dir>...
  *       Merge partial result stores (e.g. from --shard runs on other
  *       machines) into one, validating every record; corrupt source
@@ -101,6 +109,7 @@
 #include <string>
 #include <vector>
 
+#include "an/figures.h"
 #include "an/lifetime.h"
 #include "an/report.h"
 #include "cli/options.h"
@@ -663,6 +672,44 @@ cmdFleet(const CliOptions &opts)
 }
 
 int
+cmdFigures(const CliOptions &opts)
+{
+    fatal_if(opts.paths.empty(), "figures: name one or more ids, or all");
+    const std::vector<Figure> &registry = allFigures();
+    std::vector<bool> selected(registry.size(), false);
+    for (const std::string &id : opts.paths) {
+        if (id == "all") {
+            selected.assign(registry.size(), true);
+            continue;
+        }
+        const Figure *fig = findFigure(id);
+        if (fig == nullptr) {
+            std::string valid = "all";
+            for (const Figure &f : registry) {
+                valid += ", ";
+                valid += f.id;
+            }
+            fatal("unknown figure '", id, "'; valid ids: ", valid);
+        }
+        selected[static_cast<std::size_t>(fig - registry.data())] = true;
+    }
+    std::vector<const Figure *> figs;
+    for (std::size_t i = 0; i < registry.size(); ++i) {
+        if (selected[i])
+            figs.push_back(&registry[i]);
+    }
+
+    SweepOptions sweep_opts;
+    sweep_opts.jobs = opts.jobs;
+    sweep_opts.onTaskStart = [](const SweepTask &task, std::size_t idx) {
+        std::cerr << "  cell " << idx << ": " << task.spec.id << "\n";
+    };
+    SweepEngine engine(sweep_opts);
+    runFigures(figs, engine, std::cout);
+    return 0;
+}
+
+int
 cmdMerge(const std::vector<std::string> &args)
 {
     // args: merge <out-dir> <in-dir>... — variadic positionals, no
@@ -779,6 +826,8 @@ main(int argc, char **argv)
             return cmdRules(opts);
         if (cmd == "fleet")
             return cmdFleet(opts);
+        if (cmd == "figures")
+            return cmdFigures(opts);
     } catch (const SimError &e) {
         std::cerr << "memento_sim: error ("
                   << errorCategoryName(e.category()) << "): " << e.what()
