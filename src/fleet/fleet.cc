@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -21,19 +20,8 @@ namespace {
 /** Sentinel folded into the digest for a rejected arrival. */
 constexpr std::uint64_t kRejectedMark = ~0ull;
 
-/** Nearest-rank percentile (num/den) of an ascending latency vector. */
-Cycles
-nearestRank(const std::vector<Cycles> &sorted, std::uint64_t num,
-            std::uint64_t den)
-{
-    if (sorted.empty())
-        return 0;
-    const auto n = static_cast<std::uint64_t>(sorted.size());
-    std::uint64_t rank = (num * n + den - 1) / den; // ceil(num/den * n)
-    if (rank == 0)
-        rank = 1;
-    return sorted[rank - 1];
-}
+/** "No instance" index into the resident-instance vector. */
+constexpr std::size_t kNoInstance = ~std::size_t{0};
 
 /** One core of the simulated node. */
 struct CoreState
@@ -49,6 +37,8 @@ struct CoreState
 /** One resident function instance (warm container). */
 struct InstanceState
 {
+    /** Creation order, from 1; the instances vector ascends in it. */
+    std::uint64_t id = 0;
     std::size_t workload = 0;
     unsigned core = 0;
     std::uint64_t pages = 0;
@@ -152,6 +142,36 @@ FleetMetrics::packingDensity() const
            static_cast<double>(makespanCycles);
 }
 
+double
+fleetOfferedLoad(const MachineConfig &cfg,
+                 const std::vector<FleetProfile> &profiles)
+{
+    if (profiles.empty() || cfg.fleet.cores == 0)
+        return 0.0;
+    double sum = 0.0;
+    for (const FleetProfile &p : profiles)
+        sum += static_cast<double>(p.serviceCycles);
+    const double mean_s = sum / static_cast<double>(profiles.size()) /
+                          (cfg.core.freqGhz * 1.0e9);
+    return cfg.fleet.ratePerSec * mean_s /
+           static_cast<double>(cfg.fleet.cores);
+}
+
+Cycles
+nearestRank(std::vector<Cycles> &values, std::uint64_t num,
+            std::uint64_t den)
+{
+    if (values.empty())
+        return 0;
+    const auto n = static_cast<std::uint64_t>(values.size());
+    std::uint64_t rank = (num * n + den - 1) / den; // ceil(num/den * n)
+    if (rank == 0)
+        rank = 1;
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(values.begin(), nth, values.end());
+    return *nth;
+}
+
 std::vector<WorkloadSpec>
 fleetMix(const FleetConfig &fleet)
 {
@@ -240,9 +260,10 @@ simulateFleet(const std::vector<Arrival> &arrivals,
     const Cycles cold_setup = fleetColdSetupCost(cfg);
 
     std::vector<CoreState> cores(fleet.cores);
-    // Instances keyed by id: iteration order == creation order, so
-    // every scan below is deterministic.
-    std::map<std::uint64_t, InstanceState> instances;
+    // Resident instances in ascending id order: ids only grow, a new
+    // instance appends, and expiry and eviction remove without
+    // reordering, so every scan below is deterministic.
+    std::vector<InstanceState> instances;
     std::uint64_t next_instance_id = 1;
     std::uint64_t rss_pages = 0;
 
@@ -279,59 +300,62 @@ simulateFleet(const std::vector<Arrival> &arrivals,
             static_cast<std::uint64_t>(instances.size()) * (t - prev_t);
         prev_t = t;
 
-        // 1. Keep-alive expiry: an instance idle since busyUntil lapses
-        // once its idle span exceeds the keep-alive window.
-        for (auto it = instances.begin(); it != instances.end();) {
-            if (it->second.busyUntil + keep_alive <= t) {
-                rss_pages -= it->second.pages;
+        // 1. Keep-alive expiry and the warm search, in one pass that
+        // compacts the survivors in place. An instance idle since
+        // busyUntil lapses once its idle span exceeds the keep-alive
+        // window. The warm candidate is an idle, unexpired instance of
+        // this workload; prefer the most recently used (tie: lowest
+        // id): MRU reuse lets the cold tail expire instead of
+        // round-robining it warm.
+        std::size_t warm = kNoInstance;
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < instances.size(); ++i) {
+            const InstanceState &inst = instances[i];
+            if (inst.busyUntil + keep_alive <= t) {
+                rss_pages -= inst.pages;
                 ++m.expirations;
-                it = instances.erase(it);
-            } else {
-                ++it;
-            }
-        }
-
-        // 2. Warm path: an idle, unexpired instance of this workload.
-        // Prefer the most recently used (tie: lowest id) — MRU reuse
-        // lets the cold tail expire instead of round-robining it warm.
-        std::uint64_t warm_id = 0;
-        for (const auto &[id, inst] : instances) {
-            if (inst.workload != arr.workloadIndex || inst.busyUntil > t)
                 continue;
-            if (warm_id == 0 ||
-                inst.busyUntil > instances[warm_id].busyUntil)
-                warm_id = id;
+            }
+            if (inst.workload == arr.workloadIndex && inst.busyUntil <= t &&
+                (warm == kNoInstance ||
+                 inst.busyUntil > instances[warm].busyUntil))
+                warm = kept;
+            if (kept != i)
+                instances[kept] = inst;
+            ++kept;
         }
+        instances.resize(kept);
 
         Cycles setup = 0;
-        std::uint64_t run_id = warm_id;
-        if (warm_id != 0) {
+        std::size_t run = warm;
+        if (warm != kNoInstance) {
             ++m.warmHits;
         } else {
-            // 3. Cold path: admit a new instance, evicting idle ones
+            // 2. Cold path: admit a new instance, evicting idle ones
             // LRU-first while over the memory budget. The munmap-model
             // reclaim cost of every eviction is charged to this
             // arrival's latency — memory pressure is not free.
             bool admitted = budget == 0 || prof.pages <= budget;
             while (budget != 0 && admitted &&
                    rss_pages + prof.pages > budget) {
-                std::uint64_t victim = 0;
-                for (const auto &[id, inst] : instances) {
-                    if (inst.busyUntil > t)
+                std::size_t victim = kNoInstance;
+                for (std::size_t i = 0; i < instances.size(); ++i) {
+                    if (instances[i].busyUntil > t)
                         continue; // Busy instances are unevictable.
-                    if (victim == 0 ||
-                        inst.busyUntil < instances[victim].busyUntil)
-                        victim = id;
+                    if (victim == kNoInstance ||
+                        instances[i].busyUntil < instances[victim].busyUntil)
+                        victim = i;
                 }
-                if (victim == 0) {
+                if (victim == kNoInstance) {
                     admitted = false; // Nothing left to evict.
                     break;
                 }
-                const InstanceState &v = instances[victim];
-                rss_pages -= v.pages;
-                setup += fleetReclaimCost(cfg, v.pages);
+                const std::uint64_t pages = instances[victim].pages;
+                rss_pages -= pages;
+                setup += fleetReclaimCost(cfg, pages);
                 ++m.evictions;
-                instances.erase(victim);
+                instances.erase(instances.begin() +
+                                static_cast<std::ptrdiff_t>(victim));
             }
             if (!admitted) {
                 ++m.rejected;
@@ -347,30 +371,31 @@ simulateFleet(const std::vector<Arrival> &arrivals,
                     core = c;
             }
             InstanceState inst;
+            inst.id = next_instance_id++;
             inst.workload = arr.workloadIndex;
             inst.core = core;
             inst.pages = prof.pages;
-            run_id = next_instance_id++;
-            instances[run_id] = inst;
+            run = instances.size();
+            instances.push_back(inst);
             rss_pages += prof.pages;
             m.peakRssPages = std::max(m.peakRssPages, rss_pages);
             ++m.coldStarts;
             setup += cold_setup;
         }
 
-        // 4. Dispatch: switching the core away from another instance
+        // 3. Dispatch: switching the core away from another instance
         // flushes the HOT residue that instance left (kernel_cost.h).
-        InstanceState &inst = instances[run_id];
+        InstanceState &inst = instances[run];
         CoreState &core = cores[inst.core];
         Cycles switch_cost = 0;
-        if (core.lastInstance != run_id) {
+        if (core.lastInstance != inst.id) {
             switch_cost = fleetSwitchCost(cfg, core.lastHotValid);
         }
         const Cycles start = std::max(t, core.freeAt);
         const Cycles end =
             start + switch_cost + setup + prof.serviceCycles;
         core.freeAt = end;
-        core.lastInstance = run_id;
+        core.lastInstance = inst.id;
         core.lastHotValid = prof.hotValidEntries;
         inst.busyUntil = end;
 
@@ -390,7 +415,6 @@ simulateFleet(const std::vector<Arrival> &arrivals,
             static_cast<std::uint64_t>(instances.size()) *
             (m.makespanCycles - prev_t);
 
-    std::sort(latencies.begin(), latencies.end());
     m.p50Cycles = nearestRank(latencies, 50, 100);
     m.p99Cycles = nearestRank(latencies, 99, 100);
     m.p999Cycles = nearestRank(latencies, 999, 1000);
@@ -525,6 +549,7 @@ writeFleetJson(std::ostream &os, const FleetReport &report,
 
     w.key("metrics").beginObject();
     w.member("arrivals", m.arrivals);
+    w.member("offered_load", fleetOfferedLoad(cfg, report.profiles));
     w.member("completed", m.completed);
     w.member("rejected", m.rejected);
     w.member("cold_starts", m.coldStarts);
@@ -570,6 +595,13 @@ printFleetText(std::ostream &os, const FleetReport &report,
                   " pages%s\n",
                   report.fleet.keepAliveMs, report.fleet.memoryBudgetPages,
                   report.fleet.memoryBudgetPages == 0 ? " (unbounded)" : "");
+    os << buf;
+    const double rho = fleetOfferedLoad(cfg, report.profiles);
+    std::snprintf(buf, sizeof(buf),
+                  "offered load rho = lambda * E[S] / cores = %.3f%s\n",
+                  rho,
+                  rho >= 1.0 ? " (overloaded: latencies measure the backlog)"
+                             : "");
     os << buf;
 
     os << "profiles:\n";

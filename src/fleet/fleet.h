@@ -149,6 +149,24 @@ Cycles fleetSwitchCost(const MachineConfig &cfg, std::uint64_t hot_valid);
  */
 Cycles fleetReclaimCost(const MachineConfig &cfg, std::uint64_t pages);
 
+/**
+ * Offered load rho = lambda * E[S] / c: fleet.rate_rps times the mean
+ * service time of @p profiles (seconds, a uniform mix, as arrivals
+ * draw workloads uniformly), over fleet.cores. rho >= 1 means the node
+ * is overloaded and latencies measure the backlog. 0 when @p profiles
+ * is empty.
+ */
+double fleetOfferedLoad(const MachineConfig &cfg,
+                        const std::vector<FleetProfile> &profiles);
+
+/**
+ * Nearest-rank percentile @p num / @p den of @p values: the
+ * ceil(num/den * n)-th smallest (at least the first), 0 when empty.
+ * Selects with std::nth_element, so @p values is reordered.
+ */
+Cycles nearestRank(std::vector<Cycles> &values, std::uint64_t num,
+                   std::uint64_t den);
+
 /** Container set-up cost of a cold start (kernel_cost.h budget). */
 Cycles fleetColdSetupCost(const MachineConfig &cfg);
 

@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/logging.h"
@@ -47,9 +46,15 @@ TraceGenerator::generate() const
     std::uint64_t max_ops = 1 + spec_.numAllocs *
                                     (3 + spec_.staticAccesses +
                                      spec_.touchStores + spec_.touchLoads);
+    // Object ids are issued densely from 1: one per event, one per
+    // burst object.
+    std::uint64_t num_ids = spec_.numAllocs;
     if (spec_.burstEvery != 0) {
-        max_ops += spec_.numAllocs / spec_.burstEvery *
-                   (3 * (spec_.burstBytes / spec_.burstObjSize) + 1);
+        const std::uint64_t bursts = spec_.numAllocs / spec_.burstEvery;
+        const std::uint64_t per_burst =
+            spec_.burstBytes / spec_.burstObjSize;
+        max_ops += bursts * (3 * per_burst + 1);
+        num_ids += bursts * per_burst;
     }
     trace.reserve(max_ops);
 
@@ -71,7 +76,8 @@ TraceGenerator::generate() const
         std::uint64_t size;
     };
     std::deque<Recent> recent;
-    std::unordered_set<std::uint64_t> freed;
+    // freed[id] != 0: the object's Free has been emitted.
+    std::vector<std::uint8_t> freed(num_ids + 1, 0);
 
     auto touch_offset = [&](std::uint64_t size, unsigned line) {
         const std::uint64_t off = static_cast<std::uint64_t>(line) *
@@ -118,7 +124,7 @@ TraceGenerator::generate() const
             const Recent *target = nullptr;
             for (unsigned attempt = 0; attempt < 4 && !target; ++attempt) {
                 const Recent &r = recent[rng.nextBelow(recent.size())];
-                if (!freed.count(r.objId))
+                if (!freed[r.objId])
                     target = &r;
             }
             if (!target)
@@ -145,7 +151,7 @@ TraceGenerator::generate() const
                    due.begin()->first <= class_count[cls]) {
                 for (std::uint64_t dead : due.begin()->second) {
                     trace.push_back(makeOp(OpKind::Free, 0, dead, 0));
-                    freed.insert(dead);
+                    freed[dead] = 1;
                 }
                 due.erase(due.begin());
             }
@@ -159,7 +165,7 @@ TraceGenerator::generate() const
             while (it != due_large.end() && it->first <= i + 1) {
                 for (std::uint64_t dead : it->second) {
                     trace.push_back(makeOp(OpKind::Free, 0, dead, 0));
-                    freed.insert(dead);
+                    freed[dead] = 1;
                 }
                 it = due_large.erase(it);
             }
@@ -183,7 +189,7 @@ TraceGenerator::generate() const
                 makeOp(OpKind::Compute, spec_.computePerAlloc, 0, 0));
             for (std::uint64_t bid : burst_ids) {
                 trace.push_back(makeOp(OpKind::Free, 0, bid, 0));
-                freed.insert(bid);
+                freed[bid] = 1;
             }
         }
     }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "machine/result_store.h"
 #include "os/kernel_cost.h"
 #include "sim/error.h"
+#include "sim/rng.h"
 #include "wl/trace_generator.h"
 #include "wl/workloads.h"
 
@@ -497,11 +499,82 @@ TEST(FleetPipeline, JsonCarriesVersionedEnvelopeAndDigest)
     EXPECT_NE(doc.find("\"p99_ms\": "), std::string::npos);
     EXPECT_NE(doc.find("\"throughput_rps\": "), std::string::npos);
     EXPECT_NE(doc.find("\"packing_density\": "), std::string::npos);
+    EXPECT_NE(doc.find("\"offered_load\": "), std::string::npos);
     EXPECT_NE(doc.find("\"digest\": \""), std::string::npos);
 
     std::ostringstream text;
     printFleetText(text, report, cfg);
     EXPECT_NE(text.str().find("fleet digest "), std::string::npos);
+    EXPECT_NE(text.str().find("offered load rho"), std::string::npos);
+}
+
+TEST(FleetPercentile, SelectionMatchesSortedNearestRank)
+{
+    const auto sorted_rank = [](std::vector<Cycles> v, std::uint64_t num,
+                                std::uint64_t den) -> Cycles {
+        if (v.empty())
+            return 0;
+        std::sort(v.begin(), v.end());
+        const std::uint64_t rank = std::max<std::uint64_t>(
+            1, (num * v.size() + den - 1) / den);
+        return v[rank - 1];
+    };
+    Rng rng(2023);
+    std::vector<std::vector<Cycles>> cases;
+    for (const std::size_t n : {0, 1, 2, 999, 1000, 1001}) {
+        std::vector<Cycles> random(n), dups(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            random[i] = rng.nextBelow(1'000'000'000);
+            dups[i] = rng.nextBelow(3); // Heavy duplicates.
+        }
+        cases.push_back(random);
+        cases.push_back(dups);
+        cases.push_back(std::vector<Cycles>(n, 42));
+    }
+    for (const std::vector<Cycles> &values : cases) {
+        for (const auto &[num, den] :
+             {std::pair<std::uint64_t, std::uint64_t>{50, 100},
+              {99, 100},
+              {999, 1000}}) {
+            std::vector<Cycles> scratch = values;
+            EXPECT_EQ(nearestRank(scratch, num, den),
+                      sorted_rank(values, num, den))
+                << "n " << values.size() << " at " << num << "/" << den;
+        }
+    }
+}
+
+TEST(FleetReport, OfferedLoadIsRateTimesMeanServiceOverCores)
+{
+    MachineConfig cfg = defaultConfig();
+    cfg.core.freqGhz = 3.0;
+    cfg.fleet.ratePerSec = 1000.0;
+    cfg.fleet.cores = 4;
+    std::vector<FleetProfile> profiles(2);
+    profiles[0].serviceCycles = 3'000'000; // 1 ms
+    profiles[1].serviceCycles = 9'000'000; // 3 ms
+    // E[S] = 2 ms: rho = 1000/s * 0.002 s / 4 = 0.5.
+    EXPECT_DOUBLE_EQ(fleetOfferedLoad(cfg, profiles), 0.5);
+    EXPECT_DOUBLE_EQ(fleetOfferedLoad(cfg, {}), 0.0);
+
+    // Printed in both renderings, flagged in text once overloaded.
+    FleetReport report;
+    report.fleet = cfg.fleet;
+    report.profiles = profiles;
+    std::ostringstream text, json;
+    printFleetText(text, report, cfg);
+    writeFleetJson(json, report, cfg);
+    EXPECT_NE(text.str().find("/ cores = 0.500\n"), std::string::npos)
+        << text.str();
+    EXPECT_NE(json.str().find("\"offered_load\": 0.5"), std::string::npos)
+        << json.str();
+
+    cfg.fleet.ratePerSec = 4000.0;
+    std::ostringstream overloaded;
+    printFleetText(overloaded, report, cfg);
+    EXPECT_NE(overloaded.str().find("= 2.000 (overloaded"),
+              std::string::npos)
+        << overloaded.str();
 }
 
 TEST(FleetPipeline, UnknownArrivalKindThrowsBeforeProfiling)

@@ -6,17 +6,21 @@
  * shape — every arrival completes or is rejected exactly once, every
  * completion is either a cold start or a warm hit, node RSS never
  * exceeds the memory budget, percentiles are ordered, and a repeat run
- * is bit-identical down to the fleet-state digest.
+ * is bit-identical down to the fleet-state digest. A golden file pins
+ * each shape's digest and policy counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fleet/arrivals.h"
 #include "fleet/fleet.h"
 #include "sim/rng.h"
+#include "test_util.h"
+#include "val/digest.h"
 
 namespace memento {
 namespace {
@@ -58,14 +62,34 @@ fuzzConfig(Rng &rng, std::uint64_t seed)
     return cfg;
 }
 
+/** One fuzz shape: everything simulateFleet needs, from its seed. */
+struct FuzzShape
+{
+    MachineConfig cfg;
+    std::vector<FleetProfile> profiles;
+    std::vector<Arrival> arrivals;
+};
+
+FuzzShape
+fuzzShape(std::uint64_t seed)
+{
+    Rng rng(seed * 0x9e3779b97f4a7c15ull);
+    FuzzShape s;
+    s.cfg = fuzzConfig(rng, seed);
+    s.profiles = fuzzProfiles(rng);
+    s.arrivals = generateArrivals(s.cfg, s.profiles.size());
+    return s;
+}
+
+constexpr std::uint64_t kShapes = 100;
+
 TEST(FleetFuzz, ConservationInvariantsHoldOverRandomTraces)
 {
-    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-        Rng rng(seed * 0x9e3779b97f4a7c15ull);
-        const MachineConfig cfg = fuzzConfig(rng, seed);
-        const std::vector<FleetProfile> profiles = fuzzProfiles(rng);
-        const std::vector<Arrival> arrivals =
-            generateArrivals(cfg, profiles.size());
+    for (std::uint64_t seed = 1; seed <= kShapes; ++seed) {
+        const FuzzShape shape = fuzzShape(seed);
+        const MachineConfig &cfg = shape.cfg;
+        const std::vector<FleetProfile> &profiles = shape.profiles;
+        const std::vector<Arrival> &arrivals = shape.arrivals;
         ASSERT_EQ(arrivals.size(), cfg.fleet.invocations)
             << "seed " << seed;
 
@@ -87,7 +111,8 @@ TEST(FleetFuzz, ConservationInvariantsHoldOverRandomTraces)
         if (cfg.fleet.memoryBudgetPages != 0) {
             EXPECT_LE(m.peakRssPages, cfg.fleet.memoryBudgetPages);
         }
-        // Percentiles come from one sorted latency vector.
+        // Percentiles are nearest ranks of one latency vector, and no
+        // latency outlasts the makespan.
         if (m.completed != 0) {
             EXPECT_LE(m.p50Cycles, m.p99Cycles);
             EXPECT_LE(m.p99Cycles, m.p999Cycles);
@@ -110,6 +135,25 @@ TEST(FleetFuzz, ConservationInvariantsHoldOverRandomTraces)
             simulateFleet(arrivals, profiles, cfg);
         EXPECT_TRUE(m == again);
         EXPECT_NE(m.digest, 0u);
+    }
+}
+
+// The exact outcome of every shape, pinned: the digest covers each
+// arrival's latency and the final node state, and the counters name
+// the policy paths taken (20 shapes evict, 50 reject, 32 expire).
+TEST(FleetFuzz, OutcomesMatchGolden)
+{
+    const std::vector<std::string> golden =
+        test::readGoldenLines("fleet_fuzz.txt");
+    ASSERT_EQ(golden.size(), kShapes);
+    for (std::uint64_t seed = 1; seed <= kShapes; ++seed) {
+        const FuzzShape shape = fuzzShape(seed);
+        const FleetMetrics m =
+            simulateFleet(shape.arrivals, shape.profiles, shape.cfg);
+        std::ostringstream line;
+        line << seed << ' ' << digestToHex(m.digest) << ' '
+             << m.evictions << ' ' << m.rejected << ' ' << m.expirations;
+        EXPECT_EQ(line.str(), golden[seed - 1]);
     }
 }
 

@@ -12,6 +12,8 @@
 
 #include "sim/error.h"
 #include "sim/size_class.h"
+#include "test_util.h"
+#include "val/digest.h"
 #include "wl/trace.h"
 #include "wl/trace_generator.h"
 #include "wl/workloads.h"
@@ -249,6 +251,38 @@ TEST_F(GeneratorTest, GolangStyleSpecEmitsNoFrees)
     go.burstEvery = 0;
     Trace trace = TraceGenerator(go).generate();
     EXPECT_EQ(countOps(trace, OpKind::Free), 0u);
+}
+
+// Every registry trace, pinned: the op count and a digest of every
+// field of every op, at the registry seed and again at seed 2 with a
+// tenth of the allocations.
+TEST(TraceGolden, DigestsMatchGolden)
+{
+    const std::vector<std::string> golden =
+        test::readGoldenLines("trace_digests.txt");
+    ASSERT_EQ(golden.size(), 2 * allWorkloads().size());
+    std::size_t row = 0;
+    for (const bool reseeded : {false, true}) {
+        for (WorkloadSpec spec : allWorkloads()) {
+            if (reseeded) {
+                spec.seed = 2;
+                spec.numAllocs /= 10;
+            }
+            const Trace trace = TraceGenerator(spec).generate();
+            DigestBuilder digest;
+            for (const TraceOp &op : trace) {
+                digest.add(static_cast<std::uint64_t>(op.kind));
+                digest.add(std::uint64_t{op.value});
+                digest.add(std::uint64_t{op.objId});
+                digest.add(std::uint64_t{op.offset});
+            }
+            std::ostringstream line;
+            line << spec.id << ' ' << spec.seed << ' ' << spec.numAllocs
+                 << ' ' << trace.size() << ' '
+                 << digestToHex(digest.value());
+            EXPECT_EQ(line.str(), golden[row++]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,23 @@ randomSpec(std::uint64_t seed)
         spec.burstObjSize = 8 * rng.nextRange(8, 256);
     }
     return spec;
+}
+
+/**
+ * The data lines of tests/golden/@p name: every line that is neither
+ * empty nor a `#` comment, in file order. Empty when the file is
+ * missing, so a caller's size check fails loudly.
+ */
+inline std::vector<std::string>
+readGoldenLines(const std::string &name)
+{
+    std::ifstream in(std::string(MEMENTO_TEST_GOLDEN_DIR) + "/" + name);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && line[0] != '#')
+            lines.push_back(line);
+    }
+    return lines;
 }
 
 } // namespace memento::test

@@ -50,8 +50,9 @@
  *       open-loop arrival process (--arrival poisson|bursty|diurnal,
  *       --rate RPS, --invocations N) dispatched across --cores
  *       simulated cores under keep-alive and memory-budget policies.
- *       Reports p50/p99/p99.9 invocation latency, throughput,
- *       cold-start rate, and packing density, plus an FNV-1a digest of
+ *       Reports the offered load rho = lambda * E[S] / cores,
+ *       p50/p99/p99.9 invocation latency, throughput, cold-start
+ *       rate, and packing density, plus an FNV-1a digest of
  *       the complete fleet outcome; every number is derived from
  *       integer cycle counts, so output is byte-identical at any
  *       --jobs level and across --cache resumes.
