@@ -1,7 +1,6 @@
 #include "cli/options.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <ostream>
 
 #include "sim/config_file.h"
@@ -18,30 +17,6 @@ parsePositiveCount(const std::string &v, const char *flag)
     fatal_if(end == v.c_str() || *end != '\0' || n < 1 || n > 4096,
              flag, " expects a positive count, got ", v);
     return static_cast<unsigned>(n);
-}
-
-/** `--shard I/N`: I in [0, N), N in [1, 4096]. */
-void
-parseShard(const std::string &v, unsigned &index, unsigned &count)
-{
-    const std::size_t slash = v.find('/');
-    fatal_if(slash == std::string::npos || slash == 0 ||
-                 slash + 1 >= v.size(),
-             "--shard expects I/N (e.g. 0/2), got ", v);
-    char *end = nullptr;
-    const std::string idx_s = v.substr(0, slash);
-    const std::string cnt_s = v.substr(slash + 1);
-    const long idx = std::strtol(idx_s.c_str(), &end, 10);
-    fatal_if(end == idx_s.c_str() || *end != '\0' || idx < 0,
-             "--shard expects I/N (e.g. 0/2), got ", v);
-    const long cnt = std::strtol(cnt_s.c_str(), &end, 10);
-    fatal_if(end == cnt_s.c_str() || *end != '\0' || cnt < 1 ||
-                 cnt > 4096,
-             "--shard expects I/N with N in [1, 4096], got ", v);
-    fatal_if(idx >= cnt, "--shard ", v, ": shard index ", idx,
-             " must be below the shard count ", cnt);
-    index = static_cast<unsigned>(idx);
-    count = static_cast<unsigned>(cnt);
 }
 
 } // namespace
@@ -111,7 +86,7 @@ allFlags()
              o.diagPolicy.werror = true;
          }},
         {"--cache", "DIR",
-         "crash-safe result store: resume, share, and merge sweeps",
+         "crash-safe result store: resume and share sweeps",
          [](CliOptions &o, const std::string &v) {
              fatal_if(v.empty(), "--cache expects a directory path");
              o.cfg.sweep.cacheDir = v;
@@ -119,21 +94,6 @@ allFlags()
         {"--no-cache", "",
          "ignore any sweep.cache_dir from config files",
          [](CliOptions &o, const std::string &) { o.noCache = true; }},
-        {"--shard", "I/N",
-         "compute only workloads with index % N == I (merge later)",
-         [](CliOptions &o, const std::string &v) {
-             parseShard(v, o.cfg.sweep.shardIndex, o.cfg.sweep.shardCount);
-         }},
-        {"--retry", "N",
-         "retry each failed cell up to N times (deterministic backoff)",
-         [](CliOptions &o, const std::string &v) {
-             char *end = nullptr;
-             const long n = std::strtol(v.c_str(), &end, 10);
-             fatal_if(end == v.c_str() || *end != '\0' || n < 0 ||
-                          n > 16,
-                      "--retry expects a count in [0, 16], got ", v);
-             o.cfg.sweep.retries = static_cast<unsigned>(n);
-         }},
         {"--revalidate", "",
          "recompute a sample of cache hits; fail loudly on divergence",
          [](CliOptions &o, const std::string &) { o.revalidate = true; }},
@@ -168,12 +128,12 @@ allCommands()
         {"run", "<workload>|all", "run one configuration",
          {"--config", "--set", "--memento", "--cold", "--trace",
           "--stats", "--keep-going", "--digest", "--jobs", "--cache",
-          "--no-cache", "--shard", "--retry", "--revalidate"},
+          "--no-cache", "--revalidate"},
          1},
         {"compare", "<workload>|all",
          "paired baseline vs Memento (and bypass-off) runs",
          {"--config", "--set", "--cold", "--keep-going", "--jobs",
-          "--cache", "--no-cache", "--shard", "--retry", "--revalidate"},
+          "--cache", "--no-cache", "--revalidate"},
          1},
         {"trace", "<workload> <file>", "write the workload's trace",
          {}, 2},
@@ -197,9 +157,6 @@ allCommands()
         {"figures", "<id>...|all",
          "regenerate the paper's figures and tables in one sweep",
          {"--jobs"}, 0, true},
-        {"merge", "<out-dir> <in-dir>...",
-         "merge partial result stores into one (validated union)",
-         {}, 2},
         {"help", "[command]", "show help for a command", {}, 0},
     };
     return commands;

@@ -13,8 +13,8 @@
  * All pre-existing flag spellings (`--config`, `--set`, `--memento`,
  * `--cold`, `--trace`, `--stats`, `--keep-going`, `--digest`,
  * `--jobs`, `--json`, `--allow`, `--werror`) are preserved verbatim.
- * The crash-safe sweep layer adds `--cache DIR`, `--no-cache`,
- * `--shard I/N`, `--retry N`, and `--revalidate`.
+ * The crash-safe sweep layer adds `--cache DIR`, `--no-cache`, and
+ * `--revalidate`.
  *
  * Parse errors raise the usual fatal() path (user error, exit 1).
  * `--help` anywhere in a command's options sets

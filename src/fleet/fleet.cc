@@ -6,7 +6,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "machine/result_store.h"
 #include "machine/sweep.h"
 #include "os/kernel_cost.h"
 #include "sim/config_canon.h"
@@ -45,67 +44,6 @@ struct InstanceState
     /** Busy until this cycle; idle (warm) afterwards. */
     Cycles busyUntil = 0;
 };
-
-std::string
-u64Field(std::string_view key, std::uint64_t v, bool last = false)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "\"%.*s\": %" PRIu64 "%s",
-                  static_cast<int>(key.size()), key.data(), v,
-                  last ? "" : ", ");
-    return buf;
-}
-
-/** The integer fields persisted in a fleet summary cell, in order. */
-constexpr const char *kMetricFields[] = {
-    "arrivals",      "completed",   "rejected",
-    "cold_starts",   "warm_hits",   "evictions",
-    "expirations",   "makespan",    "p50",
-    "p99",           "p999",        "peak_rss_pages",
-    "residency_area", "digest",
-};
-
-std::vector<std::uint64_t *>
-metricSlots(FleetMetrics &m)
-{
-    return {&m.arrivals,    &m.completed,          &m.rejected,
-            &m.coldStarts,  &m.warmHits,           &m.evictions,
-            &m.expirations, &m.makespanCycles,     &m.p50Cycles,
-            &m.p99Cycles,   &m.p999Cycles,         &m.peakRssPages,
-            &m.residencyCycleArea, &m.digest};
-}
-
-/** Serialize metrics as the fleet summary cell payload. */
-std::string
-metricsPayload(const FleetMetrics &metrics)
-{
-    FleetMetrics m = metrics;
-    const std::vector<std::uint64_t *> slots = metricSlots(m);
-    std::string out = "{";
-    for (std::size_t i = 0; i < slots.size(); ++i)
-        out += u64Field(kMetricFields[i], *slots[i],
-                        i + 1 == slots.size());
-    out += "}";
-    return out;
-}
-
-/** Parse a summary cell payload; false on any missing/non-int field. */
-bool
-parseMetricsPayload(const std::string &payload, FleetMetrics &out)
-{
-    JsonValue doc;
-    std::string err;
-    if (!parseJson(payload, doc, err) || !doc.isObject())
-        return false;
-    const std::vector<std::uint64_t *> slots = metricSlots(out);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        const JsonValue *v = doc.find(kMetricFields[i]);
-        if (v == nullptr || !v->isNumber() || !v->isInteger)
-            return false;
-        *slots[i] = v->u64;
-    }
-    return true;
-}
 
 } // namespace
 
@@ -489,28 +427,10 @@ runFleet(const FleetOptions &opts)
         report.profiles.push_back(std::move(prof));
     }
 
-    // Stage 2: the fleet event loop, behind its own summary cell.
-    CellKey key;
-    if (opts.store != nullptr) {
-        key = opts.store->derivedKey({"fleet-summary",
-                                      canonicalConfigText(cfg),
-                                      fleetCanonicalText(cfg.fleet)});
-        std::string payload;
-        if (opts.store->loadCell(key, "fleet", payload)) {
-            if (parseMetricsPayload(payload, report.metrics)) {
-                report.fromCache = true;
-                return report;
-            }
-            // Payload no longer parses: treat like any other damage.
-            opts.store->quarantine(key);
-        }
-    }
-
+    // Stage 2: the fleet event loop.
     const std::vector<Arrival> arrivals =
         generateArrivals(cfg, mix.size());
     report.metrics = simulateFleet(arrivals, report.profiles, cfg);
-    if (opts.store != nullptr)
-        opts.store->storeCell(key, "fleet", metricsPayload(report.metrics));
     return report;
 }
 
@@ -522,7 +442,7 @@ writeFleetJson(std::ostream &os, const FleetReport &report,
     JsonWriter w(os);
     w.beginObject();
     writeSchemaHeader(w, "fleet");
-    w.member("git_sha", codeVersionString());
+    w.member("code_version", codeVersionString());
     w.member("memento", cfg.memento.enabled);
 
     w.key("fleet").beginObject();

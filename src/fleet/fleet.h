@@ -113,8 +113,6 @@ struct FleetReport
     /** Stage-1 profiles, in mix order. */
     std::vector<FleetProfile> profiles;
     FleetMetrics metrics;
-    /** True when the metrics came from a cached fleet summary cell. */
-    bool fromCache = false;
 };
 
 struct FleetOptions
@@ -122,7 +120,7 @@ struct FleetOptions
     MachineConfig cfg = defaultConfig();
     /** Stage-1 profile workers; 0 = hardware concurrency. */
     unsigned jobs = 0;
-    /** Optional result store (profile cells + fleet summary cell). */
+    /** Optional result store for the profile run cells. */
     ResultStore *store = nullptr;
 };
 
@@ -172,8 +170,8 @@ Cycles fleetColdSetupCost(const MachineConfig &cfg);
 
 /**
  * Canonical `key=value` text of the fleet shape, folded into the fleet
- * summary cell key and the fleet digest (the fleet analogue of
- * canonicalConfigText, which deliberately excludes fleet.*).
+ * digest (the fleet analogue of canonicalConfigText, which
+ * deliberately excludes fleet.*).
  */
 std::string fleetCanonicalText(const FleetConfig &fleet);
 
@@ -189,8 +187,8 @@ FleetMetrics simulateFleet(const std::vector<Arrival> &arrivals,
 
 /**
  * Both stages: profile the mix (through the sweep engine, cached when
- * opts.store is set), generate arrivals, and run the fleet. A cached
- * fleet summary cell skips the fleet stage entirely. Throws SimError
+ * opts.store is set), generate arrivals, and run the fleet. The fleet
+ * stage always runs; only the profiles are cached. Throws SimError
  * when a profile run fails or the fleet config is invalid.
  */
 FleetReport runFleet(const FleetOptions &opts);

@@ -27,27 +27,29 @@ checksumOf(std::string_view payload)
     return d.value();
 }
 
+/** The one cell kind the store holds (the header's `cell_kind`). */
+constexpr std::string_view kRunCellKind = "run";
+
 std::string
-headerLine(std::string_view cell_kind, std::string_view key_hex,
-           std::size_t payload_bytes, std::uint64_t checksum)
+headerLine(std::string_view key_hex, std::size_t payload_bytes,
+           std::uint64_t checksum)
 {
     std::ostringstream os;
     os << "{\"schema_version\": " << kJsonSchemaVersion
        << ", \"kind\": \"result-cell\", \"cell_kind\": \""
-       << jsonEscape(cell_kind) << "\", \"key\": \"" << key_hex
+       << kRunCellKind << "\", \"key\": \"" << key_hex
        << "\", \"payload_bytes\": " << payload_bytes
        << ", \"checksum\": \"" << digestToHex(checksum) << "\"}";
     return os.str();
 }
 
 /**
- * Validate one record's bytes. Fills @p cell_kind and @p payload (a
- * view into @p record) on success. @p expect_key_hex restricts the
- * header's key ("" accepts any).
+ * Validate one record's bytes: a run cell whose header names
+ * @p key_hex. Fills @p payload (a view into @p record) on success.
  */
 bool
-validateRecord(const std::string &record, std::string_view expect_key_hex,
-               std::string &cell_kind, std::string_view &payload)
+validateRecord(const std::string &record, std::string_view key_hex,
+               std::string_view &payload)
 {
     const std::size_t nl = record.find('\n');
     if (nl == std::string::npos)
@@ -70,11 +72,9 @@ validateRecord(const std::string &record, std::string_view expect_key_hex,
         return false;
     if (kind == nullptr || !kind->isString() || kind->str != "result-cell")
         return false;
-    if (ckind == nullptr || !ckind->isString())
+    if (ckind == nullptr || !ckind->isString() || ckind->str != kRunCellKind)
         return false;
-    if (key == nullptr || !key->isString())
-        return false;
-    if (!expect_key_hex.empty() && key->str != expect_key_hex)
+    if (key == nullptr || !key->isString() || key->str != key_hex)
         return false;
     if (bytes == nullptr || !bytes->isNumber() || !bytes->isInteger)
         return false;
@@ -87,7 +87,6 @@ validateRecord(const std::string &record, std::string_view expect_key_hex,
     if (digestToHex(checksumOf(body)) != checksum->str)
         return false;
 
-    cell_kind = ckind->str;
     payload = body;
     return true;
 }
@@ -296,17 +295,6 @@ ResultStore::runCellKey(const std::string &workload,
     return CellKey{d.value()};
 }
 
-CellKey
-ResultStore::derivedKey(std::initializer_list<std::string_view> parts) const
-{
-    DigestBuilder d;
-    d.add(std::string_view("memento-derived-cell"));
-    d.add(std::string_view(opts_.codeVersion));
-    for (const std::string_view part : parts)
-        d.add(part);
-    return CellKey{d.value()};
-}
-
 std::string
 ResultStore::cellPath(const CellKey &key) const
 {
@@ -314,8 +302,7 @@ ResultStore::cellPath(const CellKey &key) const
 }
 
 bool
-ResultStore::loadCell(const CellKey &key, std::string_view cell_kind,
-                      std::string &payload)
+ResultStore::loadRun(const CellKey &key, RunResult &out, unsigned &attempts)
 {
     std::string record;
     if (!readFile(cellPath(key), record)) {
@@ -324,31 +311,32 @@ ResultStore::loadCell(const CellKey &key, std::string_view cell_kind,
         return false;
     }
 
-    std::string stored_kind;
-    std::string_view body;
-    if (!validateRecord(record, key.hex(), stored_kind, body) ||
-        stored_kind != cell_kind) {
+    std::string_view payload;
+    RunResult parsed;
+    unsigned parsed_attempts = 1;
+    if (!validateRecord(record, key.hex(), payload) ||
+        !parseRunPayload(payload, parsed, parsed_attempts)) {
         quarantine(key);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.misses;
         return false;
     }
-
-    payload.assign(body);
+    out = std::move(parsed);
+    attempts = parsed_attempts;
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hits;
     return true;
 }
 
 void
-ResultStore::storeCell(const CellKey &key, std::string_view cell_kind,
-                       std::string_view payload)
+ResultStore::storeRun(const CellKey &key, const RunResult &result,
+                      unsigned attempts)
 {
-    const std::string hex = key.hex();
+    const std::string payload = runPayload(result, attempts);
     std::string record =
-        headerLine(cell_kind, hex, payload.size(), checksumOf(payload));
+        headerLine(key.hex(), payload.size(), checksumOf(payload));
     record += '\n';
-    record.append(payload.data(), payload.size());
+    record += payload;
 
     std::lock_guard<std::mutex> lock(mu_);
     ++storeCounter_;
@@ -380,34 +368,6 @@ ResultStore::storeCell(const CellKey &key, std::string_view cell_kind,
 }
 
 bool
-ResultStore::loadRun(const CellKey &key, RunResult &out, unsigned &attempts)
-{
-    std::string payload;
-    if (!loadCell(key, "run", payload))
-        return false;
-
-    RunResult parsed;
-    unsigned parsed_attempts = 1;
-    if (!parseRunPayload(payload, parsed, parsed_attempts)) {
-        quarantine(key);
-        std::lock_guard<std::mutex> lock(mu_);
-        --stats_.hits;
-        ++stats_.misses;
-        return false;
-    }
-    out = std::move(parsed);
-    attempts = parsed_attempts;
-    return true;
-}
-
-void
-ResultStore::storeRun(const CellKey &key, const RunResult &result,
-                      unsigned attempts)
-{
-    storeCell(key, "run", runPayload(result, attempts));
-}
-
-bool
 ResultStore::inRevalidateSample(const CellKey &key, unsigned every) const
 {
     if (every == 0)
@@ -435,48 +395,6 @@ ResultStore::noteRevalidated()
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.revalidated;
-}
-
-MergeStats
-ResultStore::mergeFrom(const std::string &src_dir)
-{
-    MergeStats out;
-    std::vector<std::string> names;
-    std::error_code ec;
-    for (fs::directory_iterator it(src_dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        if (it->path().extension() == ".cell")
-            names.push_back(it->path().filename().string());
-    }
-    sim_error_if(ec, ErrorCategory::Config, "cannot list ", src_dir, ": ",
-                 ec.message());
-    std::sort(names.begin(), names.end());
-
-    for (const std::string &name : names) {
-        const std::string expect_key = name.substr(0, name.size() - 5);
-        std::string record;
-        std::string stored_kind;
-        std::string_view body;
-        if (!readFile(src_dir + "/" + name, record) ||
-            !validateRecord(record, expect_key, stored_kind, body)) {
-            ++out.corrupt;
-            continue;
-        }
-
-        const std::string dest = opts_.dir + "/" + name;
-        std::string existing;
-        std::string existing_kind;
-        std::string_view existing_body;
-        if (readFile(dest, existing) &&
-            validateRecord(existing, expect_key, existing_kind,
-                           existing_body)) {
-            ++out.duplicates;
-            continue;
-        }
-        writeFileAtomic(dest, record);
-        ++out.merged;
-    }
-    return out;
 }
 
 std::vector<std::string>

@@ -1,14 +1,14 @@
 /**
  * @file
  * Content-addressed on-disk result store: the persistence layer that
- * makes sweeps crash-safe, resumable, and shardable.
+ * makes sweeps crash-safe and resumable.
  *
  * Every sweep cell (one workload run under one configuration) is keyed
  * by an FNV-1a digest of (workload id, canonical configuration text,
  * run options, code version) — see sim/config_canon.h — so a cache hit
  * is only possible when *nothing* that could change the result has
- * changed. Each cell is one file `<16-hex-key>.cell` in the store
- * directory:
+ * changed. Each cell is one run outcome in one file
+ * `<16-hex-key>.cell` in the store directory:
  *
  *     {"schema_version": 1, "kind": "result-cell", "cell_kind": "run",
  *      "key": "<16hex>", "payload_bytes": N, "checksum": "<16hex>"}\n
@@ -24,9 +24,10 @@
  * quarantines the file (renamed to `<key>.quarantined`) and reports a
  * miss, so the cell is simply recomputed. Corruption is never fatal.
  *
- * Stores from different shards of the same sweep are disjoint-or-equal
- * by construction (same key => same content), which is what makes
- * `memento_sim merge` a trivial validated file union.
+ * Same key => same content, and every record is validated on read, so
+ * combining two stores is copying one's `*.cell` files into the other.
+ * The `cell_kind` header field always reads "run"; a record of any
+ * other kind is damage.
  *
  * Thread safety: all public methods are safe to call concurrently;
  * distinct cells go to distinct files and counters are mutex-guarded.
@@ -37,7 +38,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -90,7 +90,7 @@ struct ResultStoreOptions
      * codeVersionString(). Tests override it to pin keys.
      */
     std::string codeVersion;
-    /** Crash injection: tear the Nth storeCell() in half and _exit. */
+    /** Crash injection: tear the Nth storeRun() in half and _exit. */
     std::uint64_t tornWriteAt = 0;
     /** Crash injection: _exit right after the Nth completed store. */
     std::uint64_t killAt = 0;
@@ -104,14 +104,6 @@ struct StoreStats
     std::uint64_t stores = 0;
     std::uint64_t quarantined = 0;
     std::uint64_t revalidated = 0;
-};
-
-/** Outcome of merging one source store into this one. */
-struct MergeStats
-{
-    std::uint64_t merged = 0;     ///< New cells copied in.
-    std::uint64_t duplicates = 0; ///< Already present (kept ours).
-    std::uint64_t corrupt = 0;    ///< Source records that failed validation.
 };
 
 class ResultStore
@@ -135,35 +127,23 @@ class ResultStore
                        const MachineConfig &cfg, const RunOptions &opts,
                        std::string_view salt = {}) const;
 
-    /** Key from arbitrary tagged parts (e.g. the fleet summary cell). */
-    CellKey derivedKey(std::initializer_list<std::string_view> parts) const;
-
-    // ---- Generic cell layer ----
+    // ---- Run cells ----
 
     /**
-     * Load the cell @p key. Returns true and fills @p payload on a
-     * validated hit. A missing file is a miss; a damaged file is
-     * quarantined and reported as a miss. @p cell_kind must match the
-     * stored record's kind (a mismatch is damage).
-     */
-    bool loadCell(const CellKey &key, std::string_view cell_kind,
-                  std::string &payload);
-
-    /** Atomically persist the cell @p key (last writer wins). */
-    void storeCell(const CellKey &key, std::string_view cell_kind,
-                   std::string_view payload);
-
-    // ---- RunResult cells ----
-
-    /**
-     * Load a run cell into @p out / @p attempts. A record whose payload
-     * no longer parses as a RunResult is quarantined like any other
-     * damage. The stored result may itself be a captured failure
-     * (out.failed()) — cached failures are first-class.
+     * Load the cell @p key into @p out / @p attempts. Returns true on
+     * a validated hit. A missing file is a miss; a damaged record (bad
+     * header, checksum, cell kind, or a payload that no longer parses
+     * as a RunResult) is quarantined and reported as a miss. The
+     * stored result may itself be a captured failure (out.failed()) —
+     * cached failures are first-class.
      */
     bool loadRun(const CellKey &key, RunResult &out, unsigned &attempts);
 
-    /** Persist one run outcome (success or captured failure). */
+    /**
+     * Atomically persist one run outcome (success or captured failure;
+     * last writer wins). @p attempts is recorded as given; the sweep
+     * engine never retries, so it always writes 1.
+     */
     void storeRun(const CellKey &key, const RunResult &result,
                   unsigned attempts);
 
@@ -181,13 +161,6 @@ class ResultStore
     /** Count a successful revalidation (stats only). */
     void noteRevalidated();
 
-    /**
-     * Validated union: copy every valid cell from @p src_dir that this
-     * store does not already hold. Corrupt source records are counted
-     * and skipped, never copied.
-     */
-    MergeStats mergeFrom(const std::string &src_dir);
-
     /** Sorted `<key>.cell` file names in this store. */
     std::vector<std::string> listCellFiles() const;
 
@@ -199,7 +172,7 @@ class ResultStore
     ResultStoreOptions opts_ MEMENTO_READONLY_AFTER_INIT;
     mutable std::mutex mu_;
     StoreStats stats_ MEMENTO_GUARDED_BY(mu_);
-    /** storeCell() invocation counter driving the crash injections. */
+    /** storeRun() invocation counter driving the crash injections. */
     std::uint64_t storeCounter_ MEMENTO_GUARDED_BY(mu_) = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "machine/sweep.h"
 
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -168,8 +167,8 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
         if (opts_.watchdogMaxCycles != 0 && cfg.check.maxCycles == 0)
             cfg.check.maxCycles = opts_.watchdogMaxCycles;
 
-        // One attempt: run the cell, capturing any failure in-result.
-        auto execute_once = [&]() -> RunResult {
+        // Run the cell, capturing any failure in-result.
+        auto execute = [&]() -> RunResult {
             RunResult result;
             result.workload = task.spec.id;
             try {
@@ -201,11 +200,11 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
             key = opts_.store->runCellKey(task.spec.id, cfg, task.opts,
                                           task.cacheSalt);
             RunResult cached;
-            unsigned cached_attempts = 1;
-            if (opts_.store->loadRun(key, cached, cached_attempts)) {
+            unsigned attempts = 1; // Stored with the cell; unused here.
+            if (opts_.store->loadRun(key, cached, attempts)) {
                 if (opts_.store->inRevalidateSample(
                         key, opts_.revalidateEvery)) {
-                    const RunResult recomputed = execute_once();
+                    const RunResult recomputed = execute();
                     if (recomputed == cached) {
                         opts_.store->noteRevalidated();
                     } else {
@@ -228,7 +227,6 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
                     }
                 }
                 out.result = std::move(cached);
-                out.attempts = cached_attempts;
                 out.fromCache = true;
                 if (out.result.failed() && !opts_.keepGoing)
                     atomicMin(first_failure, idx);
@@ -236,26 +234,9 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
             }
         }
 
-        // Per-cell fault isolation: a failed attempt is retried with a
-        // deterministic exponential backoff before the cell is given
-        // up on. The backoff is real time, but the *outcome* is pure
-        // function of the attempt count, so reports stay byte-stable.
-        unsigned attempt = 0;
-        for (;;) {
-            ++attempt;
-            out.result = execute_once();
-            if (!out.result.failed() || attempt > opts_.retries)
-                break;
-            if (opts_.stopFlag != nullptr &&
-                opts_.stopFlag->load(std::memory_order_relaxed))
-                break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                5ull << std::min(attempt, 4u)));
-        }
-        out.attempts = attempt;
-
+        out.result = execute();
         if (opts_.store != nullptr && task.trace == nullptr)
-            opts_.store->storeRun(key, out.result, out.attempts);
+            opts_.store->storeRun(key, out.result, 1);
 
         if (out.result.failed() && !opts_.keepGoing)
             atomicMin(first_failure, idx);
@@ -296,16 +277,11 @@ compareSweep(const std::vector<WorkloadSpec> &specs,
         out.cmp.memento = outcomes[3 * i + 1].result;
         out.cmp.mementoNoBypass = outcomes[3 * i + 2].result;
         // Report the failure the serial compare() would have thrown:
-        // the first failed run in triple order, with the attempt count
-        // spent on that run (the --keep-going failure report shows it).
-        for (std::size_t j = 0; j < 3; ++j) {
-            const RunResult &run =
-                j == 0   ? out.cmp.base
-                : j == 1 ? out.cmp.memento
-                         : out.cmp.mementoNoBypass;
-            if (run.failed()) {
-                out.error = run.error;
-                out.attempts = outcomes[3 * i + j].attempts;
+        // the first failed run in triple order.
+        for (const RunResult *run :
+             {&out.cmp.base, &out.cmp.memento, &out.cmp.mementoNoBypass}) {
+            if (run->failed()) {
+                out.error = run->error;
                 break;
             }
         }

@@ -24,9 +24,10 @@
  * resumable: every completed cell (success or captured failure) is
  * persisted through the content-addressed result store before the
  * merge, cache hits skip execution entirely (including trace
- * synthesis), and a re-run after a crash — or on another machine with
- * a merged store — reproduces the uninterrupted sweep's outcomes
- * byte-for-byte at any --jobs level.
+ * synthesis), and a re-run after a crash reproduces the uninterrupted
+ * sweep's outcomes byte-for-byte at any --jobs level. A failure is
+ * never retried: every failure in the simulator is deterministic, so
+ * a second attempt could only repeat it.
  */
 
 #ifndef MEMENTO_MACHINE_SWEEP_H
@@ -117,15 +118,6 @@ struct SweepOptions
      */
     ResultStore *store = nullptr;
     /**
-     * Extra attempts for a failed task (per-cell fault isolation). A
-     * failure is retried up to this many times with a deterministic
-     * exponential backoff; the last attempt's outcome is reported,
-     * with the attempt count alongside. Cached failures are not
-     * retried — their recorded attempt count already reflects the
-     * retries spent computing them.
-     */
-    unsigned retries = 0;
-    /**
      * Self-healing cache audit: recompute every cache hit whose key
      * falls in the 1-in-N sample (0 = off, 1 = every hit) and compare
      * against the stored result field-by-field. A mismatch quarantines
@@ -156,8 +148,6 @@ struct SweepOutcome
     bool skipped = false;
     /** Result was served from the result store, not recomputed. */
     bool fromCache = false;
-    /** Attempts spent on this cell (1 = first try; retries add more). */
-    unsigned attempts = 1;
 };
 
 /**
@@ -203,8 +193,6 @@ struct ComparisonOutcome
      * every run that executed.
      */
     std::optional<RunError> error;
-    /** Attempts spent on the failed run (1 when error is empty). */
-    unsigned attempts = 1;
 };
 
 /**

@@ -178,27 +178,6 @@ lintConfigStream(std::istream &is, const std::string &subject,
         }
     }
 
-    if (cfg.sweep.shardIndex >= cfg.sweep.shardCount &&
-        (line_of("sweep.shard_index") || line_of("sweep.shard_count"))) {
-        report.add("config-shard-range", subject,
-                   std::max(line_of("sweep.shard_index"),
-                            line_of("sweep.shard_count")),
-                   detail::formatMsg(
-                       "sweep.shard_index (", cfg.sweep.shardIndex,
-                       ") must be below sweep.shard_count (",
-                       cfg.sweep.shardCount,
-                       "); this shard selects no workloads"));
-    }
-
-    if (cfg.sweep.retries > 0 && !cfg.sweep.keepGoing) {
-        report.add("config-retry-no-keep-going", subject,
-                   line_of("sweep.retry"),
-                   detail::formatMsg(
-                       "sweep.retry (", cfg.sweep.retries,
-                       ") is set without sweep.keep_going; a cell that "
-                       "exhausts its retries still aborts the sweep"));
-    }
-
     if (cfg.check.interval != 0 && cfg.check.maxOps != 0 &&
         cfg.check.interval > cfg.check.maxOps) {
         report.add("config-check-conflict", subject,

@@ -69,12 +69,6 @@ allDiagRules()
         {"config-check-conflict", DiagSeverity::Warning,
          "check.interval can never fire before the check.max_ops "
          "watchdog"},
-        {"config-shard-range", DiagSeverity::Error,
-         "sweep.shard_index is not below sweep.shard_count, so the "
-         "shard computes nothing"},
-        {"config-retry-no-keep-going", DiagSeverity::Warning,
-         "sweep.retry is set without sweep.keep_going, so the first "
-         "cell that exhausts its retries still aborts the sweep"},
         {"config-fleet-bad-arrival", DiagSeverity::Error,
          "fleet.arrival is not one of poisson, bursty, diurnal"},
         {"config-fleet-bad-mix", DiagSeverity::Error,

@@ -216,19 +216,14 @@ struct FaultPlan
 /**
  * Sweep execution policy: how a sweep runs, never what any cell
  * computes. These keys are deliberately excluded from canonical cache
- * keys (sim/config_canon.h) so that resumed, retried, or re-sharded
- * sweeps hit the cells an earlier invocation cached. Settable both via
- * config keys (sweep.*) and the corresponding CLI flags.
+ * keys (sim/config_canon.h) so that a resumed sweep hits the cells an
+ * earlier invocation cached. Settable both via config keys (sweep.*)
+ * and the corresponding CLI flags (--cache, --keep-going).
  */
 struct SweepPolicyConfig
 {
     /** Result-store directory ("" = caching disabled). */
     std::string cacheDir;
-    /** This process computes workloads with index % shardCount == shardIndex. */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
-    /** Extra attempts per failed cell (0 = fail on first error). */
-    unsigned retries = 0;
     /** Record per-cell failures and keep sweeping (same as --keep-going). */
     bool keepGoing = false;
 };
@@ -240,7 +235,7 @@ struct SweepPolicyConfig
  * shape a layer built *on top of* per-invocation runs: they are
  * excluded from canonical run-cell keys (a workload's invocation
  * profile does not depend on the fleet around it) and folded into the
- * fleet summary cell key instead (see src/fleet/fleet.h).
+ * fleet digest instead (fleetCanonicalText in src/fleet/fleet.h).
  */
 struct FleetConfig
 {

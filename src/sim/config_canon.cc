@@ -152,12 +152,10 @@ canonicalConfigText(const MachineConfig &cfg)
     // part of the cell identity. The store-level crash faults
     // (inject.store_*) and the sweep.* execution policy are NOT
     // serialized: they perturb how the sweep executes, never what any
-    // cell computes, and including them would make a resumed or
-    // re-sharded sweep miss every cell its predecessor cached. The
-    // fleet.* keys are excluded for the same reason: a workload's
-    // per-invocation profile cell is independent of the fleet built on
-    // top of it, and the fleet summary cell folds its own
-    // fleetCanonicalText() (src/fleet/fleet.h) into its key instead.
+    // cell computes, and including them would make a resumed sweep
+    // miss every cell its predecessor cached. The fleet.* keys are
+    // excluded for the same reason: a workload's per-invocation
+    // profile cell is independent of the fleet built on top of it.
     w.field("inject.pool_exhaust_at", cfg.inject.poolExhaustAtPage);
     w.field("inject.mmap_fail_at", cfg.inject.mmapFailAt);
     w.field("inject.trace_truncate_at", cfg.inject.traceTruncateAt);
@@ -166,28 +164,6 @@ canonicalConfigText(const MachineConfig &cfg)
     w.field("inject.workload", cfg.inject.workload);
 
     return w.str();
-}
-
-const std::string &
-codeVersionString()
-{
-    static const std::string sha = [] {
-        FILE *pipe = ::popen("git rev-parse HEAD 2>/dev/null", "r");
-        if (!pipe)
-            return std::string("unknown");
-        char buf[128];
-        std::string out;
-        if (std::fgets(buf, sizeof buf, pipe))
-            out = buf;
-        ::pclose(pipe);
-        while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-            out.pop_back();
-        if (out.size() < 7 ||
-            out.find_first_not_of("0123456789abcdef") != std::string::npos)
-            return std::string("unknown");
-        return out;
-    }();
-    return sha;
 }
 
 } // namespace memento

@@ -13,9 +13,9 @@
  *    test guards this with a sizeof tripwire.
  *  - *Silent over policy*: fields that steer the sweep *around* the
  *    cells without changing any cell's result — the sweep.* execution
- *    policy (cache dir, sharding, retry) and the store-level crash
- *    faults (inject.store_*) — are excluded, so a resumed or re-sharded
- *    sweep hits the cells its predecessor wrote.
+ *    policy (cache dir, keep-going) and the store-level crash faults
+ *    (inject.store_*) — are excluded, so a resumed sweep hits the
+ *    cells its predecessor wrote.
  *
  * Doubles render with %.17g (exact binary round-trip); addresses in
  * hex; everything else in decimal. The text is stable across
@@ -35,9 +35,10 @@ namespace memento {
 std::string canonicalConfigText(const MachineConfig &cfg);
 
 /**
- * The code version cache keys incorporate: the git commit sha of the
- * build tree, or "unknown" outside a git checkout. Computed once and
- * cached for the process.
+ * The code version cache keys incorporate: "src-" and 16 hex digits of
+ * a SHA-256 over every .h and .cc file of the library, generated at
+ * build time (src/code_version.cmake). Any source edit changes it; the
+ * working directory and the git state do not.
  */
 const std::string &codeVersionString();
 

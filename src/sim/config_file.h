@@ -26,8 +26,7 @@
  *   inject.trace_truncate_at, inject.trace_corrupt_at,
  *   inject.arena_bit_flip_at, inject.workload,
  *   inject.store_torn_write, inject.store_kill_at
- *   sweep.cache_dir, sweep.shard_index, sweep.shard_count,
- *   sweep.retry, sweep.keep_going
+ *   sweep.cache_dir, sweep.keep_going
  */
 
 #ifndef MEMENTO_SIM_CONFIG_FILE_H

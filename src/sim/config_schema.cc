@@ -188,15 +188,6 @@ schemaTable()
         {"sweep.keep_going", ConfigType::Bool, kNoMin, kNoMax,
          "record per-cell failures and keep sweeping",
          MEMENTO_SET(c.sweep.keepGoing = v.boolean)},
-        {"sweep.retry", ConfigType::U32, kNoMin, 16,
-         "extra attempts per failed sweep cell",
-         MEMENTO_SET(c.sweep.retries = static_cast<unsigned>(v.u64))},
-        {"sweep.shard_count", ConfigType::U32, 1, 4096,
-         "total shard count for a distributed sweep",
-         MEMENTO_SET(c.sweep.shardCount = static_cast<unsigned>(v.u64))},
-        {"sweep.shard_index", ConfigType::U32, kNoMin, 4095,
-         "this process's shard index (must be < sweep.shard_count)",
-         MEMENTO_SET(c.sweep.shardIndex = static_cast<unsigned>(v.u64))},
         {"tlb.l1_entries", ConfigType::U32, 1, 1 << 24,
          "L1 TLB entry count",
          MEMENTO_SET(c.l1Tlb.entries = static_cast<unsigned>(v.u64))},

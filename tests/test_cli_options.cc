@@ -122,13 +122,8 @@ TEST(CliOptions, CacheFlagsApplyToTheSweepPolicy)
 {
     const CliOptions opts = parseCommandOptions(
         command("run"),
-        {"run", "all", "--cache", "/tmp/store", "--shard", "1/4",
-         "--retry", "3", "--revalidate"},
-        2);
+        {"run", "all", "--cache", "/tmp/store", "--revalidate"}, 2);
     EXPECT_EQ(opts.cfg.sweep.cacheDir, "/tmp/store");
-    EXPECT_EQ(opts.cfg.sweep.shardIndex, 1u);
-    EXPECT_EQ(opts.cfg.sweep.shardCount, 4u);
-    EXPECT_EQ(opts.cfg.sweep.retries, 3u);
     EXPECT_TRUE(opts.revalidate);
     EXPECT_FALSE(opts.noCache);
 }
@@ -142,34 +137,6 @@ TEST(CliOptions, NoCacheBeatsCacheRegardlessOfOrder)
     EXPECT_TRUE(opts.cfg.sweep.cacheDir.empty());
 }
 
-TEST(CliOptions, MergeCommandIsRegistered)
-{
-    const CommandSpec &merge = command("merge");
-    EXPECT_EQ(merge.positionals, 2u);
-    EXPECT_TRUE(merge.flags.empty());
-}
-
-TEST(CliOptionsDeath, ShardFormatErrorsAreFatal)
-{
-    for (const char *bad : {"2", "a/b", "/2", "1/", "3/2", "2/2",
-                            "-1/2", "0/0", "0/5000"}) {
-        EXPECT_EXIT(parseCommandOptions(
-                        command("run"), {"run", "all", "--shard", bad}, 2),
-                    ::testing::ExitedWithCode(1), "--shard")
-            << bad;
-    }
-}
-
-TEST(CliOptionsDeath, RetryOutOfRangeIsFatal)
-{
-    EXPECT_EXIT(parseCommandOptions(command("run"),
-                                    {"run", "all", "--retry", "17"}, 2),
-                ::testing::ExitedWithCode(1), "--retry");
-    EXPECT_EXIT(parseCommandOptions(command("run"),
-                                    {"run", "all", "--retry", "x"}, 2),
-                ::testing::ExitedWithCode(1), "--retry");
-}
-
 TEST(CliOptionsDeath, EmptyCacheDirIsFatal)
 {
     EXPECT_EXIT(parseCommandOptions(command("run"),
@@ -179,11 +146,13 @@ TEST(CliOptionsDeath, EmptyCacheDirIsFatal)
 
 TEST(CliOptionsDeath, FleetRejectsRetry)
 {
-    // fleet has no per-cell retry semantics; the declarative command
-    // table must reject the flag rather than silently ignoring it.
+    // fleet stops at the first failed profile, so it has no use for
+    // sweep failure policy; the declarative command table must reject
+    // such a flag rather than silently ignoring it.
     EXPECT_EXIT(parseCommandOptions(command("fleet"),
-                                    {"fleet", "--retry", "2"}, 1),
-                ::testing::ExitedWithCode(1), "does not accept --retry");
+                                    {"fleet", "--keep-going"}, 1),
+                ::testing::ExitedWithCode(1),
+                "does not accept --keep-going");
 }
 
 TEST(CliOptions, HelpRendererListsOnlyAcceptedFlags)

@@ -3,8 +3,8 @@
  * Unit tests for the content-addressed result store
  * (machine/result_store.h): exact round-trips, key sensitivity (and
  * the deliberate *in*sensitivity to sweep execution policy),
- * corruption quarantine, merge semantics, and the canonical-config
- * tripwire that keeps cache keys honest as MachineConfig grows.
+ * corruption quarantine, and the canonical-config tripwire that keeps
+ * cache keys honest as MachineConfig grows.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -23,7 +24,9 @@
 #include "sim/config.h"
 #include "sim/config_canon.h"
 #include "sim/error.h"
+#include "sim/json.h"
 #include "test_util.h"
+#include "val/digest.h"
 
 namespace memento {
 namespace {
@@ -205,31 +208,15 @@ TEST(ResultStore, SweepPolicyAndStoreFaultsDoNotChangeKeys)
     const MachineConfig cfg = test::smallConfig();
     const CellKey base = store.runCellKey("aes", cfg, RunOptions{});
 
-    // The whole point of the store: a resumed, re-sharded, retried, or
-    // crash-injected sweep must hit the cells its predecessor wrote.
+    // The whole point of the store: a resumed or crash-injected sweep
+    // must hit the cells its predecessor wrote.
     MachineConfig policy = cfg;
     policy.sweep.cacheDir = "/somewhere/else";
-    policy.sweep.shardIndex = 1;
-    policy.sweep.shardCount = 4;
-    policy.sweep.retries = 9;
     policy.sweep.keepGoing = true;
     policy.inject.storeTornWriteAt = 3;
     policy.inject.storeKillAt = 5;
     EXPECT_EQ(canonicalConfigText(cfg), canonicalConfigText(policy));
     EXPECT_TRUE(base == store.runCellKey("aes", policy, RunOptions{}));
-}
-
-TEST(ResultStore, DerivedKeysSeparateParts)
-{
-    TempStoreDir dir("derived");
-    ResultStore store = openStore(dir);
-
-    const CellKey a = store.derivedKey({"fleet-summary", "aes", "3"});
-    EXPECT_FALSE(a == store.derivedKey({"fleet-summary", "aes", "4"}));
-    EXPECT_FALSE(a == store.derivedKey({"fleet-summary", "bfs", "3"}));
-    // Length-prefixed parts: ("ab","c") must not alias ("a","bc").
-    EXPECT_FALSE(store.derivedKey({"ab", "c"}) ==
-                 store.derivedKey({"a", "bc"}));
 }
 
 // ---- Corruption handling --------------------------------------------
@@ -303,18 +290,45 @@ TEST(ResultStore, GarbageHeaderIsQuarantined)
     expectQuarantinedMiss(store, key);
 }
 
+/**
+ * Write a record for @p key by hand: a well-formed header naming
+ * @p cell_kind, with a correct checksum over @p payload.
+ */
+void
+plantRecord(const ResultStore &store, const CellKey &key,
+            std::string_view cell_kind, std::string_view payload)
+{
+    DigestBuilder d;
+    d.add(payload);
+    std::ofstream(store.dir() + "/" + key.hex() + ".cell",
+                  std::ios::binary | std::ios::trunc)
+        << "{\"schema_version\": " << kJsonSchemaVersion
+        << ", \"kind\": \"result-cell\", \"cell_kind\": \"" << cell_kind
+        << "\", \"key\": \"" << key.hex()
+        << "\", \"payload_bytes\": " << payload.size()
+        << ", \"checksum\": \"" << digestToHex(d.value()) << "\"}\n"
+        << payload;
+}
+
 TEST(ResultStore, WrongCellKindIsDamage)
 {
     TempStoreDir dir("kind");
     ResultStore store = openStore(dir);
+    CellKey stored;
+    std::string record;
+    ASSERT_TRUE(readFile(storeOneCell(store, stored), record));
+    const std::string payload = record.substr(record.find('\n') + 1);
 
-    const CellKey key = store.derivedKey({"some", "cell"});
-    store.storeCell(key, "fleet", "{\"id\": \"aes\"}");
+    // The planted record is faithful: as a "run" cell it loads.
+    RunResult got;
+    unsigned attempts = 0;
+    plantRecord(store, CellKey{7}, "run", payload);
+    EXPECT_TRUE(store.loadRun(CellKey{7}, got, attempts));
 
-    // Asking for the same key under a different kind must not return
-    // the fleet payload as a run payload.
-    std::string payload;
-    EXPECT_FALSE(store.loadCell(key, "run", payload));
+    // The store holds only run cells: the same payload under any other
+    // kind is damage.
+    plantRecord(store, CellKey{8}, "fleet", payload);
+    EXPECT_FALSE(store.loadRun(CellKey{8}, got, attempts));
     EXPECT_EQ(store.stats().quarantined, 1u);
 }
 
@@ -324,10 +338,10 @@ TEST(ResultStore, UnparseableRunPayloadIsQuarantined)
     ResultStore store = openStore(dir);
 
     // A structurally valid cell (header + checksum OK) whose payload
-    // is not a RunResult: loadCell succeeds, loadRun must quarantine.
+    // is not a RunResult: loadRun must quarantine it.
     const CellKey key = store.runCellKey("aes", test::smallConfig(),
                                          RunOptions{});
-    store.storeCell(key, "run", "{\"workload\": \"aes\"}");
+    plantRecord(store, key, "run", "{\"workload\": \"aes\"}");
 
     RunResult got;
     unsigned attempts = 0;
@@ -346,8 +360,7 @@ TEST(ResultStore, NoTemporaryFilesLeftBehind)
     for (int i = 0; i < 8; ++i) {
         RunResult r = richResult();
         r.cycles = i;
-        store.storeRun(store.derivedKey({"cell", std::to_string(i)}), r,
-                       1);
+        store.storeRun(CellKey{static_cast<std::uint64_t>(i)}, r, 1);
     }
 
     std::size_t cells = 0;
@@ -358,77 +371,6 @@ TEST(ResultStore, NoTemporaryFilesLeftBehind)
     }
     EXPECT_EQ(cells, 8u);
     EXPECT_EQ(store.listCellFiles().size(), 8u);
-}
-
-// ---- Merge -----------------------------------------------------------
-
-TEST(ResultStore, MergeIsAValidatedUnion)
-{
-    TempStoreDir dst_dir("merge-dst");
-    TempStoreDir src_dir("merge-src");
-    ResultStore dst = openStore(dst_dir);
-    ResultStore src = openStore(src_dir);
-
-    // dst holds cells {A}; src holds {A, B, C} with C corrupted.
-    const CellKey a = dst.derivedKey({"cell", "a"});
-    const CellKey b = dst.derivedKey({"cell", "b"});
-    const CellKey c = dst.derivedKey({"cell", "c"});
-    RunResult r = richResult();
-    dst.storeRun(a, r, 1);
-    src.storeRun(a, r, 1);
-    r.cycles = 2;
-    src.storeRun(b, r, 1);
-    r.cycles = 3;
-    src.storeRun(c, r, 1);
-    std::ofstream(src_dir.path() + "/" + c.hex() + ".cell",
-                  std::ios::binary | std::ios::trunc)
-        << "torn";
-
-    const MergeStats stats = dst.mergeFrom(src_dir.path());
-    EXPECT_EQ(stats.merged, 1u);     // B.
-    EXPECT_EQ(stats.duplicates, 1u); // A.
-    EXPECT_EQ(stats.corrupt, 1u);    // C.
-
-    RunResult got;
-    unsigned attempts = 0;
-    EXPECT_TRUE(dst.loadRun(a, got, attempts));
-    EXPECT_TRUE(dst.loadRun(b, got, attempts));
-    EXPECT_EQ(got.cycles, 2u);
-    EXPECT_FALSE(dst.loadRun(c, got, attempts));
-}
-
-TEST(ResultStore, MergeRepairsACorruptDestinationRecord)
-{
-    TempStoreDir dst_dir("repair-dst");
-    TempStoreDir src_dir("repair-src");
-    ResultStore dst = openStore(dst_dir);
-    ResultStore src = openStore(src_dir);
-
-    const CellKey key = dst.derivedKey({"cell", "x"});
-    src.storeRun(key, richResult(), 1);
-    std::ofstream(dst_dir.path() + "/" + key.hex() + ".cell",
-                  std::ios::binary | std::ios::trunc)
-        << "damaged";
-
-    const MergeStats stats = dst.mergeFrom(src_dir.path());
-    EXPECT_EQ(stats.merged, 1u);
-    EXPECT_EQ(stats.duplicates, 0u);
-
-    RunResult got;
-    unsigned attempts = 0;
-    EXPECT_TRUE(dst.loadRun(key, got, attempts));
-}
-
-TEST(ResultStore, MergeOfMissingDirectoryThrowsConfigError)
-{
-    TempStoreDir dir("merge-bad");
-    ResultStore store = openStore(dir);
-    try {
-        store.mergeFrom(dir.path() + "/definitely-not-here");
-        FAIL() << "expected SimError";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.category(), ErrorCategory::Config);
-    }
 }
 
 // ---- Revalidation ----------------------------------------------------
@@ -462,7 +404,7 @@ TEST(ResultStore, RevalidateSampleIsDeterministicInTheKey)
  */
 TEST(CanonCoversConfig, SizeofTripwire)
 {
-    EXPECT_EQ(sizeof(MachineConfig), 712u)
+    EXPECT_EQ(sizeof(MachineConfig), 704u)
         << "MachineConfig changed: audit canonicalConfigText() before "
            "bumping this constant (see the comment above this test)";
 }

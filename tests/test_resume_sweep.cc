@@ -244,113 +244,6 @@ TEST(ResumeSweep, CacheHitsAreIdenticalAtAnyJobCount)
     }
 }
 
-/** A task list whose middle task fails on every attempt. */
-std::vector<SweepTask>
-taskListWithDeterministicFailure()
-{
-    std::vector<SweepTask> tasks = smallTaskList();
-    tasks[2].cfg.inject.traceCorruptAt = 200;
-    tasks[2].cfg.inject.workload = tasks[2].spec.id;
-    return tasks;
-}
-
-TEST(ResumeSweep, RetryAttemptsAreDeterministicAtAnyJobCount)
-{
-    const std::vector<SweepTask> tasks =
-        taskListWithDeterministicFailure();
-
-    for (unsigned jobs : {1u, 2u, 4u}) {
-        SweepOptions so;
-        so.jobs = jobs;
-        so.keepGoing = true;
-        so.retries = 2;
-        const std::vector<SweepOutcome> got = sweepWith(tasks, so);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            if (i == 2) {
-                ASSERT_TRUE(got[i].result.failed()) << "jobs " << jobs;
-                EXPECT_EQ(got[i].result.error->category,
-                          ErrorCategory::Trace);
-                // Deterministic failure: first try + both retries.
-                EXPECT_EQ(got[i].attempts, 3u) << "jobs " << jobs;
-            } else {
-                EXPECT_FALSE(got[i].result.failed())
-                    << "jobs " << jobs << " task " << i;
-                EXPECT_EQ(got[i].attempts, 1u)
-                    << "jobs " << jobs << " task " << i;
-            }
-        }
-    }
-}
-
-TEST(ResumeSweep, CachedFailureKeepsItsRecordedAttempts)
-{
-    TempStoreDir dir("cached-failure");
-    const std::vector<SweepTask> tasks =
-        taskListWithDeterministicFailure();
-
-    ResultStore store({.dir = dir.path(), .codeVersion = "test-sha"});
-    SweepOptions so;
-    so.jobs = 2;
-    so.keepGoing = true;
-    so.retries = 2;
-    so.store = &store;
-    const std::vector<SweepOutcome> first = sweepWith(tasks, so);
-    ASSERT_TRUE(first[2].result.failed());
-    EXPECT_EQ(first[2].attempts, 3u);
-    EXPECT_FALSE(first[2].fromCache);
-
-    // The re-run serves the failure from the store without burning new
-    // attempts; the recorded count survives the round-trip.
-    const std::vector<SweepOutcome> second = sweepWith(tasks, so);
-    ASSERT_TRUE(second[2].result.failed());
-    EXPECT_TRUE(second[2].fromCache);
-    EXPECT_EQ(second[2].attempts, 3u);
-    EXPECT_TRUE(second[2].result == first[2].result);
-}
-
-TEST(ResumeSweep, ShardedStoresMergeToTheFullSweep)
-{
-    TempStoreDir dir0("shard0");
-    TempStoreDir dir1("shard1");
-    TempStoreDir merged_dir("shard-merged");
-    const std::vector<SweepTask> tasks = smallTaskList();
-    const std::vector<SweepOutcome> want = reference(tasks);
-
-    // Two "machines" each compute the even / odd half of the sweep
-    // into their own store.
-    for (unsigned shard : {0u, 1u}) {
-        std::vector<SweepTask> part;
-        for (std::size_t i = 0; i < tasks.size(); ++i)
-            if (i % 2 == shard)
-                part.push_back(tasks[i]);
-        ResultStore store({.dir = shard == 0 ? dir0.path() : dir1.path(),
-                           .codeVersion = "test-sha"});
-        SweepOptions so;
-        so.jobs = 2;
-        so.keepGoing = true;
-        so.store = &store;
-        sweepWith(part, so);
-        EXPECT_EQ(store.stats().stores, tasks.size() / 2);
-    }
-
-    ResultStore merged(
-        {.dir = merged_dir.path(), .codeVersion = "test-sha"});
-    const MergeStats m0 = merged.mergeFrom(dir0.path());
-    const MergeStats m1 = merged.mergeFrom(dir1.path());
-    EXPECT_EQ(m0.merged + m1.merged, tasks.size());
-    EXPECT_EQ(m0.corrupt + m1.corrupt, 0u);
-
-    // The merged store replays the full sweep without computing a cell.
-    SweepOptions so;
-    so.jobs = 4;
-    so.keepGoing = true;
-    so.store = &merged;
-    const std::vector<SweepOutcome> got = sweepWith(tasks, so);
-    expectSameResults(got, want, "merged shards");
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(got[i].fromCache) << "task " << i;
-}
-
 TEST(ResumeSweep, RevalidateDetectsDoctoredRecordAndHealsTheStore)
 {
     TempStoreDir dir("revalidate");

@@ -366,28 +366,6 @@ TEST(ConfigLint, CheckIntervalBeyondWatchdog)
         lint("check.interval = 50\ncheck.max_ops = 100\n").empty());
 }
 
-TEST(ConfigLint, ShardIndexMustBeBelowShardCount)
-{
-    // Fires at the later of the two lines that form the conflict.
-    const DiagReport r =
-        lint("sweep.shard_index = 3\nsweep.shard_count = 2\n");
-    expectOnly(r, "config-shard-range", DiagSeverity::Error, 2);
-    EXPECT_TRUE(
-        lint("sweep.shard_index = 1\nsweep.shard_count = 2\n").empty());
-    // Index alone against the default count of 1 is still a conflict.
-    expectOnly(lint("sweep.shard_index = 1\n"), "config-shard-range",
-               DiagSeverity::Error, 1);
-}
-
-TEST(ConfigLint, RetryWithoutKeepGoingWarns)
-{
-    expectOnly(lint("sweep.retry = 3\n"), "config-retry-no-keep-going",
-               DiagSeverity::Warning, 1);
-    EXPECT_TRUE(
-        lint("sweep.retry = 3\nsweep.keep_going = true\n").empty());
-    EXPECT_TRUE(lint("sweep.retry = 0\n").empty());
-}
-
 TEST(ConfigLint, SweepKeyTypoGetsADidYouMean)
 {
     const DiagReport r = lint("sweep.cache_dri = /tmp/store\n");
@@ -395,6 +373,10 @@ TEST(ConfigLint, SweepKeyTypoGetsADidYouMean)
     EXPECT_NE(r.diags()[0].message.find("sweep.cache_dir"),
               std::string::npos)
         << r.diags()[0].message;
+    // The sharding and retry keys are gone from the schema.
+    for (const char *gone : {"sweep.shard_index = 0\n",
+                             "sweep.shard_count = 2\n", "sweep.retry = 1\n"})
+        expectOnly(lint(gone), "config-unknown-key", DiagSeverity::Error, 1);
 }
 
 // ---------------------------------------------------------------------

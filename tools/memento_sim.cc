@@ -65,23 +65,15 @@
  *       entries print in registry order, byte-identically at any
  *       --jobs level (tests/golden/figures.txt holds `figures all`).
  *
- *   memento_sim merge <out-dir> <in-dir>...
- *       Merge partial result stores (e.g. from --shard runs on other
- *       machines) into one, validating every record; corrupt source
- *       records are counted and skipped, never copied. Merging from
- *       zero readable cells is an error, not a silent empty store.
- *
  *   memento_sim help [command]
  *       Render the global usage page or one command's options.
  *
  * Crash-safe sweeps: `run all` and `compare all` accept --cache DIR,
  * which persists every completed cell to a content-addressed result
- * store (machine/result_store.h); `fleet` caches its profiles and
- * summary there too. A killed or interrupted sweep resumes from the
- * cache with byte-identical stdout; --shard I/N partitions a sweep
- * across machines for later `merge`; --retry N isolates flaky cells;
- * --revalidate audits cached results by recomputing a sample. All
- * cache chatter goes to stderr.
+ * store (machine/result_store.h); `fleet` caches its profiles there
+ * too. A killed or interrupted sweep resumes from the cache with
+ * byte-identical stdout; --revalidate audits cached results by
+ * recomputing a sample. All cache chatter goes to stderr.
  *
  * Every command parses through the shared declarative flag table in
  * src/cli/options.h: one parser, one --help renderer, one error style.
@@ -139,22 +131,19 @@ struct FailureRecord
 {
     std::string workload;
     RunError error;
-    /** Attempts spent before giving the cell up (--retry). */
-    unsigned attempts = 1;
 };
 
 void
 printFailureReport(const std::vector<FailureRecord> &failures)
 {
     std::cout << "\n" << failures.size() << " run(s) failed:\n";
-    TextTable t({"workload", "category", "op", "attempts", "error"});
+    TextTable t({"workload", "category", "op", "error"});
     for (const FailureRecord &f : failures) {
         t.newRow();
         t.cell(f.workload);
         t.cell(std::string(errorCategoryName(f.error.category)));
         t.cell(f.error.hasOpIndex() ? std::to_string(f.error.opIndex)
                                     : std::string("-"));
-        t.cell(std::to_string(f.attempts));
         t.cell(f.error.message);
     }
     t.print(std::cout);
@@ -220,38 +209,12 @@ reportInterrupted(const ResultStore *store)
     return 130;
 }
 
-/**
- * Keep only this shard's workloads (index % count == shard index).
- * Partitioning is by position in the full deterministic workload
- * list, so shards are disjoint and merge-complete by construction.
- */
-void
-applyShard(std::vector<WorkloadSpec> &specs, const SweepPolicyConfig &sw,
-           bool is_all)
-{
-    // The --shard flag validates I < N at parse time; the config-file
-    // path (sweep.shard_index) must be checked here.
-    fatal_if(sw.shardIndex >= sw.shardCount, "sweep.shard_index (",
-             sw.shardIndex, ") must be below sweep.shard_count (",
-             sw.shardCount, ")");
-    if (sw.shardCount <= 1)
-        return;
-    fatal_if(!is_all, "--shard partitions a sweep; use it with 'all'");
-    std::vector<WorkloadSpec> mine;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (i % sw.shardCount == sw.shardIndex)
-            mine.push_back(specs[i]);
-    }
-    specs = std::move(mine);
-}
-
-/** Shared SweepOptions wiring for the cache/retry/revalidate layer. */
+/** Shared SweepOptions wiring for the cache/revalidate layer. */
 void
 applySweepPolicy(SweepOptions &sweep_opts, const CliOptions &opts,
                  ResultStore *store)
 {
     sweep_opts.keepGoing = opts.keepGoing || opts.cfg.sweep.keepGoing;
-    sweep_opts.retries = opts.cfg.sweep.retries;
     sweep_opts.store = store;
     if (store != nullptr) {
         sweep_opts.stopFlag = &g_stop;
@@ -367,7 +330,6 @@ cmdRun(const std::string &id, const CliOptions &opts)
         fatal_if(!in, "cannot open trace file ", opts.traceFile);
         replay = std::make_shared<const Trace>(readTrace(in));
     }
-    applyShard(specs, opts.cfg.sweep, id == "all");
     const std::unique_ptr<ResultStore> store = makeStore(opts);
 
     std::vector<SweepTask> tasks;
@@ -398,15 +360,14 @@ cmdRun(const std::string &id, const CliOptions &opts)
     std::vector<FailureRecord> failures;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const WorkloadSpec &spec = specs[i];
-        const SweepOutcome &outcome = outcomes[i * runs_per];
-        const RunResult &res = outcome.result;
+        const RunResult &res = outcomes[i * runs_per].result;
         std::cout << "workload " << spec.id << " ("
                   << (opts.cfg.memento.enabled ? "memento" : "baseline")
                   << ")";
         if (res.failed()) {
             std::cout << ": FAILED ("
                       << errorCategoryName(res.error->category) << ")\n";
-            failures.push_back({spec.id, *res.error, outcome.attempts});
+            failures.push_back({spec.id, *res.error});
             if (!keep_going)
                 break;
             continue;
@@ -417,8 +378,7 @@ cmdRun(const std::string &id, const CliOptions &opts)
         if (opts.digest) {
             // Paired run: an identical workload under an identical
             // configuration must reproduce the machine state exactly.
-            const SweepOutcome &again_out = outcomes[i * runs_per + 1];
-            const RunResult &again = again_out.result;
+            const RunResult &again = outcomes[i * runs_per + 1].result;
             if (again.failed() || again.digest != res.digest) {
                 RunError err;
                 err.category = ErrorCategory::Internal;
@@ -430,7 +390,7 @@ cmdRun(const std::string &id, const CliOptions &opts)
                               digestToHex(res.digest) + " vs " +
                               digestToHex(again.digest) +
                               " (nondeterministic state)";
-                failures.push_back({spec.id, err, again_out.attempts});
+                failures.push_back({spec.id, err});
                 if (!keep_going)
                     break;
             } else {
@@ -464,7 +424,6 @@ cmdCompare(const std::string &id, const CliOptions &opts)
     RunOptions run_opts;
     run_opts.coldStart = opts.cold;
 
-    applyShard(specs, opts.cfg.sweep, id == "all");
     const std::unique_ptr<ResultStore> store = makeStore(opts);
 
     // Each workload's (baseline, memento, no-bypass) triple fans out
@@ -493,7 +452,7 @@ cmdCompare(const std::string &id, const CliOptions &opts)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const ComparisonOutcome &out = outcomes[i];
         if (out.error) {
-            failures.push_back({specs[i].id, *out.error, out.attempts});
+            failures.push_back({specs[i].id, *out.error});
             if (!keep_going)
                 break;
             continue;
@@ -659,8 +618,6 @@ cmdFleet(const CliOptions &opts)
 
     if (store != nullptr)
         reportStoreStats(*store);
-    if (report.fromCache)
-        std::cerr << "fleet summary served from cache\n";
 
     // stdout carries only simulated (integer-derived) values: the text
     // and JSON renderings are byte-identical across --jobs levels and
@@ -707,47 +664,6 @@ cmdFigures(const CliOptions &opts)
     };
     SweepEngine engine(sweep_opts);
     runFigures(figs, engine, std::cout);
-    return 0;
-}
-
-int
-cmdMerge(const std::vector<std::string> &args)
-{
-    // args: merge <out-dir> <in-dir>... — variadic positionals, no
-    // flags, so this bypasses the table parser.
-    for (std::size_t i = 1; i < args.size(); ++i) {
-        fatal_if(args[i].size() >= 2 && args[i][0] == '-' &&
-                     args[i][1] == '-',
-                 "merge accepts no options, got ", args[i]);
-    }
-    ResultStoreOptions so;
-    so.dir = args[1];
-    ResultStore store(std::move(so));
-
-    MergeStats total;
-    for (std::size_t i = 2; i < args.size(); ++i) {
-        const MergeStats s = store.mergeFrom(args[i]);
-        std::cerr << "  " << args[i] << ": " << s.merged
-                  << " merged, " << s.duplicates << " duplicate(s), "
-                  << s.corrupt << " corrupt\n";
-        total.merged += s.merged;
-        total.duplicates += s.duplicates;
-        total.corrupt += s.corrupt;
-    }
-    // A merge that read zero valid cells is a mistyped path or a wiped
-    // shard, not a legitimate empty union: fail loudly instead of
-    // leaving a silently empty store a later resume would trust.
-    if (total.merged + total.duplicates == 0) {
-        std::cerr << "memento_sim: merge: no readable cells in any "
-                     "input store ("
-                  << total.corrupt
-                  << " corrupt); nothing was merged — check the input "
-                     "paths\n";
-        return 1;
-    }
-    std::cout << "merged " << total.merged << " cell(s) into " << args[1]
-              << " (" << total.duplicates << " duplicate(s), "
-              << total.corrupt << " corrupt)\n";
     return 0;
 }
 
@@ -801,8 +717,6 @@ main(int argc, char **argv)
         return 1;
     }
     try {
-        if (cmd == "merge")
-            return cmdMerge(args);
         const CliOptions opts =
             parseCommandOptions(*spec, args, 1 + spec->positionals);
         if (opts.helpRequested) {
