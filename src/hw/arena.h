@@ -196,6 +196,8 @@ class SlotBitmap
 struct ArenaState
 {
     static constexpr unsigned kMaxObjects = SlotBitmap::kBits;
+    static_assert(kMaxSmallSize <= UINT16_MAX,
+                  "a small object's size must fit slotBytes");
 
     Addr va = 0;       ///< Base virtual address (header VA field).
     Addr headerPa = 0; ///< Physical address of the header line.
@@ -206,6 +208,12 @@ struct ArenaState
     unsigned allocated = 0;
     /** 11-bit bypass counter: high-water accessed line index + 1. */
     unsigned bypassCounter = 0;
+    /**
+     * Requested bytes of each allocated slot. Simulator bookkeeping for
+     * the allocator's live-bytes count, not part of the header: no
+     * simulated access reads or writes it.
+     */
+    std::array<std::uint16_t, kMaxObjects> slotBytes{};
 
     bool full(unsigned capacity) const { return allocated == capacity; }
     bool empty() const { return allocated == 0; }

@@ -118,6 +118,7 @@ HwObjectAllocator::objAlloc(MementoSpace &space, std::uint64_t size,
     const unsigned slot = state->findFreeSlot(capacity);
     panic_if(slot >= capacity, "installed arena has no free slot");
     state->bitmap.set(slot);
+    state->slotBytes[slot] = static_cast<std::uint16_t>(size);
     ++state->allocated;
     state->ownerThread = thread;
     hot_.recordAlloc(hit);
@@ -134,7 +135,7 @@ HwObjectAllocator::objAlloc(MementoSpace &space, std::uint64_t size,
 
 FreeStatus
 HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
-                           unsigned thread)
+                           unsigned thread, std::uint32_t *freedBytes)
 {
     CategoryScope scope(env.ledger(), CycleCategory::HwFree);
     env.chargeCycles(hot_.latency());
@@ -149,8 +150,11 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
     ArenaState &state = it->second;
 
     const unsigned idx = geometry_.objIndexOf(va);
-    if (!state.bitmap.test(idx))
+    if (!state.bitmap.test(idx) ||
+        geometry_.objAddr(arena_base, cls, idx) != va)
         return FreeStatus::NotAllocated;
+    if (freedBytes)
+        *freedBytes = state.slotBytes[idx];
 
     if (state.ownerThread != thread) {
         // Cross-thread free: acquire exclusive ownership of the header

@@ -52,10 +52,12 @@ class HwObjectAllocator
      * that does not own the object's arena takes the hardware-only
      * remote path: the HOT acquires the header line exclusively
      * (BusRdX) and performs the read-modify-write atomically, riding
-     * the regular coherence protocol (§4).
+     * the regular coherence protocol (§4). On success the object's
+     * requested size is stored to @p freedBytes when it is non-null.
      */
     FreeStatus objFree(MementoSpace &space, Addr va, Env &env,
-                       unsigned thread = 0);
+                       unsigned thread = 0,
+                       std::uint32_t *freedBytes = nullptr);
 
     /** Remote (cross-thread) frees handled via coherence. */
     std::uint64_t remoteFrees() const { return remoteFrees_.value(); }

@@ -26,7 +26,6 @@ MementoAllocator::malloc(std::uint64_t size, Env &env)
         env.chargeInstructions(3);
     }
     Addr va = hw_.objAlloc(space_, size, env, thread_);
-    live_[va] = static_cast<std::uint32_t>(size);
     liveBytes_ += size;
     return va;
 }
@@ -42,14 +41,12 @@ MementoAllocator::free(Addr ptr, Env &env)
         CategoryScope scope(env.ledger(), CycleCategory::HwFree);
         env.chargeInstructions(3);
     }
-    FreeStatus status = hw_.objFree(space_, ptr, env, thread_);
+    std::uint32_t bytes = 0;
+    FreeStatus status = hw_.objFree(space_, ptr, env, thread_, &bytes);
     panic_if(status != FreeStatus::Ok,
              "memento: hardware raised a free exception for 0x", std::hex,
              ptr);
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "memento: free of untracked pointer");
-    liveBytes_ -= it->second;
-    live_.erase(it);
+    liveBytes_ -= bytes;
 }
 
 void
@@ -58,7 +55,6 @@ MementoAllocator::functionExit(Env &env)
     // Batch free: every arena goes back to the page allocator with
     // hardware latency; no kernel munmap walk happens for the region.
     hw_.releaseAllArenas(space_, env);
-    live_.clear();
     liveBytes_ = 0;
     large_.releaseAll(env);
 }
@@ -72,7 +68,19 @@ MementoAllocator::inactiveSlotFraction() const
 bool
 MementoAllocator::isLive(Addr ptr) const
 {
-    return live_.count(ptr) != 0 || large_.owns(ptr);
+    const ArenaGeometry &geo = hw_.geometry();
+    if (!geo.inRegion(ptr))
+        return large_.owns(ptr);
+    // Live iff ptr starts a slot whose bit is set in a live arena.
+    const Addr base = geo.arenaBaseOf(ptr);
+    if (ptr < base + ArenaGeometry::kHeaderBytes)
+        return false;
+    const auto it = space_.arenas.find(base);
+    if (it == space_.arenas.end())
+        return false;
+    const unsigned idx = geo.objIndexOf(ptr);
+    return geo.objAddr(base, geo.classOf(ptr), idx) == ptr &&
+           it->second.bitmap.test(idx);
 }
 
 } // namespace memento

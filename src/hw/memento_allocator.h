@@ -10,8 +10,6 @@
 #ifndef MEMENTO_HW_MEMENTO_ALLOCATOR_H
 #define MEMENTO_HW_MEMENTO_ALLOCATOR_H
 
-#include <unordered_map>
-
 #include "hw/hw_object_allocator.h"
 #include "rt/allocator.h"
 #include "rt/glibc_large.h"
@@ -53,7 +51,7 @@ class MementoAllocator : public Allocator
     MementoSpace &space_;
     GlibcLargeAlloc large_;
 
-    std::unordered_map<Addr, std::uint32_t> live_;
+    /** Requested bytes of live small objects (sizes held per slot). */
     std::uint64_t liveBytes_ = 0;
     unsigned thread_ = 0;
 };

@@ -11,6 +11,7 @@ Cache::Cache(const std::string &name, const CacheConfig &cfg,
       ways_(cfg.ways),
       latency_(cfg.latency),
       lines_(numSets_ * ways_),
+      lruClock_(ways_),
       hits_(stats.counter(name + ".hits")),
       misses_(stats.counter(name + ".misses")),
       evictions_(stats.counter(name + ".evictions")),
@@ -19,20 +20,19 @@ Cache::Cache(const std::string &name, const CacheConfig &cfg,
     panic_if(numSets_ == 0, "cache ", name, ": zero sets");
     panic_if(!isPowerOfTwo(numSets_), "cache ", name,
              ": set count must be a power of two");
+    flushAll();
 }
 
 bool
 Cache::invalidate(Addr paddr)
 {
-    const std::uint64_t set = setIndex(paddr);
     const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
+    Line *base = &lines_[setIndex(paddr) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            bool was_dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
+        if (line.tag == tag) {
+            const bool was_dirty = (line.meta & 1) != 0;
+            line = {kNoTag, std::uint64_t{w} << 1};
             return was_dirty;
         }
     }
@@ -43,11 +43,13 @@ std::uint64_t
 Cache::flushAll()
 {
     std::uint64_t dirty = 0;
-    for (Line &line : lines_) {
-        if (line.valid && line.dirty)
-            ++dirty;
-        line.valid = false;
-        line.dirty = false;
+    for (std::uint64_t set = 0; set < numSets_; ++set) {
+        Line *base = &lines_[set * ways_];
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (base[w].tag != kNoTag && (base[w].meta & 1))
+                ++dirty;
+            base[w] = {kNoTag, std::uint64_t{w} << 1};
+        }
     }
     return dirty;
 }
@@ -57,7 +59,7 @@ Cache::residentLines() const
 {
     std::uint64_t n = 0;
     for (const Line &line : lines_) {
-        if (line.valid)
+        if (line.tag != kNoTag)
             ++n;
     }
     return n;
@@ -68,8 +70,8 @@ Cache::forEachLine(
     const std::function<void(Addr lineAddr, bool dirty)> &fn) const
 {
     for (const Line &line : lines_) {
-        if (line.valid)
-            fn(line.tag << kLineShift, line.dirty);
+        if (line.tag != kNoTag)
+            fn(line.tag << kLineShift, (line.meta & 1) != 0);
     }
 }
 
@@ -81,16 +83,23 @@ Cache::checkIntegrity(std::vector<std::string> &violations) const
         const Line *base = &lines_[set * ways_];
         for (unsigned w = 0; w < ways_; ++w) {
             const Line &line = base[w];
-            if (!line.valid) {
-                if (line.dirty)
+            const std::uint64_t lru = line.meta >> 1;
+            if (line.tag == kNoTag) {
+                if (line.meta & 1)
                     violations.push_back(name_ + ": invalid line dirty");
+                if (lru != w)
+                    violations.push_back(
+                        name_ + ": invalid way stamp is not its index");
                 continue;
             }
+            if (lru <= ways_)
+                violations.push_back(
+                    name_ + ": valid line stamp within the invalid range");
             if (setIndex(line.tag << kLineShift) != set)
                 violations.push_back(
                     name_ + ": tag does not map to its own set");
             for (unsigned v = w + 1; v < ways_; ++v) {
-                if (base[v].valid && base[v].tag == line.tag)
+                if (base[v].tag == line.tag)
                     violations.push_back(
                         name_ + ": duplicate tag within a set");
             }

@@ -79,11 +79,8 @@ class Cache
      */
     bool invalidate(Addr paddr);
 
-    /** Mark the resident line holding @p paddr dirty (no-op if absent). */
-    void markDirty(Addr paddr);
-
     /**
-     * Single-scan contains() + markDirty(): mark the resident line
+     * Single-scan contains() + dirty update: mark the resident line
      * holding @p paddr dirty.
      * @return true if the line was resident.
      */
@@ -115,26 +112,38 @@ class Cache
   private:
     friend struct InvariantTestPeer; ///< Corruption hooks for val tests.
 
+    /**
+     * One way. Validity lives in the tag and dirtiness in the low bit
+     * of the LRU word, so a probe compares one word per way and a way
+     * is 16 bytes.
+     */
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
+        Addr tag; ///< paddr >> kLineShift, or kNoTag when invalid.
+        /** (lruStamp << 1) | dirty; (way << 1) while invalid. */
+        std::uint64_t meta;
     };
+    static_assert(sizeof(Line) == 16, "Cache::Line must stay compact");
+
+    /** Tag of an invalid way; no line address shifts down to it. */
+    static constexpr Addr kNoTag = ~Addr{0};
 
     std::uint64_t setIndex(Addr paddr) const;
     Addr tagOf(Addr paddr) const;
-
-    /** Shared install tail: fill the first invalid way, else evict @p lru. */
-    Eviction fillVictim(Line *invalid, Line *lru, Addr tag, bool dirty);
+    /** Next LRU stamp, with @p dirty in bit 0. */
+    std::uint64_t stamp(bool dirty) { return (++lruClock_ << 1) | dirty; }
 
     std::string name_;
     std::uint64_t numSets_;
     unsigned ways_;
     Cycles latency_;
     std::vector<Line> lines_; ///< numSets_ x ways_, row-major.
-    std::uint64_t lruClock_ = 0;
+    /**
+     * Starts at ways_, so every valid way's stamp exceeds every
+     * invalid way's index: the least `meta` of a set is its first
+     * invalid way, else its least-recently-used one.
+     */
+    std::uint64_t lruClock_;
 
     Counter hits_;
     Counter misses_;
@@ -159,15 +168,12 @@ Cache::tagOf(Addr paddr) const
 inline bool
 Cache::access(Addr paddr, bool is_write)
 {
-    const std::uint64_t set = setIndex(paddr);
     const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
+    Line *base = &lines_[setIndex(paddr) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = ++lruClock_;
-            if (is_write)
-                line.dirty = true;
+        if (line.tag == tag) {
+            line.meta = stamp(is_write) | (line.meta & 1);
             ++hits_;
             return true;
         }
@@ -179,113 +185,76 @@ Cache::access(Addr paddr, bool is_write)
 inline bool
 Cache::contains(Addr paddr) const
 {
-    const std::uint64_t set = setIndex(paddr);
     const Addr tag = tagOf(paddr);
-    const Line *base = &lines_[set * ways_];
+    const Line *base = &lines_[setIndex(paddr) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return true;
     }
     return false;
-}
-
-inline Cache::Eviction
-Cache::fillVictim(Line *invalid, Line *lru, Addr tag, bool dirty)
-{
-    // An invalid way wins over the LRU victim; `lru` is the first
-    // least-recently-used valid way of the set when none is invalid —
-    // the same victim order the pre-fused triple scan produced.
-    Line *victim = invalid;
-    Eviction evicted;
-    if (!victim) {
-        victim = lru;
-        evicted.valid = true;
-        evicted.lineAddr = victim->tag << kLineShift;
-        evicted.dirty = victim->dirty;
-        ++evictions_;
-        if (victim->dirty)
-            ++dirtyEvictions_;
-    }
-
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tag;
-    victim->lruStamp = ++lruClock_;
-    return evicted;
 }
 
 inline Cache::Eviction
 Cache::install(Addr paddr, bool dirty)
 {
-    const std::uint64_t set = setIndex(paddr);
     const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
-
-    // One scan finds a resident copy, the first invalid way, and the
-    // LRU entry simultaneously (the set was scanned three times here
-    // before the bench harness flagged install() as the hottest
-    // function in the sweep).
-    Line *invalid = nullptr;
-    Line *lru = &base[0];
+    Line *base = &lines_[setIndex(paddr) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid) {
-            if (line.tag == tag) {
-                // Already resident: just refresh.
-                line.lruStamp = ++lruClock_;
-                line.dirty = line.dirty || dirty;
-                return {};
-            }
-            if (line.lruStamp < lru->lruStamp)
-                lru = &line;
-        } else if (!invalid) {
-            invalid = &line;
+        if (line.tag == tag) {
+            // Already resident: just refresh.
+            line.meta = stamp(dirty) | (line.meta & 1);
+            return {};
         }
     }
-    return fillVictim(invalid, lru, tag, dirty);
+    return installAbsent(paddr, dirty);
 }
 
 inline Cache::Eviction
 Cache::installAbsent(Addr paddr, bool dirty)
 {
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
+    Line *base = &lines_[setIndex(paddr) * ways_];
 
-    Line *invalid = nullptr;
-    Line *lru = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.valid) {
-            if (line.lruStamp < lru->lruStamp)
-                lru = &line;
-        } else if (!invalid) {
-            invalid = &line;
-        }
+    // The first least `meta` is the first invalid way, else the LRU
+    // way (see lruClock_); selects rather than branches keep the scan
+    // free of mispredictions.
+    unsigned victim = 0;
+    std::uint64_t least = base[0].meta;
+    for (unsigned w = 1; w < ways_; ++w) {
+        const std::uint64_t meta = base[w].meta;
+        const bool lower = meta < least;
+        least = lower ? meta : least;
+        victim = lower ? w : victim;
     }
-    return fillVictim(invalid, lru, tag, dirty);
+
+    Line &line = base[victim];
+    Eviction evicted;
+    if (line.tag != kNoTag) {
+        evicted.valid = true;
+        evicted.lineAddr = line.tag << kLineShift;
+        evicted.dirty = (line.meta & 1) != 0;
+        ++evictions_;
+        if (evicted.dirty)
+            ++dirtyEvictions_;
+    }
+    line.tag = tagOf(paddr);
+    line.meta = stamp(dirty);
+    return evicted;
 }
 
 inline bool
 Cache::tryMarkDirty(Addr paddr)
 {
-    const std::uint64_t set = setIndex(paddr);
     const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
+    Line *base = &lines_[setIndex(paddr) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.dirty = true;
+        if (line.tag == tag) {
+            line.meta |= 1;
             return true;
         }
     }
     return false;
-}
-
-inline void
-Cache::markDirty(Addr paddr)
-{
-    tryMarkDirty(paddr);
 }
 
 } // namespace memento

@@ -8,49 +8,47 @@ Tlb::Tlb(const std::string &name, const TlbConfig &cfg, StatRegistry &stats)
     : name_(name),
       numSets_(cfg.entries / cfg.ways),
       setMask_(isPowerOfTwo(numSets_) ? numSets_ - 1 : 0),
+      modConstant_(fastModConstant(numSets_)),
       ways_(cfg.ways),
       latency_(cfg.latency),
       entries_(numSets_ * cfg.ways),
+      lruClock_(ways_),
       hits_(stats.counter(name + ".hits")),
       misses_(stats.counter(name + ".misses"))
 {
     // A 2048-entry 12-way TLB (Table 3) is not evenly divisible; round
     // the set count down as real designs do (capacity 2040 here).
     panic_if(cfg.entries < cfg.ways, "tlb ", name, ": too few entries");
+    flushAll();
 }
 
 void
 Tlb::insert(Addr vaddr, Addr paddr, unsigned shift)
 {
     const Addr vpage = vaddr >> shift;
+    const Addr key = keyOf(vpage, shift);
     Entry *base = &entries_[setIndex(vpage) * ways_];
 
-    Entry *victim = nullptr;
+    // A resident copy is updated in place; otherwise the first least
+    // stamp is the first invalid way, else the LRU entry.
+    unsigned victim = 0;
+    std::uint64_t least = ~std::uint64_t{0};
     for (unsigned w = 0; w < ways_; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.shift == shift && e.vpage == vpage) {
-            victim = &e; // Update in place.
+        const Entry &e = base[w];
+        if (e.key == key) {
+            victim = w;
             break;
         }
-        if (!e.valid && !victim)
-            victim = &e;
+        const bool lower = e.lruStamp < least;
+        least = lower ? e.lruStamp : least;
+        victim = lower ? w : victim;
     }
-    if (!victim) {
-        victim = &base[0];
-        for (unsigned w = 1; w < ways_; ++w) {
-            if (base[w].lruStamp < victim->lruStamp)
-                victim = &base[w];
-        }
-    }
-    if (victim->valid && victim->shift == kHugePageShift)
+    Entry &e = base[victim];
+    if (e.key != kNoKey && (e.key & 1))
         --hugeEntries_;
     if (shift == kHugePageShift)
         ++hugeEntries_;
-    victim->valid = true;
-    victim->shift = shift;
-    victim->vpage = vpage;
-    victim->pbase = paddr & ~((1ull << shift) - 1);
-    victim->lruStamp = ++lruClock_;
+    e = {key, paddr & ~((1ull << shift) - 1), ++lruClock_};
 }
 
 void
@@ -58,11 +56,11 @@ Tlb::invalidatePage(Addr vaddr)
 {
     for (unsigned shift : {kPageShift, kHugePageShift}) {
         const Addr vpage = vaddr >> shift;
+        const Addr key = keyOf(vpage, shift);
         Entry *base = &entries_[setIndex(vpage) * ways_];
         for (unsigned w = 0; w < ways_; ++w) {
-            Entry &e = base[w];
-            if (e.valid && e.shift == shift && e.vpage == vpage) {
-                e.valid = false;
+            if (base[w].key == key) {
+                base[w] = {kNoKey, 0, w};
                 if (shift == kHugePageShift)
                     --hugeEntries_;
             }
@@ -73,8 +71,10 @@ Tlb::invalidatePage(Addr vaddr)
 void
 Tlb::flushAll()
 {
-    for (Entry &e : entries_)
-        e.valid = false;
+    for (std::uint64_t set = 0; set < numSets_; ++set) {
+        for (unsigned w = 0; w < ways_; ++w)
+            entries_[set * ways_ + w] = {kNoKey, 0, w};
+    }
     hugeEntries_ = 0;
 }
 

@@ -20,6 +20,30 @@ namespace memento {
 /** Shift of a 2 MiB huge page. */
 inline constexpr unsigned kHugePageShift = 21;
 
+__extension__ typedef unsigned __int128 Uint128;
+
+/** fastMod()'s constant for divisor @p d >= 1: ceil(2^128 / d) mod 2^128. */
+constexpr Uint128
+fastModConstant(std::uint64_t d)
+{
+    return ~Uint128{0} / d + 1;
+}
+
+/**
+ * @p a % @p d by two multiplications instead of a divide (Lemire, Kaser
+ * and Kurz, "Faster Remainder by Direct Computation", 2019): the high
+ * 128 bits of d times the low 128 bits of @p c * @p a. With 128-bit
+ * @p c = fastModConstant(@p d) this is exact for every 64-bit @p a.
+ */
+constexpr std::uint64_t
+fastMod(std::uint64_t a, Uint128 c, std::uint64_t d)
+{
+    const Uint128 frac = c * a;
+    const Uint128 lo = static_cast<std::uint64_t>(frac) * Uint128{d};
+    const Uint128 hi = static_cast<std::uint64_t>(frac >> 64) * Uint128{d};
+    return static_cast<std::uint64_t>((hi + (lo >> 64)) >> 64);
+}
+
 /** One level of virtual-to-physical translation caching. */
 class Tlb
 {
@@ -55,14 +79,30 @@ class Tlb
     std::uint64_t missCount() const { return misses_.value(); }
 
   private:
+    /** One way: a probe compares one word. */
     struct Entry
     {
-        bool valid = false;
-        unsigned shift = kPageShift;
-        Addr vpage = 0; ///< vaddr >> shift.
-        Addr pbase = 0; ///< Physical base at the entry's granularity.
-        std::uint64_t lruStamp = 0;
+        Addr key;   ///< keyOf(vpage, shift), or kNoKey when invalid.
+        Addr pbase; ///< Physical base at the entry's granularity.
+        /** LRU stamp; the way's index while invalid (see lruClock_). */
+        std::uint64_t lruStamp;
     };
+    static_assert(sizeof(Entry) == 24, "Tlb::Entry must stay compact");
+
+    /** Key of an invalid way; no (vpage, shift) pair encodes to it. */
+    static constexpr Addr kNoKey = ~Addr{0};
+
+    /** (vpage << 1) | huge: one word per (page, granularity). */
+    static Addr
+    keyOf(Addr vpage, unsigned shift)
+    {
+        return (vpage << 1) | (shift == kHugePageShift);
+    }
+    static unsigned
+    shiftOf(const Entry &e)
+    {
+        return (e.key & 1) ? kHugePageShift : kPageShift;
+    }
 
     Entry *find(Addr vaddr);
     Entry *findAt(Addr vaddr, unsigned shift);
@@ -72,15 +112,21 @@ class Tlb
     std::uint64_t numSets_;
     /**
      * numSets_ - 1 when numSets_ is a power of two, else 0. Lets
-     * setIndex() replace the hardware divide behind `vpage % numSets_`
-     * with a mask for power-of-two geometries (e.g. the L1 TLB, probed
-     * tens of millions of times per sweep).
+     * setIndex() replace `vpage % numSets_` with a mask for
+     * power-of-two geometries (e.g. the L1 TLB) and with fastMod() for
+     * the rest (the 170-set L2 TLB), so no probe pays a divide.
      */
     std::uint64_t setMask_;
+    Uint128 modConstant_; ///< fastModConstant(numSets_).
     unsigned ways_;
     Cycles latency_;
     std::vector<Entry> entries_;
-    std::uint64_t lruClock_ = 0;
+    /**
+     * Starts at ways_, so every valid entry's stamp exceeds every
+     * invalid way's index: the least stamp of a set is its first
+     * invalid way, else its least-recently-used entry.
+     */
+    std::uint64_t lruClock_;
     /**
      * Resident 2 MiB entries. Lets find() skip the huge-granularity
      * set probe entirely while zero — the common case for workloads
@@ -97,18 +143,19 @@ class Tlb
 inline std::uint64_t
 Tlb::setIndex(Addr vpage) const
 {
-    return setMask_ ? (vpage & setMask_) : vpage % numSets_;
+    return setMask_ ? (vpage & setMask_)
+                    : fastMod(vpage, modConstant_, numSets_);
 }
 
 inline Tlb::Entry *
 Tlb::findAt(Addr vaddr, unsigned shift)
 {
     const Addr vpage = vaddr >> shift;
+    const Addr key = keyOf(vpage, shift);
     Entry *base = &entries_[setIndex(vpage) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.shift == shift && e.vpage == vpage)
-            return &e;
+        if (base[w].key == key)
+            return &base[w];
     }
     return nullptr;
 }
@@ -142,7 +189,7 @@ Tlb::translate(Addr vaddr)
     if (Entry *e = find(vaddr)) {
         e->lruStamp = ++lruClock_;
         ++hits_;
-        return e->pbase + (vaddr & ((1ull << e->shift) - 1));
+        return e->pbase + (vaddr & ((1ull << shiftOf(*e)) - 1));
     }
     ++misses_;
     return std::nullopt;

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "mem/cache.h"
 #include "mem/cache_hierarchy.h"
 #include "mem/dram.h"
+#include "sim/rng.h"
 #include "test_util.h"
 
 namespace memento {
@@ -151,6 +156,230 @@ TEST(CacheGeometry, ParamSweepResidency)
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Differential victim order against a plain {valid, dirty, tag, stamp}
+// model: fill the first invalid way, else evict the first way with the
+// least LRU stamp.
+// ---------------------------------------------------------------------
+
+class RefCache
+{
+  public:
+    RefCache(std::uint64_t sets, unsigned ways)
+        : sets_(sets), ways_(ways), lines_(sets * ways)
+    {
+    }
+
+    bool
+    access(Addr paddr, bool is_write)
+    {
+        if (Line *line = find(paddr)) {
+            line->stamp = ++clock_;
+            line->dirty = line->dirty || is_write;
+            return true;
+        }
+        return false;
+    }
+
+    bool contains(Addr paddr) { return find(paddr) != nullptr; }
+
+    Cache::Eviction
+    install(Addr paddr, bool dirty)
+    {
+        if (Line *line = find(paddr)) {
+            line->stamp = ++clock_;
+            line->dirty = line->dirty || dirty;
+            return {};
+        }
+        Line *base = set(paddr);
+        Line *victim = nullptr;
+        for (unsigned w = 0; w < ways_ && !victim; ++w) {
+            if (!base[w].valid)
+                victim = &base[w];
+        }
+        Cache::Eviction ev;
+        if (!victim) {
+            victim = &base[0];
+            for (unsigned w = 1; w < ways_; ++w) {
+                if (base[w].stamp < victim->stamp)
+                    victim = &base[w];
+            }
+            ev = {true, victim->tag << kLineShift, victim->dirty};
+        }
+        *victim = {true, dirty, paddr >> kLineShift, ++clock_};
+        return ev;
+    }
+
+    bool
+    invalidate(Addr paddr)
+    {
+        Line *line = find(paddr);
+        if (!line)
+            return false;
+        const bool dirty = line->dirty;
+        line->valid = false;
+        line->dirty = false;
+        return dirty;
+    }
+
+    bool
+    tryMarkDirty(Addr paddr)
+    {
+        Line *line = find(paddr);
+        if (line)
+            line->dirty = true;
+        return line != nullptr;
+    }
+
+    std::uint64_t
+    flushAll()
+    {
+        std::uint64_t dirty = 0;
+        for (Line &line : lines_) {
+            dirty += line.valid && line.dirty;
+            line.valid = false;
+            line.dirty = false;
+        }
+        return dirty;
+    }
+
+    std::vector<std::pair<Addr, bool>>
+    lines() const
+    {
+        std::vector<std::pair<Addr, bool>> out;
+        for (const Line &line : lines_) {
+            if (line.valid)
+                out.emplace_back(line.tag << kLineShift, line.dirty);
+        }
+        return out;
+    }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *
+    set(Addr paddr)
+    {
+        return &lines_[((paddr >> kLineShift) & (sets_ - 1)) * ways_];
+    }
+
+    Line *
+    find(Addr paddr)
+    {
+        Line *base = set(paddr);
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (base[w].valid && base[w].tag == paddr >> kLineShift)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    unsigned ways_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+std::vector<std::pair<Addr, bool>>
+linesOf(const Cache &cache)
+{
+    std::vector<std::pair<Addr, bool>> out;
+    cache.forEachLine(
+        [&](Addr line, bool dirty) { out.emplace_back(line, dirty); });
+    return out;
+}
+
+void
+expectSameEviction(const Cache::Eviction &got, const Cache::Eviction &want)
+{
+    ASSERT_EQ(got.valid, want.valid);
+    if (want.valid) {
+        ASSERT_EQ(got.lineAddr, want.lineAddr);
+        ASSERT_EQ(got.dirty, want.dirty);
+    }
+}
+
+class CacheDifferential
+    : public ::testing::TestWithParam<std::pair<std::uint64_t, unsigned>>
+{
+};
+
+TEST_P(CacheDifferential, MatchesReferenceVictimOrder)
+{
+    const auto [sets, ways] = GetParam();
+    const std::uint64_t pool = sets * ways * 3; // Distinct lines touched.
+    const std::uint64_t ops = std::max<std::uint64_t>(20000, pool * 2);
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        StatRegistry stats;
+        Cache cache("c", CacheConfig{sets * ways * kLineSize, ways, 1},
+                    stats);
+        RefCache ref(sets, ways);
+        Rng rng(seed);
+        std::uint64_t evictions = 0;
+        std::uint64_t dirty_evictions = 0;
+        for (std::uint64_t i = 0; i < ops; ++i) {
+            const Addr paddr =
+                (rng.nextBelow(pool) << kLineShift) + rng.nextBelow(64);
+            const bool flag = rng.nextBelow(2) != 0;
+            Cache::Eviction want;
+            switch (rng.nextBelow(100)) {
+            case 0:
+                if (rng.nextBelow(sets) == 0) { // Rarer in larger caches.
+                    ASSERT_EQ(cache.flushAll(), ref.flushAll());
+                }
+                break;
+            case 1: case 2: case 3: case 4: case 5:
+                ASSERT_EQ(cache.invalidate(paddr), ref.invalidate(paddr));
+                break;
+            case 6: case 7: case 8: case 9: case 10:
+                ASSERT_EQ(cache.tryMarkDirty(paddr),
+                          ref.tryMarkDirty(paddr));
+                break;
+            case 11: case 12: case 13: case 14: case 15:
+                ASSERT_EQ(cache.contains(paddr), ref.contains(paddr));
+                break;
+            default:
+                if (rng.nextBelow(2)) {
+                    want = ref.install(paddr, flag);
+                    expectSameEviction(cache.install(paddr, flag), want);
+                } else if (cache.access(paddr, flag)) {
+                    ASSERT_TRUE(ref.access(paddr, flag));
+                } else {
+                    ASSERT_FALSE(ref.contains(paddr));
+                    want = ref.install(paddr, flag);
+                    expectSameEviction(cache.installAbsent(paddr, flag),
+                                       want);
+                }
+                break;
+            }
+            evictions += want.valid;
+            dirty_evictions += want.valid && want.dirty;
+            if (i % 4096 == 0) {
+                ASSERT_EQ(cache.residentLines(), ref.lines().size());
+            }
+        }
+        EXPECT_EQ(linesOf(cache), ref.lines());
+        EXPECT_EQ(cache.residentLines(), ref.lines().size());
+        EXPECT_EQ(stats.value("c.evictions"), evictions);
+        EXPECT_EQ(stats.value("c.dirty_evictions"), dirty_evictions);
+        std::vector<std::string> violations;
+        EXPECT_TRUE(cache.checkIntegrity(violations));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(std::pair<std::uint64_t, unsigned>{16, 1},
+                      std::pair<std::uint64_t, unsigned>{16, 2},
+                      std::pair<std::uint64_t, unsigned>{64, 8},
+                      std::pair<std::uint64_t, unsigned>{2048, 16}));
 
 // ---------------------------------------------------------------------
 // DRAM model

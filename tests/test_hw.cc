@@ -468,6 +468,106 @@ TEST_F(HwAllocTest, AdapterRoutesBySizeAndRegion)
     EXPECT_TRUE(space.arenas.empty());
 }
 
+/**
+ * The adapter's live-bytes count and isLive() read the arenas' per-slot
+ * sizes and bitmaps; they must stay exact on every path an object
+ * leaves by.
+ */
+class AdapterBookkeepingTest : public HwAllocTest
+{
+  protected:
+    BuddyAllocator buddy2{1ull << 22, 1ull << 30, stats};
+    VirtualMemory vm{cfg, buddy2, stats, "vmx"};
+    MementoAllocator adapter{objAlloc, space, vm, stats};
+};
+
+TEST_F(AdapterBookkeepingTest, OddSizesWithinAClassCountExactly)
+{
+    ASSERT_EQ(sizeClassIndex(17), sizeClassIndex(24));
+    ASSERT_EQ(sizeClassIndex(23), sizeClassIndex(24));
+    const Addr a = adapter.malloc(17, env);
+    const Addr b = adapter.malloc(23, env);
+    EXPECT_EQ(adapter.liveBytes(), 40u);
+    EXPECT_TRUE(adapter.isLive(a));
+    EXPECT_TRUE(adapter.isLive(b));
+    EXPECT_FALSE(adapter.isLive(a + 1)); // Interior, not an object.
+    EXPECT_FALSE(adapter.isLive(geo.arenaBaseOf(a))); // Header.
+
+    adapter.free(a, env);
+    EXPECT_EQ(adapter.liveBytes(), 23u);
+    EXPECT_FALSE(adapter.isLive(a));
+    EXPECT_TRUE(adapter.isLive(b));
+    const Addr c = adapter.malloc(19, env); // Reuses a's slot.
+    EXPECT_EQ(c, a);
+    EXPECT_EQ(adapter.liveBytes(), 42u);
+}
+
+TEST_F(AdapterBookkeepingTest, CrossThreadFreeCountsExactly)
+{
+    adapter.setThread(1);
+    const Addr a = adapter.malloc(45, env);
+    adapter.setThread(2);
+    adapter.free(a, env);
+    EXPECT_EQ(objAlloc.remoteFrees(), 1u);
+    EXPECT_EQ(adapter.liveBytes(), 0u);
+    EXPECT_FALSE(adapter.isLive(a));
+}
+
+TEST_F(AdapterBookkeepingTest, LastFreeInColdArenaErasesIt)
+{
+    // Fill one 16 B arena, roll into a second, then empty the first:
+    // it is not HOT-resident, so the last free releases it.
+    const unsigned capacity = geo.objectsPerArena();
+    std::vector<Addr> first_arena;
+    for (unsigned i = 0; i < capacity + 8; ++i) {
+        const Addr a = adapter.malloc(13, env);
+        if (i < capacity)
+            first_arena.push_back(a);
+    }
+    for (Addr a : first_arena)
+        adapter.free(a, env);
+    EXPECT_EQ(space.arenas.count(geo.arenaBaseOf(first_arena[0])), 0u);
+    EXPECT_EQ(adapter.liveBytes(), 8u * 13u);
+    for (Addr a : first_arena)
+        EXPECT_FALSE(adapter.isLive(a));
+}
+
+TEST_F(AdapterBookkeepingTest, FunctionExitLeavesNothingLive)
+{
+    const Addr small = adapter.malloc(100, env);
+    const Addr big = adapter.malloc(3000, env);
+    adapter.functionExit(env);
+    EXPECT_EQ(adapter.liveBytes(), 0u);
+    EXPECT_FALSE(adapter.isLive(small));
+    EXPECT_FALSE(adapter.isLive(big));
+}
+
+TEST_F(AdapterBookkeepingTest, LargeObjectsTrackedBySoftwarePath)
+{
+    const Addr big = adapter.malloc(kMaxSmallSize + 1, env);
+    EXPECT_FALSE(geo.inRegion(big));
+    EXPECT_TRUE(adapter.isLive(big));
+    EXPECT_EQ(adapter.liveBytes(), kMaxSmallSize + 1);
+    adapter.free(big, env);
+    EXPECT_FALSE(adapter.isLive(big));
+    EXPECT_EQ(adapter.liveBytes(), 0u);
+}
+
+TEST_F(AdapterBookkeepingTest, DoubleFreePanics)
+{
+    const Addr a = adapter.malloc(64, env);
+    adapter.free(a, env);
+    EXPECT_DEATH(adapter.free(a, env),
+                 "hardware raised a free exception");
+}
+
+TEST_F(AdapterBookkeepingTest, InteriorFreePanics)
+{
+    const Addr a = adapter.malloc(64, env);
+    EXPECT_DEATH(adapter.free(a + 8, env),
+                 "hardware raised a free exception");
+}
+
 // ---------------------------------------------------------------------
 // Multi-threaded frees (§4)
 // ---------------------------------------------------------------------

@@ -35,18 +35,45 @@ struct InvariantTestPeer
         buddy.allocatedPages_ += 1; // Phantom live page.
     }
 
+    /** The first invalid way of @p cache, invalidating way 0 if none. */
+    static Cache::Line &
+    invalidWay(Cache &cache)
+    {
+        for (auto &line : cache.lines_) {
+            if (line.tag == Cache::kNoTag)
+                return line;
+        }
+        cache.lines_.front() = {Cache::kNoTag, 0};
+        return cache.lines_.front();
+    }
+
     /** Leave one line invalid yet dirty. */
     static void
     corruptCacheLine(Cache &cache)
     {
+        invalidWay(cache).meta |= 1;
+    }
+
+    /**
+     * Give an invalid way another way's stamp: it would no longer be
+     * the first invalid way the victim scan picks.
+     */
+    static void
+    corruptInvalidWayStamp(Cache &cache)
+    {
+        invalidWay(cache).meta += 2;
+    }
+
+    /** Give a resident line a stamp from the invalid-way range. */
+    static void
+    lowerResidentStamp(Cache &cache)
+    {
         for (auto &line : cache.lines_) {
-            if (!line.valid) {
-                line.dirty = true;
+            if (line.tag != Cache::kNoTag) {
+                line.meta &= 1;
                 return;
             }
         }
-        cache.lines_.front().valid = false;
-        cache.lines_.front().dirty = true;
     }
 
     /** Skew a resident tag so it maps to a neighbouring set. */
@@ -54,7 +81,7 @@ struct InvariantTestPeer
     skewResidentTag(Cache &cache)
     {
         for (auto &line : cache.lines_) {
-            if (line.valid) {
+            if (line.tag != Cache::kNoTag) {
                 line.tag ^= 1;
                 return;
             }
@@ -154,6 +181,28 @@ TEST(InvariantTest, CacheDirtyInvalidLineDetected)
     ASSERT_FALSE(report.clean());
     EXPECT_NE(report.summary().find("invalid line dirty"),
               std::string::npos);
+}
+
+TEST(InvariantTest, CacheInvalidWayStampDetected)
+{
+    Machine m(test::smallConfig());
+    runTiny(m, Language::Cpp);
+    InvariantTestPeer::corruptInvalidWayStamp(
+        const_cast<Cache &>(m.hierarchy().llc()));
+    const InvariantReport report = InvariantChecker::check(m);
+    ASSERT_FALSE(report.clean());
+    EXPECT_NE(report.summary().find("invalid way stamp"), std::string::npos);
+}
+
+TEST(InvariantTest, CacheLowResidentStampDetected)
+{
+    Machine m(test::smallConfig());
+    runTiny(m, Language::Cpp);
+    InvariantTestPeer::lowerResidentStamp(
+        const_cast<Cache &>(m.hierarchy().l1d()));
+    const InvariantReport report = InvariantChecker::check(m);
+    ASSERT_FALSE(report.clean());
+    EXPECT_NE(report.summary().find("valid line stamp"), std::string::npos);
 }
 
 TEST(InvariantTest, CacheTagSetMismatchDetected)

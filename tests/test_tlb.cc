@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "mem/tlb.h"
+#include "sim/rng.h"
 
 namespace memento {
 namespace {
@@ -127,6 +131,198 @@ TEST(TlbGeometry, SweepConfigurations)
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Set-index reduction
+// ---------------------------------------------------------------------
+
+TEST(FastMod, EqualsRemainderForEveryInputShape)
+{
+    using U64 = std::uint64_t;
+    const U64 two32 = U64{1} << 32;
+    const U64 max = ~U64{0};
+    for (U64 n : {U64{1}, U64{3}, U64{5}, U64{170}, U64{1000}, two32 + 1,
+                  max}) {
+        const Uint128 c = fastModConstant(n);
+        for (U64 a : {U64{0}, U64{1}, n - 1, n, two32 - 1, two32,
+                      two32 + 1, U64{1} << 63, max})
+            ASSERT_EQ(fastMod(a, c, n), a % n) << a << " % " << n;
+        Rng rng(n);
+        for (int i = 0; i < 1'000'000; ++i) {
+            const U64 a = rng.next();
+            ASSERT_EQ(fastMod(a, c, n), a % n) << a << " % " << n;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Differential victim order against a plain {valid, shift, vpage,
+// stamp} model: update a resident copy in place, else fill the first
+// invalid way, else evict the first way with the least LRU stamp.
+// ---------------------------------------------------------------------
+
+class RefTlb
+{
+  public:
+    explicit RefTlb(const TlbConfig &cfg)
+        : sets_(cfg.entries / cfg.ways), ways_(cfg.ways),
+          entries_(sets_ * ways_)
+    {
+    }
+
+    std::optional<Addr>
+    translate(Addr vaddr)
+    {
+        for (unsigned shift : {kPageShift, kHugePageShift}) {
+            if (Entry *e = find(vaddr >> shift, shift)) {
+                e->stamp = ++clock_;
+                return e->pbase + (vaddr & ((1ull << shift) - 1));
+            }
+        }
+        return std::nullopt;
+    }
+
+    void
+    insert(Addr vaddr, Addr paddr, unsigned shift)
+    {
+        const Addr vpage = vaddr >> shift;
+        Entry *victim = find(vpage, shift);
+        Entry *base = set(vpage);
+        for (unsigned w = 0; w < ways_ && !victim; ++w) {
+            if (!base[w].valid)
+                victim = &base[w];
+        }
+        if (!victim) {
+            victim = &base[0];
+            for (unsigned w = 1; w < ways_; ++w) {
+                if (base[w].stamp < victim->stamp)
+                    victim = &base[w];
+            }
+        }
+        *victim = {true, shift, vpage, paddr & ~((1ull << shift) - 1),
+                   ++clock_};
+    }
+
+    void
+    invalidatePage(Addr vaddr)
+    {
+        for (unsigned shift : {kPageShift, kHugePageShift}) {
+            if (Entry *e = find(vaddr >> shift, shift))
+                e->valid = false;
+        }
+    }
+
+    void
+    flushAll()
+    {
+        for (Entry &e : entries_)
+            e.valid = false;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        unsigned shift = kPageShift;
+        Addr vpage = 0;
+        Addr pbase = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Entry *set(Addr vpage) { return &entries_[(vpage % sets_) * ways_]; }
+
+    Entry *
+    find(Addr vpage, unsigned shift)
+    {
+        Entry *base = set(vpage);
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (base[w].valid && base[w].shift == shift &&
+                base[w].vpage == vpage)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    unsigned ways_;
+    std::vector<Entry> entries_;
+    std::uint64_t clock_ = 0;
+};
+
+class TlbDifferential : public ::testing::TestWithParam<TlbConfig>
+{
+};
+
+TEST_P(TlbDifferential, MatchesReferenceVictimOrder)
+{
+    const TlbConfig cfg = GetParam();
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        StatRegistry stats;
+        Tlb tlb("t", cfg, stats);
+        RefTlb ref(cfg);
+        Rng rng(seed);
+        // Pages scattered over the 48-bit space, three per entry, and a
+        // few 2 MiB regions that overlap some of them.
+        std::vector<Addr> pages(3 * cfg.entries);
+        for (Addr &page : pages)
+            page = rng.nextBelow(1ull << 48) & ~(kPageSize - 1);
+        std::vector<Addr> huge(cfg.entries / 4 + 1);
+        for (std::size_t i = 0; i < huge.size(); ++i)
+            huge[i] = pages[i] & ~((1ull << kHugePageShift) - 1);
+
+        std::uint64_t hits = 0;
+        for (int i = 0; i < 200'000; ++i) {
+            const bool is_huge = rng.nextBelow(10) == 0;
+            const Addr vaddr =
+                (is_huge ? huge[rng.nextBelow(huge.size())] +
+                               rng.nextBelow(1ull << kHugePageShift)
+                         : pages[rng.nextBelow(pages.size())]) +
+                rng.nextBelow(kPageSize);
+            const Addr paddr = rng.nextBelow(1ull << 40);
+            switch (rng.nextBelow(100)) {
+            case 0:
+                if (rng.nextBelow(20) == 0) {
+                    tlb.flushAll();
+                    ref.flushAll();
+                }
+                break;
+            case 1: case 2: case 3: case 4:
+                tlb.invalidatePage(vaddr);
+                ref.invalidatePage(vaddr);
+                break;
+            default:
+                if (rng.nextBelow(2)) {
+                    const unsigned shift =
+                        is_huge ? kHugePageShift : kPageShift;
+                    tlb.insert(vaddr, paddr, shift);
+                    ref.insert(vaddr, paddr, shift);
+                } else {
+                    const std::optional<Addr> want = ref.translate(vaddr);
+                    ASSERT_EQ(tlb.translate(vaddr), want) << "op " << i;
+                    hits += want.has_value();
+                }
+                break;
+            }
+        }
+        // Every page and region still agrees on residency and target.
+        for (Addr page : pages) {
+            const std::optional<Addr> want = ref.translate(page);
+            ASSERT_EQ(tlb.translate(page), want);
+            hits += want.has_value();
+        }
+        for (Addr region : huge) {
+            const std::optional<Addr> want = ref.translate(region);
+            ASSERT_EQ(tlb.translate(region), want);
+            hits += want.has_value();
+        }
+        EXPECT_EQ(tlb.hitCount(), hits);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, TlbDifferential,
+                         ::testing::Values(TlbConfig{16, 1, 1},
+                                           TlbConfig{64, 4, 1},
+                                           TlbConfig{2048, 12, 7}));
 
 } // namespace
 } // namespace memento
