@@ -76,12 +76,12 @@ main()
     t.cell(cmp.memento.cycles);
     t.newRow();
     t.cell("DRAM KB");
-    t.cell(cmp.base.dramBytes >> 10);
-    t.cell(cmp.memento.dramBytes >> 10);
+    t.cell(cmp.base.dramBytes() >> 10);
+    t.cell(cmp.memento.dramBytes() >> 10);
     t.newRow();
     t.cell("page faults");
-    t.cell(cmp.base.pageFaults);
-    t.cell(cmp.memento.pageFaults);
+    t.cell(cmp.base.pageFaults());
+    t.cell(cmp.memento.pageFaults());
     t.print(std::cout);
 
     std::cout << "\nSpeedup " << cmp.speedup() << "x; gains: alloc "

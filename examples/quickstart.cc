@@ -41,12 +41,12 @@ main()
     t.cell(cmp.memento.executionMs(cfg), 3);
     t.newRow();
     t.cell("DRAM traffic (KB)");
-    t.cell(cmp.base.dramBytes >> 10);
-    t.cell(cmp.memento.dramBytes >> 10);
+    t.cell(cmp.base.dramBytes() >> 10);
+    t.cell(cmp.memento.dramBytes() >> 10);
     t.newRow();
     t.cell("page faults");
-    t.cell(cmp.base.pageFaults);
-    t.cell(cmp.memento.pageFaults);
+    t.cell(cmp.base.pageFaults());
+    t.cell(cmp.memento.pageFaults());
     t.print(std::cout);
 
     std::cout << "\nSpeedup:              " << cmp.speedup() << "x\n";
@@ -54,9 +54,9 @@ main()
               << percentStr(cmp.bandwidthReduction()) << "\n";
     std::cout << "HOT alloc hit rate:   "
               << percentStr(
-                     static_cast<double>(cmp.memento.hotAllocHits) /
-                     (cmp.memento.hotAllocHits +
-                      cmp.memento.hotAllocMisses))
+                     static_cast<double>(cmp.memento.hotAllocHits()) /
+                     (cmp.memento.hotAllocHits() +
+                      cmp.memento.hotAllocMisses()))
               << "\n";
     std::cout << "Gains breakdown:      alloc "
               << percentStr(bd.objAlloc) << ", free "

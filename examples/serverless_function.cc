@@ -62,17 +62,17 @@ main()
         static_cast<double>(mem.peakResidentPages) * kPageSize / (1 << 20);
 
     std::cout << "\nMemory system:\n";
-    std::cout << "  page faults:    " << base.pageFaults << " -> "
-              << mem.pageFaults << "\n";
-    std::cout << "  DRAM traffic:   " << (base.dramBytes >> 10)
-              << " KB -> " << (mem.dramBytes >> 10) << " KB\n";
-    std::cout << "  bypassed lines: " << mem.bypassedLines << "\n";
+    std::cout << "  page faults:    " << base.pageFaults() << " -> "
+              << mem.pageFaults() << "\n";
+    std::cout << "  DRAM traffic:   " << (base.dramBytes() >> 10)
+              << " KB -> " << (mem.dramBytes() >> 10) << " KB\n";
+    std::cout << "  bypassed lines: " << mem.bypassedLines() << "\n";
     std::cout << "  HOT hit rates:  alloc "
-              << percentStr(static_cast<double>(mem.hotAllocHits) /
-                            (mem.hotAllocHits + mem.hotAllocMisses))
+              << percentStr(static_cast<double>(mem.hotAllocHits()) /
+                            (mem.hotAllocHits() + mem.hotAllocMisses()))
               << ", free "
-              << percentStr(static_cast<double>(mem.hotFreeHits) /
-                            (mem.hotFreeHits + mem.hotFreeMisses))
+              << percentStr(static_cast<double>(mem.hotFreeHits()) /
+                            (mem.hotFreeHits() + mem.hotFreeMisses()))
               << "\n";
 
     std::cout << "\nBilling (per million invocations):\n";

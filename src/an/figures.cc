@@ -394,14 +394,14 @@ renderFig10(const FigureInput &in, std::ostream &os)
         // The bypass share of the reduction: traffic saved relative to
         // the bypass-disabled Memento run.
         const double bypass_saved =
-            c.base.dramBytes == 0
+            c.base.dramBytes() == 0
                 ? 0.0
-                : (static_cast<double>(c.mementoNoBypass.dramBytes) -
-                   static_cast<double>(c.memento.dramBytes)) /
-                      static_cast<double>(c.base.dramBytes);
+                : (static_cast<double>(c.mementoNoBypass.dramBytes()) -
+                   static_cast<double>(c.memento.dramBytes())) /
+                      static_cast<double>(c.base.dramBytes());
         t.row({c.spec.id, groupLabel(c.spec),
-               std::to_string(c.base.dramBytes >> 20),
-               std::to_string(c.memento.dramBytes >> 20),
+               std::to_string(c.base.dramBytes() >> 20),
+               std::to_string(c.memento.dramBytes() >> 20),
                percentStr(c.bandwidthReduction()),
                percentStr(bypass_saved < 0 ? 0 : bypass_saved)});
     }
@@ -431,14 +431,14 @@ renderFig11(const FigureInput &in, std::ostream &os)
                                static_cast<double>(base);
     };
     auto user = [&](const Comparison &c) {
-        return ratio(c.memento.aggUserPages, c.base.aggUserPages);
+        return ratio(c.memento.aggUserPages(), c.base.aggUserPages());
     };
     auto kernel = [&](const Comparison &c) {
-        return ratio(c.memento.aggKernelPages, c.base.aggKernelPages);
+        return ratio(c.memento.aggKernelPages(), c.base.aggKernelPages());
     };
     auto total = [&](const Comparison &c) {
-        return ratio(c.memento.aggUserPages + c.memento.aggKernelPages,
-                     c.base.aggUserPages + c.base.aggKernelPages);
+        return ratio(c.memento.aggUserPages() + c.memento.aggKernelPages(),
+                     c.base.aggUserPages() + c.base.aggKernelPages());
     };
 
     TextTable t({"Workload", "Group", "User", "Kernel", "Total"});
@@ -472,10 +472,10 @@ renderFig12(const FigureInput &in, std::ostream &os)
                                 static_cast<double>(total);
     };
     auto alloc_rate = [&](const Comparison &c) {
-        return rate(c.memento.hotAllocHits, c.memento.hotAllocMisses);
+        return rate(c.memento.hotAllocHits(), c.memento.hotAllocMisses());
     };
     auto free_rate = [&](const Comparison &c) {
-        return rate(c.memento.hotFreeHits, c.memento.hotFreeMisses);
+        return rate(c.memento.hotFreeHits(), c.memento.hotFreeMisses());
     };
 
     TextTable t({"Workload", "Group", "allocs", "alloc hit", "frees",
@@ -483,9 +483,9 @@ renderFig12(const FigureInput &in, std::ostream &os)
     for (const Comparison &c : cmps) {
         const RunResult &m = c.memento;
         t.row({c.spec.id, groupLabel(c.spec),
-               std::to_string(m.hotAllocHits + m.hotAllocMisses),
+               std::to_string(m.hotAllocHits() + m.hotAllocMisses()),
                percentStr(alloc_rate(c)),
-               std::to_string(m.hotFreeHits + m.hotFreeMisses),
+               std::to_string(m.hotFreeHits() + m.hotFreeMisses()),
                percentStr(free_rate(c))});
     }
     t.print(os);
@@ -512,8 +512,9 @@ renderFig13(const FigureInput &in, std::ostream &os)
     bool all_below = true;
     for (const Comparison &c : comparisons(allWorkloads(), in.runs)) {
         const double alloc_pct =
-            pct(c.memento.allocListOps, c.memento.objAllocs);
-        const double free_pct = pct(c.memento.freeListOps, c.memento.objFrees);
+            pct(c.memento.allocListOps(), c.memento.objAllocs());
+        const double free_pct =
+            pct(c.memento.freeListOps(), c.memento.objFrees());
         all_below = all_below && alloc_pct < 0.02 && free_pct < 0.02;
         t.row({c.spec.id, groupLabel(c.spec), percentStr(alloc_pct, 3),
                percentStr(free_pct, 3)});
@@ -861,7 +862,7 @@ renderTuning(const FigureInput &in, std::ostream &os)
             const RunResult &base = in.runs[next++];
             const RunResult &mem = in.runs[next++];
             t.row({spec.id, std::to_string(arena_kb), std::to_string(base.cycles),
-                   std::to_string(base.mmapCalls),
+                   std::to_string(base.mmapCalls()),
                    fixedStr(speedupOf(base, mem), 3),
                    std::to_string(base.peakResidentPages)});
         }
@@ -1014,8 +1015,9 @@ renderAblation(const FigureInput &in, std::ostream &os)
         const RunResult &mem = in.runs[next++];
         objects.row({std::to_string(objs), speedup(mem),
                      percentStr(mem.fragInactiveFraction, 2),
-                     mem.objAllocs == 0 ? std::string("-")
-                                        : std::to_string(mem.allocListOps)});
+                     mem.objAllocs() == 0
+                         ? std::string("-")
+                         : std::to_string(mem.allocListOps())});
     }
     objects.print(os);
 
@@ -1024,7 +1026,7 @@ renderAblation(const FigureInput &in, std::ostream &os)
     for (const char *name : {"eager", "demand"}) {
         const RunResult &mem = in.runs[next++];
         prefetch.row(
-            {name, speedup(mem), std::to_string(mem.hotAllocMisses)});
+            {name, speedup(mem), std::to_string(mem.hotAllocMisses())});
     }
     prefetch.print(os);
 
@@ -1032,7 +1034,8 @@ renderAblation(const FigureInput &in, std::ostream &os)
     TextTable bypass({"bypass", "Speedup", "DRAM MB"});
     for (const char *name : {"on", "off"}) {
         const RunResult &mem = in.runs[next++];
-        bypass.row({name, speedup(mem), std::to_string(mem.dramBytes >> 20)});
+        bypass.row(
+            {name, speedup(mem), std::to_string(mem.dramBytes() >> 20)});
     }
     bypass.print(os);
 
@@ -1042,7 +1045,7 @@ renderAblation(const FigureInput &in, std::ostream &os)
     for (unsigned refill : kAblRefill) {
         const RunResult &mem = in.runs[next++];
         refills.row({std::to_string(refill), speedup(mem),
-                     std::to_string(mem.poolRefills),
+                     std::to_string(mem.poolRefills()),
                      std::to_string(mem.peakResidentPages)});
     }
     refills.print(os);

@@ -45,7 +45,7 @@ allFlags()
         {"--trace", "FILE",
          "replay a recorded trace instead of synthesizing",
          [](CliOptions &o, const std::string &v) { o.traceFile = v; }},
-        {"--stats", "", "dump every raw counter after the run",
+        {"--stats", "", "dump every raw counter after each run's metrics",
          [](CliOptions &o, const std::string &) { o.dumpStats = true; }},
         {"--keep-going", "",
          "survive failing runs; report failures at the end",

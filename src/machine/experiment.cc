@@ -1,5 +1,7 @@
 #include "machine/experiment.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include "sim/logging.h"
@@ -7,6 +9,56 @@
 #include "wl/trace_generator.h"
 
 namespace memento {
+namespace {
+
+/**
+ * Pair the registry snapshots taken at the window's edges. The registry
+ * never drops a name, so every @p start name is also in @p end.
+ */
+std::vector<CounterReading>
+readingsOf(const std::map<std::string, std::uint64_t> &start,
+           const std::map<std::string, std::uint64_t> &end)
+{
+    std::vector<CounterReading> out;
+    out.reserve(end.size());
+    auto s = start.begin();
+    for (const auto &[name, value] : end) {
+        const bool seen = s != start.end() && s->first == name;
+        out.push_back({name, seen ? s->second : 0, value});
+        if (seen)
+            ++s;
+    }
+    panic_if(s != start.end(), "counter ", s->first, " left the registry");
+    return out;
+}
+
+const CounterReading *
+findReading(const std::vector<CounterReading> &counters,
+            std::string_view name)
+{
+    auto it = std::lower_bound(
+        counters.begin(), counters.end(), name,
+        [](const CounterReading &c, std::string_view n) {
+            return std::string_view(c.name) < n;
+        });
+    return it != counters.end() && it->name == name ? &*it : nullptr;
+}
+
+} // namespace
+
+std::uint64_t
+RunResult::delta(std::string_view name) const
+{
+    const CounterReading *c = findReading(counters, name);
+    return c != nullptr ? c->end - c->start : 0;
+}
+
+std::uint64_t
+RunResult::end(std::string_view name) const
+{
+    const CounterReading *c = findReading(counters, name);
+    return c != nullptr ? c->end : 0;
+}
 
 Cycles
 RunResult::userMmCycles() const
@@ -43,10 +95,10 @@ Comparison::speedup() const
 double
 Comparison::bandwidthReduction() const
 {
-    if (base.dramBytes == 0)
+    if (base.dramBytes() == 0)
         return 0.0;
-    const double ratio = static_cast<double>(memento.dramBytes) /
-                         static_cast<double>(base.dramBytes);
+    const double ratio = static_cast<double>(memento.dramBytes()) /
+                         static_cast<double>(base.dramBytes());
     return 1.0 - ratio;
 }
 
@@ -85,53 +137,13 @@ Experiment::tryRunOne(const WorkloadSpec &spec, const Trace &trace,
         return res;
     }
 
-    // Snapshot after set-up: the measurement window covers only the
-    // function execution itself (warm-start semantics). Each metric
-    // resolves its stat slot once here instead of copying the whole
-    // registry per run and re-finding every name afterwards.
-    struct Probe
-    {
-        StatHandle handle;
-        std::uint64_t before = 0;
+    panic_if(machine->processCount() != 1 || machine->process().pid() != 1,
+             "tryRunOne: RunResult::procStat expects one process, vm1");
 
-        std::uint64_t delta() const { return handle.value() - before; }
-        std::uint64_t now() const { return handle.value(); }
-    };
-    auto probe = [&](const std::string &name) {
-        StatHandle h = machine->stats().handle(name);
-        const std::uint64_t v = h.value();
-        return Probe{std::move(h), v};
-    };
-    // Aggregate usage counts every page the OS allocated, including
-    // runtime set-up (the paper's §6.3 metric covers the runtime's
-    // pre-mapped pools — that is exactly where jemalloc's waste shows
-    // up). Memento's hardware pool recycles pages internally, so only
-    // OS grants to the pool count.
-    const std::string vm = "vm" + std::to_string(machine->process().pid());
-    Probe dramBytes = probe("dram.bytes");
-    Probe dramReads = probe("dram.reads");
-    Probe dramWrites = probe("dram.writes");
-    Probe bypassedLines = probe("hier.bypassed_lines");
-    Probe vmFaults = probe(vm + ".faults");
-    Probe vmMmapCalls = probe(vm + ".mmap_calls");
-    Probe poolRefills = probe("hwpage.pool_refills");
-    Probe hotAllocHits = probe("hot.alloc_hits");
-    Probe hotAllocMisses = probe("hot.alloc_misses");
-    Probe hotFreeHits = probe("hot.free_hits");
-    Probe hotFreeMisses = probe("hot.free_misses");
-    Probe allocListOps = probe("hwobj.alloc_list_ops");
-    Probe freeListOps = probe("hwobj.free_list_ops");
-    Probe pySmallMallocs = probe("pymalloc.small_mallocs");
-    Probe jeSmallMallocs = probe("jemalloc.small_mallocs");
-    Probe goSmallMallocs = probe("gomalloc.small_mallocs");
-    Probe pySmallFrees = probe("pymalloc.small_frees");
-    Probe jeSmallFrees = probe("jemalloc.small_frees");
-    Probe goDeaths = probe("gomalloc.deaths");
-    Probe aggUserPages = probe(vm + ".agg_user_pages");
-    Probe hwAggOsPages = probe("hwpage.agg_os_pages");
-    Probe aggKernelPages = probe(vm + ".agg_kernel_pages");
-    Probe aggVmaBytes = probe(vm + ".agg_vma_bytes");
-    Probe buddyPeakPages = probe("buddy.peak_pages");
+    // Snapshot after set-up: the measurement window covers only the
+    // function execution itself (warm-start semantics).
+    const std::map<std::string, std::uint64_t> start =
+        machine->stats().snapshot();
     const CycleLedger ledger_before = machine->cycleLedger();
     const std::uint64_t instr_before = machine->instructions();
 
@@ -152,46 +164,17 @@ Experiment::tryRunOne(const WorkloadSpec &spec, const Trace &trace,
     }
     res.instructions = machine->instructions() - instr_before;
 
-    res.dramBytes = dramBytes.delta();
-    res.dramReads = dramReads.delta();
-    res.dramWrites = dramWrites.delta();
-    res.bypassedLines = bypassedLines.delta();
-
-    res.aggUserPages = aggUserPages.now() + hwAggOsPages.now();
-    res.aggKernelPages =
-        aggKernelPages.now() + aggVmaBytes.now() / kPageSize;
-    // Peak consumed memory: machine-wide physical high-water mark,
-    // less the hardware pool's idle slack (reclaimable by the OS).
-    std::uint64_t peak = buddyPeakPages.now();
+    res.counters = readingsOf(start, machine->stats().snapshot());
+    std::uint64_t peak = res.end("buddy.peak_pages");
     if (machine->hwPageAllocator()) {
         const std::uint64_t slack =
             machine->hwPageAllocator()->poolFreePages();
         peak = peak > slack ? peak - slack : 0;
     }
     res.peakResidentPages = peak;
-    res.pageFaults = vmFaults.delta();
-    res.mmapCalls = vmMmapCalls.delta();
-    res.poolRefills = poolRefills.delta();
-
-    res.hotAllocHits = hotAllocHits.delta();
-    res.hotAllocMisses = hotAllocMisses.delta();
-    res.hotFreeHits = hotFreeHits.delta();
-    res.hotFreeMisses = hotFreeMisses.delta();
-    res.allocListOps = allocListOps.delta();
-    res.freeListOps = freeListOps.delta();
     res.hotValidEntries =
         machine->hot() != nullptr ? machine->hot()->validEntries() : 0;
-
     res.fragInactiveFraction = executor.fragSample();
-    if (cfg.memento.enabled && !cfg.memento.mallaccMode) {
-        res.objAllocs = res.hotAllocHits + res.hotAllocMisses;
-        res.objFrees = res.hotFreeHits + res.hotFreeMisses;
-    } else {
-        res.objAllocs = pySmallMallocs.delta() + jeSmallMallocs.delta() +
-                        goSmallMallocs.delta();
-        res.objFrees =
-            pySmallFrees.delta() + jeSmallFrees.delta() + goDeaths.delta();
-    }
 
     if (opts.computeDigest)
         res.digest = digestMachine(*machine);

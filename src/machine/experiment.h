@@ -12,6 +12,8 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "machine/function_executor.h"
 #include "sim/config.h"
@@ -35,13 +37,27 @@ struct RunError
 };
 
 /**
- * Metrics of one run (deltas over the measurement window).
+ * One counter of the run machine's StatRegistry, read at both edges of
+ * the measurement window. The name is the registry's own.
+ */
+struct CounterReading
+{
+    std::string name;
+    /** Value after set-up (0 for a counter registered in the window). */
+    std::uint64_t start = 0;
+    /** Value when the window closed. */
+    std::uint64_t end = 0;
+
+    bool operator==(const CounterReading &) const = default;
+};
+
+/**
+ * Metrics of one run.
  *
- * Serialization contract: RunResult is persisted by the result store
- * (machine/result_store.cc). A new metric field must be added to the
- * store's writer/loader pair — the store's round-trip test compares
- * with operator== and will catch a loader that drops it, but only if
- * the test's sample result sets the field to a non-default value.
+ * Every counter-backed metric is an accessor over `counters`, defined
+ * once in the block below. A new metric is one more accessor there: the
+ * result store, revalidation and `run --stats` carry every reading
+ * already, without naming any of them.
  */
 struct RunResult
 {
@@ -50,28 +66,14 @@ struct RunResult
     std::array<Cycles, kNumCycleCategories> byCategory{};
     std::uint64_t instructions = 0;
 
-    std::uint64_t dramBytes = 0;
-    std::uint64_t dramReads = 0;
-    std::uint64_t dramWrites = 0;
-    std::uint64_t bypassedLines = 0;
+    /** Every registered counter, sorted by name (StatRegistry order). */
+    std::vector<CounterReading> counters;
 
-    /** Aggregate (cumulative) pages allocated during the run. */
-    std::uint64_t aggUserPages = 0;
-    std::uint64_t aggKernelPages = 0;
+    /**
+     * Machine-wide physical high-water mark less the hardware pool's
+     * idle slack (reclaimable by the OS).
+     */
     std::uint64_t peakResidentPages = 0;
-
-    std::uint64_t pageFaults = 0;
-    std::uint64_t mmapCalls = 0;
-    std::uint64_t poolRefills = 0;
-
-    std::uint64_t hotAllocHits = 0;
-    std::uint64_t hotAllocMisses = 0;
-    std::uint64_t hotFreeHits = 0;
-    std::uint64_t hotFreeMisses = 0;
-    std::uint64_t allocListOps = 0;
-    std::uint64_t freeListOps = 0;
-    std::uint64_t objAllocs = 0; ///< Small allocations performed.
-    std::uint64_t objFrees = 0;  ///< Small frees performed.
     /**
      * HOT entries valid when the run ended (0 without Memento). The
      * fleet scheduler charges this many writebacks when a context
@@ -89,8 +91,8 @@ struct RunResult
     double fragInactiveFraction = 0.0;
 
     /**
-     * Set when the run failed: metrics above cover the partial window
-     * up to the failure (useful for localising the fault).
+     * Set when the run failed: metrics cover the partial window up to
+     * the failure (useful for localising the fault).
      */
     std::optional<RunError> error;
     /** Machine-state digest (RunOptions::computeDigest; 0 otherwise). */
@@ -99,11 +101,82 @@ struct RunResult
     bool failed() const { return error.has_value(); }
 
     /**
-     * Field-wise equality, digest included. The parallel sweep's
-     * differential tests lean on this: a run is only deterministic if
-     * *every* metric reproduces, not just the state digest.
+     * Field-wise equality, every counter reading and the digest
+     * included. The parallel sweep's differential tests and the store's
+     * revalidation lean on this: a run is only deterministic if *every*
+     * counter reproduces, not just the state digest.
      */
     bool operator==(const RunResult &) const = default;
+
+    /** end - start of counter @p name (0 when never registered). */
+    std::uint64_t delta(std::string_view name) const;
+    /** End value of counter @p name (0 when never registered). */
+    std::uint64_t end(std::string_view name) const;
+
+    /**
+     * Name of the run process's counter @p stat. A tryRunOne machine
+     * holds exactly one process, vm1 (tryRunOne panics otherwise).
+     */
+    static std::string
+    procStat(std::string_view stat)
+    {
+        return "vm1." + std::string(stat);
+    }
+
+    // ---- Metrics: each is defined here and nowhere else ----
+
+    std::uint64_t dramBytes() const { return delta("dram.bytes"); }
+    /** Never-written lines zero-filled at the LLC, not fetched (§3.3). */
+    std::uint64_t bypassedLines() const { return delta("hier.bypassed_lines"); }
+    std::uint64_t pageFaults() const { return delta(procStat("faults")); }
+    std::uint64_t mmapCalls() const { return delta(procStat("mmap_calls")); }
+    std::uint64_t poolRefills() const { return delta("hwpage.pool_refills"); }
+    std::uint64_t hotAllocHits() const { return delta("hot.alloc_hits"); }
+    std::uint64_t hotAllocMisses() const { return delta("hot.alloc_misses"); }
+    std::uint64_t hotFreeHits() const { return delta("hot.free_hits"); }
+    std::uint64_t hotFreeMisses() const { return delta("hot.free_misses"); }
+    std::uint64_t allocListOps() const { return delta("hwobj.alloc_list_ops"); }
+    std::uint64_t freeListOps() const { return delta("hwobj.free_list_ops"); }
+    /**
+     * Small allocations performed: HOT lookups plus the pymalloc,
+     * jemalloc and gomalloc small paths (a run registers at most one
+     * side). Under Mallacc the HOT counters stay 0 and tcmalloc is not
+     * summed, so this reads 0 there; the §6.7 table prints that as "-".
+     */
+    std::uint64_t
+    objAllocs() const
+    {
+        return delta("hot.alloc_hits") + delta("hot.alloc_misses") +
+               delta("pymalloc.small_mallocs") +
+               delta("jemalloc.small_mallocs") +
+               delta("gomalloc.small_mallocs");
+    }
+    /** Small frees performed; the objAllocs() rules apply. */
+    std::uint64_t
+    objFrees() const
+    {
+        return delta("hot.free_hits") + delta("hot.free_misses") +
+               delta("pymalloc.small_frees") +
+               delta("jemalloc.small_frees") + delta("gomalloc.deaths");
+    }
+    /**
+     * Aggregate (cumulative) user pages the OS allocated, set-up
+     * included: §6.3 covers the runtime's pre-mapped pools, which is
+     * where jemalloc's waste shows. Memento's hardware pool recycles
+     * pages internally, so only OS grants to the pool count.
+     */
+    std::uint64_t
+    aggUserPages() const
+    {
+        return end(procStat("agg_user_pages")) + end("hwpage.agg_os_pages");
+    }
+    /** Aggregate kernel pages: page-table pages plus VMA metadata. */
+    std::uint64_t
+    aggKernelPages() const
+    {
+        return end(procStat("agg_kernel_pages")) +
+               end(procStat("agg_vma_bytes")) / kPageSize;
+    }
 
     Cycles
     category(CycleCategory cat) const
@@ -161,8 +234,8 @@ class Experiment
     /**
      * Like runOne, but a failing run is captured instead of thrown:
      * the result's error field holds the category, message, and op
-     * index, and the metric fields cover the partial window executed
-     * before the failure. Only SimError (recoverable, per-run) is
+     * index, and the metrics cover the partial window executed before
+     * the failure. Only SimError (recoverable, per-run) is
      * caught — panics still abort, by design. When @p cfg's fault plan
      * names a different workload, the plan is stripped for this run.
      */

@@ -107,12 +107,44 @@ bitsToDouble(std::uint64_t bits)
 }
 
 bool
+isU64(const JsonValue &v)
+{
+    return v.isNumber() && v.isInteger;
+}
+
+bool
 getU64(const JsonValue &obj, std::string_view name, std::uint64_t &out)
 {
     const JsonValue *v = obj.find(name);
-    if (v == nullptr || !v->isNumber() || !v->isInteger)
+    if (v == nullptr || !isU64(*v))
         return false;
     out = v->u64;
+    return true;
+}
+
+/**
+ * Read `"counters": [["name", start, end], ...]`. Names must be
+ * strictly ascending, as the registry keeps them; anything else is
+ * damage.
+ */
+bool
+parseCounters(const JsonValue &obj, std::vector<CounterReading> &out)
+{
+    const JsonValue *list = obj.find("counters");
+    if (list == nullptr || !list->isArray())
+        return false;
+    out.clear();
+    out.reserve(list->items.size());
+    for (const JsonValue &item : list->items) {
+        if (!item.isArray() || item.items.size() != 3 ||
+            !item.items[0].isString() || !isU64(item.items[1]) ||
+            !isU64(item.items[2]))
+            return false;
+        const std::string &name = item.items[0].str;
+        if (!out.empty() && !(out.back().name < name))
+            return false;
+        out.push_back({name, item.items[1].u64, item.items[2].u64});
+    }
     return true;
 }
 
@@ -139,24 +171,14 @@ runPayload(const RunResult &r, unsigned attempts)
         w.value(c);
     w.endArray();
     w.member("instructions", r.instructions);
-    w.member("dram_bytes", r.dramBytes);
-    w.member("dram_reads", r.dramReads);
-    w.member("dram_writes", r.dramWrites);
-    w.member("bypassed_lines", r.bypassedLines);
-    w.member("agg_user_pages", r.aggUserPages);
-    w.member("agg_kernel_pages", r.aggKernelPages);
+    w.key("counters").beginArray();
+    for (const CounterReading &c : r.counters) {
+        w.beginArray();
+        w.value(std::string_view(c.name)).value(c.start).value(c.end);
+        w.endArray();
+    }
+    w.endArray();
     w.member("peak_resident_pages", r.peakResidentPages);
-    w.member("page_faults", r.pageFaults);
-    w.member("mmap_calls", r.mmapCalls);
-    w.member("pool_refills", r.poolRefills);
-    w.member("hot_alloc_hits", r.hotAllocHits);
-    w.member("hot_alloc_misses", r.hotAllocMisses);
-    w.member("hot_free_hits", r.hotFreeHits);
-    w.member("hot_free_misses", r.hotFreeMisses);
-    w.member("alloc_list_ops", r.allocListOps);
-    w.member("free_list_ops", r.freeListOps);
-    w.member("obj_allocs", r.objAllocs);
-    w.member("obj_frees", r.objFrees);
     w.member("hot_valid_entries", r.hotValidEntries);
     w.member("frag_inactive_bits", doubleBits(r.fragInactiveFraction));
     if (r.error.has_value()) {
@@ -193,31 +215,15 @@ parseRunPayload(std::string_view payload, RunResult &r, unsigned &attempts)
         return false;
     for (std::size_t i = 0; i < r.byCategory.size(); ++i) {
         const JsonValue &c = cats->items[i];
-        if (!c.isNumber() || !c.isInteger)
+        if (!isU64(c))
             return false;
         r.byCategory[i] = c.u64;
     }
 
     std::uint64_t frag_bits = 0;
     if (!getU64(doc, "instructions", r.instructions) ||
-        !getU64(doc, "dram_bytes", r.dramBytes) ||
-        !getU64(doc, "dram_reads", r.dramReads) ||
-        !getU64(doc, "dram_writes", r.dramWrites) ||
-        !getU64(doc, "bypassed_lines", r.bypassedLines) ||
-        !getU64(doc, "agg_user_pages", r.aggUserPages) ||
-        !getU64(doc, "agg_kernel_pages", r.aggKernelPages) ||
+        !parseCounters(doc, r.counters) ||
         !getU64(doc, "peak_resident_pages", r.peakResidentPages) ||
-        !getU64(doc, "page_faults", r.pageFaults) ||
-        !getU64(doc, "mmap_calls", r.mmapCalls) ||
-        !getU64(doc, "pool_refills", r.poolRefills) ||
-        !getU64(doc, "hot_alloc_hits", r.hotAllocHits) ||
-        !getU64(doc, "hot_alloc_misses", r.hotAllocMisses) ||
-        !getU64(doc, "hot_free_hits", r.hotFreeHits) ||
-        !getU64(doc, "hot_free_misses", r.hotFreeMisses) ||
-        !getU64(doc, "alloc_list_ops", r.allocListOps) ||
-        !getU64(doc, "free_list_ops", r.freeListOps) ||
-        !getU64(doc, "obj_allocs", r.objAllocs) ||
-        !getU64(doc, "obj_frees", r.objFrees) ||
         !getU64(doc, "hot_valid_entries", r.hotValidEntries) ||
         !getU64(doc, "frag_inactive_bits", frag_bits) ||
         !getU64(doc, "digest", r.digest))

@@ -17,27 +17,6 @@ StatRegistry::value(const std::string &name) const
     return it == values_.end() ? 0 : it->second;
 }
 
-const std::uint64_t *
-StatRegistry::findSlot(const std::string &name) const
-{
-    auto it = values_.find(name);
-    return it == values_.end() ? nullptr : &it->second;
-}
-
-StatHandle
-StatRegistry::handle(const std::string &name) const
-{
-    return StatHandle(this, name, findSlot(name));
-}
-
-std::uint64_t
-StatHandle::value() const
-{
-    if (!slot_ && stats_)
-        slot_ = stats_->findSlot(name_);
-    return slot_ ? *slot_ : 0;
-}
-
 double
 StatRegistry::ratio(const std::string &numer, const std::string &denom) const
 {

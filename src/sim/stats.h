@@ -3,8 +3,9 @@
  * A lightweight named-statistics registry.
  *
  * Components register counters under dotted names ("l1d.hits"). The
- * registry owns the storage; Counter is a cheap handle. Benchmarks and
- * reports read counters by name after a run.
+ * registry owns the storage; Counter is a cheap handle. Experiment
+ * snapshots the whole registry at both edges of a run's measurement
+ * window, and RunResult's metrics read those readings by name.
  */
 
 #ifndef MEMENTO_SIM_STATS_H
@@ -18,39 +19,6 @@
 #include "sim/thread_annotations.h"
 
 namespace memento {
-
-class StatRegistry;
-
-/**
- * Read-only handle to one counter, resolved by name once.
- *
- * Resolution never creates the counter (creating a zero entry would
- * perturb machine-state digests): a handle to a name that is never
- * registered reads as 0, and a handle resolved before its counter
- * appears re-resolves lazily on the next read. Report extraction
- * resolves each metric once per experiment instead of copying the
- * registry and repeating string-keyed lookups.
- */
-class StatHandle
-{
-  public:
-    StatHandle() = default;
-
-    /** Current value (0 when the counter was never registered). */
-    std::uint64_t value() const;
-
-  private:
-    friend class StatRegistry;
-    StatHandle(const StatRegistry *stats, std::string name,
-               const std::uint64_t *slot)
-        : stats_(stats), name_(std::move(name)), slot_(slot)
-    {
-    }
-
-    const StatRegistry *stats_ = nullptr;
-    std::string name_;
-    mutable const std::uint64_t *slot_ = nullptr;
-};
 
 /** Handle to a registered 64-bit counter. */
 class Counter
@@ -109,12 +77,6 @@ class MEMENTO_SINGLE_THREADED StatRegistry
 
     /** Value of @p name, or 0 if it was never registered. */
     std::uint64_t value(const std::string &name) const;
-
-    /** One-time name resolution for repeated reads (see StatHandle). */
-    StatHandle handle(const std::string &name) const;
-
-    /** Address of @p name's slot, or nullptr if never registered. */
-    const std::uint64_t *findSlot(const std::string &name) const;
 
     /** value(numer) / value(denom), or 0 when the denominator is 0. */
     double ratio(const std::string &numer, const std::string &denom) const;

@@ -230,7 +230,7 @@ TEST(ReplayTest, SerializedTraceReproducesCycleCounts)
     RunResult a = Experiment::runOne(spec, original, defaultConfig());
     RunResult b = Experiment::runOne(spec, replayed, defaultConfig());
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.dramBytes, b.dramBytes);
+    EXPECT_EQ(a.dramBytes(), b.dramBytes());
 }
 
 } // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "machine/breakdown.h"
 #include "machine/experiment.h"
 #include "wl/trace_generator.h"
@@ -53,7 +57,7 @@ TEST_P(ExperimentTest, MementoWinsAndReducesKernelWork)
     EXPECT_GT(cmp.memento.hwMmCycles(), 0u);
     EXPECT_EQ(cmp.base.hwMmCycles(), 0u);
     // Fewer page faults on the Memento machine.
-    EXPECT_LE(cmp.memento.pageFaults, cmp.base.pageFaults);
+    EXPECT_LE(cmp.memento.pageFaults(), cmp.base.pageFaults());
 }
 
 TEST_P(ExperimentTest, PairedRunsDoTheSameApplicationWork)
@@ -66,15 +70,15 @@ TEST_P(ExperimentTest, PairedRunsDoTheSameApplicationWork)
     EXPECT_EQ(cmp.base.category(CycleCategory::Rpc),
               cmp.memento.category(CycleCategory::Rpc));
     // Same number of small allocations performed.
-    EXPECT_EQ(cmp.base.objAllocs, cmp.memento.objAllocs);
+    EXPECT_EQ(cmp.base.objAllocs(), cmp.memento.objAllocs());
 }
 
 TEST_P(ExperimentTest, BypassSavesTrafficNotCorrectness)
 {
     Comparison cmp = Experiment::compareDefault(smallWorkload(GetParam()));
-    EXPECT_GT(cmp.memento.bypassedLines, 0u);
-    EXPECT_EQ(cmp.mementoNoBypass.bypassedLines, 0u);
-    EXPECT_LE(cmp.memento.dramBytes, cmp.mementoNoBypass.dramBytes);
+    EXPECT_GT(cmp.memento.bypassedLines(), 0u);
+    EXPECT_EQ(cmp.mementoNoBypass.bypassedLines(), 0u);
+    EXPECT_LE(cmp.memento.dramBytes(), cmp.mementoNoBypass.dramBytes());
 }
 
 TEST_P(ExperimentTest, BreakdownSharesAreNormalized)
@@ -91,6 +95,118 @@ TEST_P(ExperimentTest, BreakdownSharesAreNormalized)
     EXPECT_GT(bd.savedCycles, 0u);
 }
 
+/**
+ * The metrics as the runner read them before RunResult carried counter
+ * readings: every counter resolved by name on the live machine, and the
+ * small-object counts picked by configuration.
+ */
+struct LiveReads
+{
+    std::map<std::string, std::uint64_t> start, end;
+    std::uint64_t dramBytes, bypassedLines, pageFaults, mmapCalls,
+        poolRefills, hotAllocHits, hotAllocMisses, hotFreeHits,
+        hotFreeMisses, allocListOps, freeListOps, objAllocs, objFrees,
+        aggUserPages, aggKernelPages;
+};
+
+LiveReads
+readLive(const WorkloadSpec &spec, const Trace &trace,
+         const MachineConfig &cfg)
+{
+    Machine machine(cfg);
+    machine.createProcess(spec);
+    const StatRegistry &stats = machine.stats();
+    LiveReads r;
+    r.start = stats.snapshot();
+    FunctionExecutor(machine).run(spec, trace, RunOptions{});
+    r.end = stats.snapshot();
+
+    auto delta = [&](const std::string &name) {
+        const auto it = r.start.find(name);
+        return stats.value(name) - (it == r.start.end() ? 0 : it->second);
+    };
+    const std::string vm = "vm" + std::to_string(machine.process().pid());
+    r.dramBytes = delta("dram.bytes");
+    r.bypassedLines = delta("hier.bypassed_lines");
+    r.pageFaults = delta(vm + ".faults");
+    r.mmapCalls = delta(vm + ".mmap_calls");
+    r.poolRefills = delta("hwpage.pool_refills");
+    r.hotAllocHits = delta("hot.alloc_hits");
+    r.hotAllocMisses = delta("hot.alloc_misses");
+    r.hotFreeHits = delta("hot.free_hits");
+    r.hotFreeMisses = delta("hot.free_misses");
+    r.allocListOps = delta("hwobj.alloc_list_ops");
+    r.freeListOps = delta("hwobj.free_list_ops");
+    if (cfg.memento.enabled && !cfg.memento.mallaccMode) {
+        r.objAllocs = r.hotAllocHits + r.hotAllocMisses;
+        r.objFrees = r.hotFreeHits + r.hotFreeMisses;
+    } else {
+        r.objAllocs = delta("pymalloc.small_mallocs") +
+                      delta("jemalloc.small_mallocs") +
+                      delta("gomalloc.small_mallocs");
+        r.objFrees = delta("pymalloc.small_frees") +
+                     delta("jemalloc.small_frees") +
+                     delta("gomalloc.deaths");
+    }
+    r.aggUserPages = stats.value(vm + ".agg_user_pages") +
+                     stats.value("hwpage.agg_os_pages");
+    r.aggKernelPages = stats.value(vm + ".agg_kernel_pages") +
+                       stats.value(vm + ".agg_vma_bytes") / kPageSize;
+    return r;
+}
+
+TEST_P(ExperimentTest, AccessorsMatchLiveRegistryReads)
+{
+    const WorkloadSpec spec = smallWorkload(GetParam());
+    const Trace trace = TraceGenerator(spec).generate();
+    MachineConfig mallacc = mementoConfig();
+    mallacc.memento.mallaccMode = true;
+    for (const MachineConfig &cfg :
+         {defaultConfig(), mementoConfig(), mallacc}) {
+        SCOPED_TRACE(cfg.memento.mallaccMode ? "mallacc"
+                     : cfg.memento.enabled   ? "memento"
+                                             : "baseline");
+        const RunResult r = Experiment::runOne(spec, trace, cfg);
+        const LiveReads live = readLive(spec, trace, cfg);
+
+        // The readings are the registry itself, at both window edges.
+        ASSERT_EQ(r.counters.size(), live.end.size());
+        auto it = live.end.begin();
+        for (const CounterReading &c : r.counters) {
+            EXPECT_EQ(c.name, it->first);
+            EXPECT_EQ(c.end, it->second) << c.name;
+            const auto s = live.start.find(c.name);
+            EXPECT_EQ(c.start, s == live.start.end() ? 0 : s->second)
+                << c.name;
+            ++it;
+        }
+
+        EXPECT_EQ(r.dramBytes(), live.dramBytes);
+        EXPECT_EQ(r.bypassedLines(), live.bypassedLines);
+        EXPECT_EQ(r.pageFaults(), live.pageFaults);
+        EXPECT_EQ(r.mmapCalls(), live.mmapCalls);
+        EXPECT_EQ(r.poolRefills(), live.poolRefills);
+        EXPECT_EQ(r.hotAllocHits(), live.hotAllocHits);
+        EXPECT_EQ(r.hotAllocMisses(), live.hotAllocMisses);
+        EXPECT_EQ(r.hotFreeHits(), live.hotFreeHits);
+        EXPECT_EQ(r.hotFreeMisses(), live.hotFreeMisses);
+        EXPECT_EQ(r.allocListOps(), live.allocListOps);
+        EXPECT_EQ(r.freeListOps(), live.freeListOps);
+        EXPECT_EQ(r.objAllocs(), live.objAllocs);
+        EXPECT_EQ(r.objFrees(), live.objFrees);
+        EXPECT_EQ(r.aggUserPages(), live.aggUserPages);
+        EXPECT_EQ(r.aggKernelPages(), live.aggKernelPages);
+
+        // The §6.7 table prints "-" for Mallacc's small-object columns.
+        if (cfg.memento.mallaccMode) {
+            EXPECT_EQ(r.objAllocs(), 0u);
+            EXPECT_EQ(r.objFrees(), 0u);
+        } else {
+            EXPECT_GT(r.objAllocs(), 0u);
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Languages, ExperimentTest,
                          ::testing::Values(Language::Python,
                                            Language::Cpp,
@@ -102,9 +218,10 @@ TEST(ExperimentInvariants, DramBytesAreLineGranular)
         Experiment::compareDefault(smallWorkload(Language::Python));
     for (const RunResult *r :
          {&cmp.base, &cmp.memento, &cmp.mementoNoBypass}) {
-        EXPECT_EQ(r->dramBytes % kLineSize, 0u);
-        EXPECT_EQ(r->dramBytes,
-                  (r->dramReads + r->dramWrites) * kLineSize);
+        EXPECT_EQ(r->dramBytes() % kLineSize, 0u);
+        EXPECT_EQ(r->dramBytes(),
+                  (r->delta("dram.reads") + r->delta("dram.writes")) *
+                      kLineSize);
     }
 }
 
@@ -113,8 +230,8 @@ TEST(ExperimentInvariants, HotHitRateIsHighOnChurn)
     Comparison cmp =
         Experiment::compareDefault(smallWorkload(Language::Cpp));
     const double alloc_rate =
-        static_cast<double>(cmp.memento.hotAllocHits) /
-        (cmp.memento.hotAllocHits + cmp.memento.hotAllocMisses);
+        static_cast<double>(cmp.memento.hotAllocHits()) /
+        (cmp.memento.hotAllocHits() + cmp.memento.hotAllocMisses());
     EXPECT_GT(alloc_rate, 0.97);
 }
 
@@ -126,7 +243,7 @@ TEST(ExperimentInvariants, MallaccModeUsesSoftwarePaths)
     const Trace trace = TraceGenerator(spec).generate();
     RunResult res = Experiment::runOne(spec, trace, mallacc);
     // No HOT activity: Mallacc is a software allocator accelerator.
-    EXPECT_EQ(res.hotAllocHits + res.hotAllocMisses, 0u);
+    EXPECT_EQ(res.hotAllocHits() + res.hotAllocMisses(), 0u);
     EXPECT_EQ(res.hwMmCycles(), 0u);
 }
 
@@ -149,8 +266,8 @@ TEST(ExperimentInvariants, IdenticalConfigsGiveIdenticalResults)
     RunResult a = Experiment::runOne(spec, trace, defaultConfig());
     RunResult b = Experiment::runOne(spec, trace, defaultConfig());
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.dramBytes, b.dramBytes);
-    EXPECT_EQ(a.pageFaults, b.pageFaults);
+    EXPECT_EQ(a.dramBytes(), b.dramBytes());
+    EXPECT_EQ(a.pageFaults(), b.pageFaults());
     EXPECT_EQ(a.instructions, b.instructions);
 }
 
@@ -162,7 +279,7 @@ TEST(ExperimentInvariants, MapPopulateRaisesFootprintLowersFaults)
     MachineConfig pop = defaultConfig();
     pop.kernel.mapPopulate = true;
     RunResult eager = Experiment::runOne(spec, trace, pop);
-    EXPECT_LT(eager.pageFaults, lazy.pageFaults);
+    EXPECT_LT(eager.pageFaults(), lazy.pageFaults());
     EXPECT_GT(eager.peakResidentPages, lazy.peakResidentPages);
 }
 

@@ -276,8 +276,8 @@ TEST(RuntimeVmInterplay, MementoNeverTouchesTheOsForSmallObjects)
     const Trace trace = TraceGenerator(spec).generate();
 
     RunResult mem = Experiment::runOne(spec, trace, mementoConfig());
-    EXPECT_EQ(mem.pageFaults, 0u);
-    EXPECT_EQ(mem.mmapCalls, 0u);
+    EXPECT_EQ(mem.pageFaults(), 0u);
+    EXPECT_EQ(mem.mmapCalls(), 0u);
     EXPECT_EQ(mem.category(CycleCategory::KernelFault), 0u);
     EXPECT_EQ(mem.category(CycleCategory::KernelMmap), 0u);
 }
@@ -298,7 +298,7 @@ TEST(RuntimeVmInterplay, BaselinePaysKernelForTheSameTrace)
     const Trace trace = TraceGenerator(spec).generate();
 
     RunResult base = Experiment::runOne(spec, trace, defaultConfig());
-    EXPECT_GT(base.pageFaults, 0u);
+    EXPECT_GT(base.pageFaults(), 0u);
     EXPECT_GT(base.category(CycleCategory::KernelFault), 0u);
 }
 
@@ -327,8 +327,8 @@ TEST(AblationTest, EagerPrefetchRaisesAllocHitRate)
 
     RunResult with = Experiment::runOne(spec, trace, eager);
     RunResult without = Experiment::runOne(spec, trace, lazy);
-    EXPECT_LT(with.hotAllocMisses, without.hotAllocMisses);
-    EXPECT_EQ(with.objAllocs, without.objAllocs);
+    EXPECT_LT(with.hotAllocMisses(), without.hotAllocMisses());
+    EXPECT_EQ(with.objAllocs(), without.objAllocs());
 }
 
 } // namespace

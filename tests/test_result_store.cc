@@ -77,24 +77,15 @@ richResult()
     for (std::size_t i = 0; i < r.byCategory.size(); ++i)
         r.byCategory[i] = 1000 + i;
     r.instructions = 11;
-    r.dramBytes = 12;
-    r.dramReads = 13;
-    r.dramWrites = 14;
-    r.bypassedLines = 15;
-    r.aggUserPages = 16;
-    r.aggKernelPages = 17;
+    // Readings as tryRunOne records them: sorted by name, a gauge whose
+    // end is below its start, and a counter first registered inside the
+    // window (start 0).
+    r.counters = {{"buddy.peak_pages", 12, 13},
+                  {"dram.bytes", 14, 15},
+                  {"hot.alloc_hits", 0, 16},
+                  {"l1d.hits", 70017, 70018},
+                  {"vm1.free_pages", 20, 19}};
     r.peakResidentPages = 18;
-    r.pageFaults = 19;
-    r.mmapCalls = 20;
-    r.poolRefills = 21;
-    r.hotAllocHits = 22;
-    r.hotAllocMisses = 23;
-    r.hotFreeHits = 24;
-    r.hotFreeMisses = 25;
-    r.allocListOps = 26;
-    r.freeListOps = 27;
-    r.objAllocs = 28;
-    r.objFrees = 29;
     r.hotValidEntries = 30;
     // A fraction that does not round-trip through short decimal: the
     // store must preserve the exact bit pattern.
@@ -125,6 +116,28 @@ TEST(ResultStore, RunCellRoundTripsExactly)
     EXPECT_EQ(stats.stores, 1u);
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.quarantined, 0u);
+}
+
+TEST(ResultStore, CounterNoAccessorKnowsRoundTrips)
+{
+    TempStoreDir dir("unknown");
+    ResultStore store = openStore(dir);
+
+    // The store names no metric: a counter added tomorrow, read by no
+    // accessor, travels like any other and reads back through delta().
+    RunResult want = richResult();
+    want.counters.push_back({"zz.new_metric", 40, 42});
+    const CellKey key = store.runCellKey("aes", test::smallConfig(),
+                                         RunOptions{});
+    store.storeRun(key, want, 1);
+
+    RunResult got;
+    unsigned attempts = 0;
+    ASSERT_TRUE(store.loadRun(key, got, attempts));
+    EXPECT_TRUE(got == want);
+    EXPECT_EQ(got.delta("zz.new_metric"), 2u);
+    EXPECT_EQ(got.end("zz.new_metric"), 42u);
+    EXPECT_EQ(got.delta("never.registered"), 0u);
 }
 
 TEST(ResultStore, CachedFailureIsFirstClass)
@@ -336,20 +349,47 @@ TEST(ResultStore, UnparseableRunPayloadIsQuarantined)
 {
     TempStoreDir dir("payload");
     ResultStore store = openStore(dir);
+    CellKey stored;
+    std::string record;
+    ASSERT_TRUE(readFile(storeOneCell(store, stored), record));
+    const std::string good = record.substr(record.find('\n') + 1);
 
-    // A structurally valid cell (header + checksum OK) whose payload
-    // is not a RunResult: loadRun must quarantine it.
-    const CellKey key = store.runCellKey("aes", test::smallConfig(),
-                                         RunOptions{});
-    plantRecord(store, key, "run", "{\"workload\": \"aes\"}");
+    // Structurally valid cells (header + checksum OK) whose payload is
+    // not a RunResult: loadRun must quarantine each.
+    auto edit = [&](std::string_view from, std::string_view to) {
+        std::string p = good;
+        const std::size_t at = p.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        if (at != std::string::npos)
+            p.replace(at, from.size(), to);
+        return p;
+    };
+    const std::vector<std::string> payloads = {
+        "{\"workload\": \"aes\"}",
+        // A reading out of order, and one duplicated.
+        edit("\"dram.bytes\"", "\"zz.bytes\""),
+        edit("\"hot.alloc_hits\"", "\"dram.bytes\""),
+        // Non-integer values.
+        edit("70017,", "70017.5,"),
+        edit("70017,", "-70017,"),
+        edit("70017,", "\"70017\","),
+        // A reading that is not a [name, start, end] triple.
+        edit("70017,", ""),
+        // No counters at all.
+        edit("\"counters\"", "\"countres\""),
+    };
 
-    RunResult got;
-    unsigned attempts = 0;
-    EXPECT_FALSE(store.loadRun(key, got, attempts));
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        const CellKey key{100 + i};
+        plantRecord(store, key, "run", payloads[i]);
+        RunResult got;
+        unsigned attempts = 0;
+        EXPECT_FALSE(store.loadRun(key, got, attempts)) << payloads[i];
+    }
     const StoreStats stats = store.stats();
-    EXPECT_EQ(stats.quarantined, 1u);
+    EXPECT_EQ(stats.quarantined, payloads.size());
     EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.misses, payloads.size());
 }
 
 TEST(ResultStore, NoTemporaryFilesLeftBehind)

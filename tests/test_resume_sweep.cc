@@ -250,45 +250,60 @@ TEST(ResumeSweep, RevalidateDetectsDoctoredRecordAndHealsTheStore)
     std::vector<SweepTask> tasks = {smallTaskList()[0]};
     const std::vector<SweepOutcome> want = reference(tasks);
 
-    ResultStore store({.dir = dir.path(), .codeVersion = "test-sha"});
-    SweepOptions fill;
-    fill.jobs = 1;
-    fill.keepGoing = true;
-    fill.store = &store;
-    sweepWith(tasks, fill);
-
     // Doctor the cached cell: same key, subtly different result. The
     // record itself stays checksum-valid — only recomputation can
-    // catch this.
-    const CellKey key = store.runCellKey(tasks[0].spec.id, tasks[0].cfg,
-                                         tasks[0].opts);
-    RunResult doctored;
-    unsigned attempts = 1;
-    ASSERT_TRUE(store.loadRun(key, doctored, attempts));
-    doctored.cycles += 1;
-    store.storeRun(key, doctored, attempts);
+    // catch this. l1d.hits is a counter no RunResult accessor reads:
+    // revalidation still compares every reading.
+    const std::vector<void (*)(RunResult &)> doctors = {
+        [](RunResult &r) { r.cycles += 1; },
+        [](RunResult &r) {
+            for (CounterReading &c : r.counters) {
+                if (c.name == "l1d.hits")
+                    c.end += 1;
+            }
+        },
+    };
+    for (std::size_t d = 0; d < doctors.size(); ++d) {
+        SCOPED_TRACE(d == 0 ? "cycles" : "l1d.hits");
+        ResultStore store({.dir = dir.path(), .codeVersion = "test-sha"});
+        SweepOptions fill;
+        fill.jobs = 1;
+        fill.keepGoing = true;
+        fill.store = &store;
+        sweepWith(tasks, fill);
 
-    // A revalidating sweep recomputes the hit, sees the divergence,
-    // fails the cell loudly, and heals the store.
-    SweepOptions audit = fill;
-    audit.revalidateEvery = 1;
-    const std::vector<SweepOutcome> caught = sweepWith(tasks, audit);
-    ASSERT_TRUE(caught[0].result.failed());
-    EXPECT_EQ(caught[0].result.error->category,
-              ErrorCategory::Corruption);
-    EXPECT_EQ(store.stats().quarantined, 1u);
+        const CellKey key = store.runCellKey(tasks[0].spec.id,
+                                             tasks[0].cfg, tasks[0].opts);
+        RunResult doctored;
+        unsigned attempts = 1;
+        ASSERT_TRUE(store.loadRun(key, doctored, attempts));
+        const RunResult original = doctored;
+        doctors[d](doctored);
+        ASSERT_FALSE(doctored == original);
+        store.storeRun(key, doctored, attempts);
 
-    // Healed: the next revalidating sweep passes its audit.
-    ResultStore healed({.dir = dir.path(), .codeVersion = "test-sha"});
-    SweepOptions again;
-    again.jobs = 1;
-    again.keepGoing = true;
-    again.store = &healed;
-    again.revalidateEvery = 1;
-    const std::vector<SweepOutcome> got = sweepWith(tasks, again);
-    expectSameResults(got, want, "after healing");
-    EXPECT_EQ(healed.stats().revalidated, 1u);
-    EXPECT_EQ(healed.stats().quarantined, 0u);
+        // A revalidating sweep recomputes the hit, sees the
+        // divergence, fails the cell loudly, and heals the store.
+        SweepOptions audit = fill;
+        audit.revalidateEvery = 1;
+        const std::vector<SweepOutcome> caught = sweepWith(tasks, audit);
+        ASSERT_TRUE(caught[0].result.failed());
+        EXPECT_EQ(caught[0].result.error->category,
+                  ErrorCategory::Corruption);
+        EXPECT_EQ(store.stats().quarantined, 1u);
+
+        // Healed: the next revalidating sweep passes its audit.
+        ResultStore healed({.dir = dir.path(), .codeVersion = "test-sha"});
+        SweepOptions again;
+        again.jobs = 1;
+        again.keepGoing = true;
+        again.store = &healed;
+        again.revalidateEvery = 1;
+        const std::vector<SweepOutcome> got = sweepWith(tasks, again);
+        expectSameResults(got, want, "after healing");
+        EXPECT_EQ(healed.stats().revalidated, 1u);
+        EXPECT_EQ(healed.stats().quarantined, 0u);
+    }
 }
 
 TEST(ResumeSweep, StopFlagSkipsEverythingNotYetStarted)

@@ -109,7 +109,6 @@
 #include "fleet/fleet.h"
 #include "machine/breakdown.h"
 #include "machine/experiment.h"
-#include "machine/machine.h"
 #include "machine/result_store.h"
 #include "machine/sweep.h"
 #include "sa/config_lint.h"
@@ -225,16 +224,6 @@ applySweepPolicy(SweepOptions &sweep_opts, const CliOptions &opts,
     }
 }
 
-Trace
-traceFor(const WorkloadSpec &spec, const CliOptions &opts)
-{
-    if (opts.traceFile.empty())
-        return TraceGenerator(spec).generate();
-    std::ifstream in(opts.traceFile);
-    fatal_if(!in, "cannot open trace file ", opts.traceFile);
-    return readTrace(in);
-}
-
 int
 cmdList()
 {
@@ -264,25 +253,25 @@ printRun(const MachineConfig &cfg, const RunResult &res)
     t.newRow(); t.cell("cycles"); t.cell(res.cycles);
     t.newRow(); t.cell("execution ms"); t.cell(res.executionMs(cfg), 3);
     t.newRow(); t.cell("instructions"); t.cell(res.instructions);
-    t.newRow(); t.cell("DRAM bytes"); t.cell(res.dramBytes);
-    t.newRow(); t.cell("page faults"); t.cell(res.pageFaults);
-    t.newRow(); t.cell("mmap calls"); t.cell(res.mmapCalls);
+    t.newRow(); t.cell("DRAM bytes"); t.cell(res.dramBytes());
+    t.newRow(); t.cell("page faults"); t.cell(res.pageFaults());
+    t.newRow(); t.cell("mmap calls"); t.cell(res.mmapCalls());
     t.newRow(); t.cell("peak pages"); t.cell(res.peakResidentPages);
     t.newRow(); t.cell("user MM cycles"); t.cell(res.userMmCycles());
     t.newRow(); t.cell("kernel MM cycles"); t.cell(res.kernelMmCycles());
     t.newRow(); t.cell("hw MM cycles"); t.cell(res.hwMmCycles());
-    if (res.objAllocs > 0) {
-        t.newRow(); t.cell("small allocs"); t.cell(res.objAllocs);
-        t.newRow(); t.cell("small frees"); t.cell(res.objFrees);
+    if (res.objAllocs() > 0) {
+        t.newRow(); t.cell("small allocs"); t.cell(res.objAllocs());
+        t.newRow(); t.cell("small frees"); t.cell(res.objFrees());
     }
-    if (res.hotAllocHits + res.hotAllocMisses > 0) {
+    if (res.hotAllocHits() + res.hotAllocMisses() > 0) {
         t.newRow();
         t.cell("HOT alloc hit rate");
-        t.cell(percentStr(static_cast<double>(res.hotAllocHits) /
-                          (res.hotAllocHits + res.hotAllocMisses)));
+        t.cell(percentStr(static_cast<double>(res.hotAllocHits()) /
+                          (res.hotAllocHits() + res.hotAllocMisses())));
         t.newRow();
         t.cell("bypassed lines");
-        t.cell(res.bypassedLines);
+        t.cell(res.bypassedLines());
     }
     t.print(std::cout);
 }
@@ -294,7 +283,6 @@ cmdRun(const std::string &id, const CliOptions &opts)
     if (id == "all") {
         fatal_if(!opts.traceFile.empty(),
                  "--trace replays one workload, not 'all'");
-        fatal_if(opts.dumpStats, "--stats dumps one workload, not 'all'");
         specs = allWorkloads();
     } else {
         specs.push_back(workloadById(id));
@@ -303,18 +291,6 @@ cmdRun(const std::string &id, const CliOptions &opts)
     RunOptions run_opts;
     run_opts.coldStart = opts.cold;
     run_opts.computeDigest = opts.digest;
-
-    if (opts.dumpStats) {
-        // Re-run with a live machine so raw counters can be dumped.
-        const WorkloadSpec &spec = specs.front();
-        const Trace trace = traceFor(spec, opts);
-        Machine machine(opts.cfg);
-        machine.createProcess(spec);
-        FunctionExecutor executor(machine);
-        executor.run(spec, trace, run_opts);
-        machine.stats().dump(std::cout);
-        return 0;
-    }
 
     // Fan the sweep out over the work-stealing pool: one task per run
     // (a digest check is two runs, dispatched as sibling tasks). The
@@ -374,6 +350,11 @@ cmdRun(const std::string &id, const CliOptions &opts)
         }
         std::cout << "\n";
         printRun(opts.cfg, res);
+        if (opts.dumpStats) {
+            // The registry's own "name value" dump, as of window close.
+            for (const CounterReading &c : res.counters)
+                std::cout << c.name << ' ' << c.end << '\n';
+        }
 
         if (opts.digest) {
             // Paired run: an identical workload under an identical
@@ -463,8 +444,8 @@ cmdCompare(const std::string &id, const CliOptions &opts)
         t.cell(cmp.spec.id);
         t.cell(cmp.speedup(), 3);
         t.cell(percentStr(cmp.bandwidthReduction()));
-        t.cell(std::to_string(cmp.base.pageFaults) + "->" +
-               std::to_string(cmp.memento.pageFaults));
+        t.cell(std::to_string(cmp.base.pageFaults()) + "->" +
+               std::to_string(cmp.memento.pageFaults()));
         t.cell(percentStr(bd.objAlloc, 0) + "/" +
                percentStr(bd.objFree, 0) + "/" +
                percentStr(bd.pageMgmt, 0) + "/" +
