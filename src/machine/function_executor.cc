@@ -30,13 +30,18 @@ FunctionExecutor::execute(const WorkloadSpec &spec, const TraceOp &op)
         machine_.appCompute(op.value);
         break;
       case OpKind::StaticLoad:
-        machine_.appAccess(static_base + op.offset % spec.staticWsBytes,
-                           AccessType::Read);
+      case OpKind::StaticStore: {
+        // Generated offsets are already below the working set, so only
+        // a handwritten trace pays the wrap's divide.
+        const std::uint64_t ws = spec.staticWsBytes;
+        const std::uint64_t offset =
+            op.offset < ws ? op.offset : op.offset % ws;
+        machine_.appAccess(static_base + offset,
+                           op.kind == OpKind::StaticStore
+                               ? AccessType::Write
+                               : AccessType::Read);
         break;
-      case OpKind::StaticStore:
-        machine_.appAccess(static_base + op.offset % spec.staticWsBytes,
-                           AccessType::Write);
-        break;
+      }
       case OpKind::Malloc: {
         Addr addr = alloc.malloc(op.value, machine_);
         if (op.objId < kDenseIdLimit) {

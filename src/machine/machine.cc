@@ -11,6 +11,8 @@ namespace memento {
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg),
+      loadExposed_(1.0 - cfg_.core.memLatencyHiddenFraction),
+      storeExposed_(1.0 - cfg_.core.storeLatencyHiddenFraction),
       kernelCosts_(cfg_),
       instructions_(stats_.counter("machine.instructions")),
       appLoads_(stats_.counter("machine.app_loads")),

@@ -154,6 +154,10 @@ class Machine final : public Env
     Addr mementoWalk(Addr vaddr);
 
     MachineConfig cfg_;
+    /** 1 - core.memLatencyHiddenFraction: a load's exposed share. */
+    double loadExposed_;
+    /** 1 - core.storeLatencyHiddenFraction: a store's exposed share. */
+    double storeExposed_;
     StatRegistry stats_;
     CycleLedger ledger_;
 
@@ -267,8 +271,7 @@ Machine::accessVirtual(Addr vaddr, AccessType type)
     Cycles charge = res.latency;
     if (type == AccessType::Write) {
         const double exposed =
-            static_cast<double>(res.latency) *
-            (1.0 - cfg_.core.storeLatencyHiddenFraction);
+            static_cast<double>(res.latency) * storeExposed_;
         charge = static_cast<Cycles>(exposed < 1.0 ? 1.0 : exposed);
     }
     ledger_.charge(charge);
@@ -320,11 +323,9 @@ Machine::appAccess(Addr vaddr, AccessType type)
     // The OOO window overlaps part of the hierarchy latency with
     // useful work; stores retire from the store buffer and almost
     // never stall, loads stall on the unhidden remainder.
-    const double hidden = type == AccessType::Write
-                              ? cfg_.core.storeLatencyHiddenFraction
-                              : cfg_.core.memLatencyHiddenFraction;
     const double exposed =
-        static_cast<double>(res.latency) * (1.0 - hidden);
+        static_cast<double>(res.latency) *
+        (type == AccessType::Write ? storeExposed_ : loadExposed_);
     ledger_.charge(static_cast<Cycles>(exposed < 1.0 ? 1.0 : exposed));
 }
 

@@ -23,22 +23,6 @@ Cache::Cache(const std::string &name, const CacheConfig &cfg,
     flushAll();
 }
 
-bool
-Cache::invalidate(Addr paddr)
-{
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[setIndex(paddr) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.tag == tag) {
-            const bool was_dirty = (line.meta & 1) != 0;
-            line = {kNoTag, std::uint64_t{w} << 1};
-            return was_dirty;
-        }
-    }
-    return false;
-}
-
 std::uint64_t
 Cache::flushAll()
 {

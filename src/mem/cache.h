@@ -130,6 +130,14 @@ class Cache
 
     std::uint64_t setIndex(Addr paddr) const;
     Addr tagOf(Addr paddr) const;
+    /**
+     * The way holding @p paddr's line, or null. Every way is compared
+     * and the match picked by a select, so the scan has no
+     * data-dependent exit to mispredict. Exact because a set never
+     * holds a tag twice (checkIntegrity()'s duplicate-tag rule): the
+     * last matching way is the first.
+     */
+    Line *find(Addr paddr);
     /** Next LRU stamp, with @p dirty in bit 0. */
     std::uint64_t stamp(bool dirty) { return (++lruClock_ << 1) | dirty; }
 
@@ -165,47 +173,43 @@ Cache::tagOf(Addr paddr) const
     return paddr >> kLineShift;
 }
 
-inline bool
-Cache::access(Addr paddr, bool is_write)
+inline Cache::Line *
+Cache::find(Addr paddr)
 {
     const Addr tag = tagOf(paddr);
     Line *base = &lines_[setIndex(paddr) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.tag == tag) {
-            line.meta = stamp(is_write) | (line.meta & 1);
-            ++hits_;
-            return true;
-        }
+    unsigned hit = ways_;
+    for (unsigned w = 0; w < ways_; ++w)
+        hit = base[w].tag == tag ? w : hit;
+    return hit == ways_ ? nullptr : &base[hit];
+}
+
+inline bool
+Cache::access(Addr paddr, bool is_write)
+{
+    Line *line = find(paddr);
+    if (!line) {
+        ++misses_;
+        return false;
     }
-    ++misses_;
-    return false;
+    line->meta = stamp(is_write) | (line->meta & 1);
+    ++hits_;
+    return true;
 }
 
 inline bool
 Cache::contains(Addr paddr) const
 {
-    const Addr tag = tagOf(paddr);
-    const Line *base = &lines_[setIndex(paddr) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].tag == tag)
-            return true;
-    }
-    return false;
+    return const_cast<Cache *>(this)->find(paddr) != nullptr;
 }
 
 inline Cache::Eviction
 Cache::install(Addr paddr, bool dirty)
 {
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[setIndex(paddr) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.tag == tag) {
-            // Already resident: just refresh.
-            line.meta = stamp(dirty) | (line.meta & 1);
-            return {};
-        }
+    if (Line *line = find(paddr)) {
+        // Already resident: just refresh.
+        line->meta = stamp(dirty) | (line->meta & 1);
+        return {};
     }
     return installAbsent(paddr, dirty);
 }
@@ -243,18 +247,25 @@ Cache::installAbsent(Addr paddr, bool dirty)
 }
 
 inline bool
+Cache::invalidate(Addr paddr)
+{
+    Line *line = find(paddr);
+    if (!line)
+        return false;
+    const bool was_dirty = (line->meta & 1) != 0;
+    const auto way = static_cast<std::uint64_t>(
+        line - &lines_[setIndex(paddr) * ways_]);
+    *line = {kNoTag, way << 1};
+    return was_dirty;
+}
+
+inline bool
 Cache::tryMarkDirty(Addr paddr)
 {
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[setIndex(paddr) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.tag == tag) {
-            line.meta |= 1;
-            return true;
-        }
-    }
-    return false;
+    Line *line = find(paddr);
+    if (line)
+        line->meta |= 1;
+    return line != nullptr;
 }
 
 } // namespace memento

@@ -1,25 +1,32 @@
 #include "mem/dram.h"
 
+#include "sim/logging.h"
+
 namespace memento {
 
 Dram::Dram(const DramConfig &cfg, StatRegistry &stats)
     : cfg_(cfg),
       banks_(cfg.banks),
+      bankModConstant_(fastModConstant(cfg.banks)),
+      rowShift_(log2Exact(cfg.rowBytes)),
       reads_(stats.counter("dram.reads")),
       writes_(stats.counter("dram.writes")),
       rowHits_(stats.counter("dram.row_hits")),
       rowMisses_(stats.counter("dram.row_misses")),
       bytes_(stats.counter("dram.bytes"))
 {
+    panic_if(!isPowerOfTwo(cfg.rowBytes),
+             "dram: row size must be a power of two");
 }
 
 Cycles
 Dram::access(Addr paddr, bool is_write, Cycles now)
 {
     // Interleave lines across banks, rows within a bank are contiguous.
+    // Neither index divides: any bank count reduces by fastMod().
     const std::uint64_t line = paddr >> kLineShift;
-    Bank &bank = banks_[line % banks_.size()];
-    const std::uint64_t row = paddr / cfg_.rowBytes;
+    Bank &bank = banks_[fastMod(line, bankModConstant_, banks_.size())];
+    const std::uint64_t row = paddr >> rowShift_;
 
     Cycles latency;
     if (bank.openRow == row) {

@@ -53,6 +53,8 @@ class Dram
 
     DramConfig cfg_;
     std::vector<Bank> banks_;
+    Uint128 bankModConstant_; ///< fastModConstant(banks_.size()).
+    unsigned rowShift_;       ///< log2(cfg_.rowBytes).
 
     Counter reads_;
     Counter writes_;

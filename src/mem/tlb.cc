@@ -30,20 +30,19 @@ Tlb::insert(Addr vaddr, Addr paddr, unsigned shift)
     Entry *base = &entries_[setIndex(vpage) * ways_];
 
     // A resident copy is updated in place; otherwise the first least
-    // stamp is the first invalid way, else the LRU entry.
+    // stamp is the first invalid way, else the LRU entry. One pass of
+    // selects tracks both.
+    unsigned hit = ways_;
     unsigned victim = 0;
     std::uint64_t least = ~std::uint64_t{0};
     for (unsigned w = 0; w < ways_; ++w) {
         const Entry &e = base[w];
-        if (e.key == key) {
-            victim = w;
-            break;
-        }
+        hit = e.key == key ? w : hit;
         const bool lower = e.lruStamp < least;
         least = lower ? e.lruStamp : least;
         victim = lower ? w : victim;
     }
-    Entry &e = base[victim];
+    Entry &e = base[hit == ways_ ? victim : hit];
     if (e.key != kNoKey && (e.key & 1))
         --hugeEntries_;
     if (shift == kHugePageShift)

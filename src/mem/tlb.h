@@ -20,30 +20,6 @@ namespace memento {
 /** Shift of a 2 MiB huge page. */
 inline constexpr unsigned kHugePageShift = 21;
 
-__extension__ typedef unsigned __int128 Uint128;
-
-/** fastMod()'s constant for divisor @p d >= 1: ceil(2^128 / d) mod 2^128. */
-constexpr Uint128
-fastModConstant(std::uint64_t d)
-{
-    return ~Uint128{0} / d + 1;
-}
-
-/**
- * @p a % @p d by two multiplications instead of a divide (Lemire, Kaser
- * and Kurz, "Faster Remainder by Direct Computation", 2019): the high
- * 128 bits of d times the low 128 bits of @p c * @p a. With 128-bit
- * @p c = fastModConstant(@p d) this is exact for every 64-bit @p a.
- */
-constexpr std::uint64_t
-fastMod(std::uint64_t a, Uint128 c, std::uint64_t d)
-{
-    const Uint128 frac = c * a;
-    const Uint128 lo = static_cast<std::uint64_t>(frac) * Uint128{d};
-    const Uint128 hi = static_cast<std::uint64_t>(frac >> 64) * Uint128{d};
-    return static_cast<std::uint64_t>((hi + (lo >> 64)) >> 64);
-}
-
 /** One level of virtual-to-physical translation caching. */
 class Tlb
 {
@@ -153,11 +129,12 @@ Tlb::findAt(Addr vaddr, unsigned shift)
     const Addr vpage = vaddr >> shift;
     const Addr key = keyOf(vpage, shift);
     Entry *base = &entries_[setIndex(vpage) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].key == key)
-            return &base[w];
-    }
-    return nullptr;
+    // Selects, not an early exit (see Cache::find): keys are unique per
+    // set, since insert() updates a resident copy in place.
+    unsigned hit = ways_;
+    for (unsigned w = 0; w < ways_; ++w)
+        hit = base[w].key == key ? w : hit;
+    return hit == ways_ ? nullptr : &base[hit];
 }
 
 inline Tlb::Entry *

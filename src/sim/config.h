@@ -48,7 +48,7 @@ struct DramConfig
     Cycles missLatency = 135;
     /** Extra queuing delay applied per outstanding same-bank access. */
     Cycles bankBusyPenalty = 24;
-    /** Rows per bank used by the open-row model. */
+    /** Row size of the open-row model; a power of two. */
     std::uint64_t rowBytes = 8192;
 };
 

@@ -17,29 +17,6 @@ StatRegistry::value(const std::string &name) const
     return it == values_.end() ? 0 : it->second;
 }
 
-double
-StatRegistry::ratio(const std::string &numer, const std::string &denom) const
-{
-    std::uint64_t d = value(denom);
-    if (d == 0)
-        return 0.0;
-    return static_cast<double>(value(numer)) / static_cast<double>(d);
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &entry : values_)
-        entry.second = 0;
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, value] : values_)
-        os << name << ' ' << value << '\n';
-}
-
 std::map<std::string, std::uint64_t>
 StatRegistry::snapshot() const
 {

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 
 #include "sim/thread_annotations.h"
@@ -77,15 +76,6 @@ class MEMENTO_SINGLE_THREADED StatRegistry
 
     /** Value of @p name, or 0 if it was never registered. */
     std::uint64_t value(const std::string &name) const;
-
-    /** value(numer) / value(denom), or 0 when the denominator is 0. */
-    double ratio(const std::string &numer, const std::string &denom) const;
-
-    /** Zero every registered counter (registrations survive). */
-    void resetAll();
-
-    /** Print "name value" lines sorted by name. */
-    void dump(std::ostream &os) const;
 
     /** Snapshot of all counters, for paired-run comparisons. */
     std::map<std::string, std::uint64_t> snapshot() const;

@@ -63,6 +63,30 @@ isPowerOfTwo(std::uint64_t value)
     return value != 0 && (value & (value - 1)) == 0;
 }
 
+__extension__ typedef unsigned __int128 Uint128;
+
+/** fastMod()'s constant for divisor @p d >= 1: ceil(2^128 / d) mod 2^128. */
+constexpr Uint128
+fastModConstant(std::uint64_t d)
+{
+    return ~Uint128{0} / d + 1;
+}
+
+/**
+ * @p a % @p d by two multiplications instead of a divide (Lemire, Kaser
+ * and Kurz, "Faster Remainder by Direct Computation", 2019): the high
+ * 128 bits of d times the low 128 bits of @p c * @p a. With 128-bit
+ * @p c = fastModConstant(@p d) this is exact for every 64-bit @p a.
+ */
+constexpr std::uint64_t
+fastMod(std::uint64_t a, Uint128 c, std::uint64_t d)
+{
+    const Uint128 frac = c * a;
+    const Uint128 lo = static_cast<std::uint64_t>(frac) * Uint128{d};
+    const Uint128 hi = static_cast<std::uint64_t>(frac >> 64) * Uint128{d};
+    return static_cast<std::uint64_t>((hi + (lo >> 64)) >> 64);
+}
+
 /** Integer log2 of a power-of-two @p value. */
 constexpr unsigned
 log2Exact(std::uint64_t value)

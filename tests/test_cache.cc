@@ -379,6 +379,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair<std::uint64_t, unsigned>{16, 1},
                       std::pair<std::uint64_t, unsigned>{16, 2},
                       std::pair<std::uint64_t, unsigned>{64, 8},
+                      std::pair<std::uint64_t, unsigned>{32, 12},
                       std::pair<std::uint64_t, unsigned>{2048, 16}));
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "machine/function_executor.h"
 #include "machine/machine.h"
 #include "sim/error.h"
@@ -242,6 +244,35 @@ TEST(ExecutorTest, RunRangeInterleavesAcrossProcesses)
 
     EXPECT_EQ(e0.liveObjects(), 0u);
     EXPECT_EQ(e1.liveObjects(), 0u);
+}
+
+TEST(ExecutorTest, StaticOffsetsWrapAtTheWorkingSet)
+{
+    // Generated offsets stay below staticWsBytes; a handwritten trace's
+    // larger ones must wrap exactly as the plain remainder does.
+    WorkloadSpec spec = tinySpec(Language::Cpp);
+    spec.rpcBytes = 0;
+    const std::uint64_t ws = spec.staticWsBytes;
+    const std::uint64_t raw[] = {ws, ws + 64, kTraceFieldMax};
+    auto replay = [&](bool reduced) {
+        Trace trace;
+        for (std::uint64_t off : raw) {
+            const auto o =
+                static_cast<std::uint32_t>(reduced ? off % ws : off);
+            trace.push_back({OpKind::StaticLoad, 0, 0, o});
+            trace.push_back({OpKind::StaticStore, 0, 0, o});
+        }
+        trace.push_back({OpKind::FunctionEnd, 0, 0, 0});
+        Machine m(test::smallConfig());
+        m.createProcess(spec);
+        FunctionExecutor(m).run(spec, trace);
+        return std::array<std::uint64_t, 3>{m.cycleLedger().total(),
+                                            m.stats().value("l1d.hits"),
+                                            m.stats().value("l1d.misses")};
+    };
+    const auto wrapped = replay(false);
+    EXPECT_EQ(wrapped, replay(true));
+    EXPECT_GT(wrapped[1], 0u); // Each store hits its load's line.
 }
 
 TEST(ExecutorTest, FragSampleCapturedBeforeTeardown)

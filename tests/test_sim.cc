@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/config.h"
 #include "sim/cycles.h"
 #include "sim/rng.h"
@@ -106,20 +104,13 @@ TEST(Stats, CountersPersistAndDump)
     EXPECT_EQ(stats.value("x.a"), 3u);
     EXPECT_EQ(stats.value("x.b"), 10u);
     EXPECT_EQ(stats.value("missing"), 0u);
-    EXPECT_DOUBLE_EQ(stats.ratio("x.a", "x.b"), 0.3);
-
-    std::ostringstream os;
-    stats.dump(os);
-    EXPECT_NE(os.str().find("x.a 3"), std::string::npos);
+    EXPECT_EQ(stats.snapshot().at("x.a"), 3u);
 
     // Handles stay valid after more registrations.
     for (int i = 0; i < 100; ++i)
         stats.counter("y." + std::to_string(i));
     a += 1;
     EXPECT_EQ(stats.value("x.a"), 4u);
-
-    stats.resetAll();
-    EXPECT_EQ(stats.value("x.a"), 0u);
 }
 
 TEST(Rng, Deterministic)
