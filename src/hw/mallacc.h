@@ -6,8 +6,8 @@
  * fast paths with a small malloc cache. Following the paper's own
  * idealization, this model gives the malloc cache zero latency and a
  * 100% hit rate: the software allocator's fast-path instruction and
- * metadata costs vanish, while slow paths (tcache fills/flushes, slab
- * and chunk management) and *all kernel memory management* remain —
+ * metadata costs vanish, while slow paths (central-list transfers, span
+ * carving, page-heap growth) and *all kernel memory management* remain —
  * which is precisely the gap Memento closes.
  */
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * The software-visible face of Memento: an rt::Allocator whose small
- * path executes the obj-alloc/obj-free ISA extensions and whose large
- * path (>512 B) falls back to the software allocator, following the
- * integration approach chosen in §4 (malloc checks the size; free
- * checks whether the pointer lies in the Memento region).
+ * path executes the obj-alloc/obj-free ISA extensions. Allocator sends
+ * sizes above 512 B to the software large path (§4's integration:
+ * malloc checks the size); free routes on whether the pointer lies in
+ * the Memento region, an address-arithmetic test.
  */
 
 #ifndef MEMENTO_HW_MEMENTO_ALLOCATOR_H
@@ -12,7 +12,6 @@
 
 #include "hw/hw_object_allocator.h"
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 
 namespace memento {
 
@@ -28,31 +27,21 @@ class MementoAllocator : public Allocator
     MementoAllocator(HwObjectAllocator &hw, MementoSpace &space,
                      VirtualMemory &vm, StatRegistry &stats);
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "memento"; }
     double inactiveSlotFraction() const override;
 
-    MementoSpace &space() { return space_; }
-
     /** Set the executing thread id (multi-threaded workloads, §4). */
     void setThread(unsigned thread) { thread_ = thread; }
-    unsigned thread() const { return thread_; }
 
   private:
+    Addr smallMalloc(std::uint64_t size, Env &env) override;
+    std::uint64_t smallFree(Addr ptr, Env &env) override;
+    void smallExit(Env &env) override;
+    /** Live iff @p ptr starts a slot whose bit is set in a live arena. */
+    bool smallIsLive(Addr ptr) const override;
+
     HwObjectAllocator &hw_;
     MementoSpace &space_;
-    GlibcLargeAlloc large_;
-
-    /** Requested bytes of live small objects (sizes held per slot). */
-    std::uint64_t liveBytes_ = 0;
     unsigned thread_ = 0;
 };
 

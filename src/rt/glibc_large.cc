@@ -8,6 +8,7 @@ namespace memento {
 GlibcLargeAlloc::GlibcLargeAlloc(VirtualMemory &vm, StatRegistry &stats,
                                  const std::string &prefix)
     : vm_(vm),
+      prefix_(prefix),
       mallocs_(stats.counter(prefix + ".large_mallocs")),
       frees_(stats.counter(prefix + ".large_frees")),
       mmapServed_(stats.counter(prefix + ".large_mmap_served"))
@@ -77,8 +78,7 @@ GlibcLargeAlloc::free(Addr ptr, Env &env)
 {
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
     auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "GlibcLargeAlloc: bad free 0x", std::hex,
-             ptr);
+    panic_if(it == live_.end(), prefix_, ": bad free 0x", std::hex, ptr);
     ++frees_;
     const Chunk chunk = it->second;
     live_.erase(it);

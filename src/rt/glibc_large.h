@@ -15,10 +15,10 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 
 #include "mem/env.h"
 #include "os/virtual_memory.h"
-#include "rt/allocator.h"
 #include "sim/stats.h"
 
 namespace memento {
@@ -38,7 +38,11 @@ class GlibcLargeAlloc
     /** Allocate @p size (> kMaxSmallSize) bytes. */
     Addr malloc(std::uint64_t size, Env &env);
 
-    /** Free a pointer previously returned by malloc(). */
+    /**
+     * Free a pointer previously returned by malloc(). Allocator sends
+     * every pointer its small path does not own here, so this is where
+     * a double, interior or stray free panics.
+     */
     void free(Addr ptr, Env &env);
 
     /** True when @p ptr was allocated here and is live. */
@@ -60,6 +64,7 @@ class GlibcLargeAlloc
     };
 
     VirtualMemory &vm_;
+    const std::string prefix_; ///< Counter prefix; names panics too.
 
     /** Free chunks in the top region, keyed by base (first fit). */
     std::map<Addr, std::uint64_t> freeChunks_;

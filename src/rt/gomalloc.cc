@@ -7,15 +7,9 @@
 
 namespace memento {
 
-GoMalloc::GoMalloc(VirtualMemory &vm, StatRegistry &stats)
-    : GoMalloc(vm, stats, Params{})
-{
-}
-
 GoMalloc::GoMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : SoftwareAllocator(vm, stats, "gomalloc"),
       params_(params),
-      large_(vm, stats, "gomalloc"),
       partialSpans_(kNumSmallClasses),
       smallMallocs_(stats.counter("gomalloc.small_mallocs")),
       deaths_(stats.counter("gomalloc.deaths")),
@@ -24,11 +18,6 @@ GoMalloc::GoMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
       arenaMmaps_(stats.counter("gomalloc.arena_mmaps")),
       spanCarves_(stats.counter("gomalloc.span_carves"))
 {
-    panic_if(!isPowerOfTwo(params_.spanBytes) ||
-                 params_.spanBytes < kPageSize,
-             "gomalloc: span size must be a power-of-two >= page size");
-    panic_if(params_.arenaBytes % params_.spanBytes != 0,
-             "gomalloc: arena size must be a multiple of the span size");
     // mspan records live in runtime-managed memory, demand-faulted as
     // the heap grows (this is kernel-visible metadata growth).
     metaRegion_ = vm_.mmap(256 * kPageSize, nullptr);
@@ -37,7 +26,7 @@ GoMalloc::GoMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
 Addr
 GoMalloc::spanBaseOf(Addr ptr) const
 {
-    return ptr & ~(params_.spanBytes - 1);
+    return ptr & ~(kSpanBytes - 1);
 }
 
 GoMalloc::Span &
@@ -50,25 +39,23 @@ GoMalloc::newSpan(unsigned cls, Env &env)
         idleSpans_.pop_back();
         spans_.erase(base);
     } else {
-        if (arenas_.empty() || arenaCursor_ + params_.spanBytes >
-                                   params_.arenaBytes) {
+        if (arenas_.empty() || arenaCursor_ + kSpanBytes > kArenaBytes) {
             // mheap growth: reserve a new arena from the OS. Go's
             // reservations are huge, so this is rare but expensive.
             ++arenaMmaps_;
             env.chargeInstructions(350);
-            arenas_.push_back(vm_.mmap(params_.arenaBytes, &env, false,
-                                       params_.spanBytes));
+            arenas_.push_back(vm_.mmap(kArenaBytes, &env, false, kSpanBytes));
             arenaCursor_ = 0;
         }
         base = arenas_.back() + arenaCursor_;
-        arenaCursor_ += params_.spanBytes;
+        arenaCursor_ += kSpanBytes;
     }
 
     Span span;
     span.base = base;
     span.szclass = cls;
     span.capacity =
-        static_cast<unsigned>(params_.spanBytes / sizeClassBytes(cls));
+        static_cast<unsigned>(kSpanBytes / sizeClassBytes(cls));
     span.metaAddr = metaRegion_ + metaCursor_;
     metaCursor_ = (metaCursor_ + 64) % (256 * kPageSize);
 
@@ -97,12 +84,8 @@ GoMalloc::spanForClass(unsigned cls, Env &env)
 }
 
 Addr
-GoMalloc::malloc(std::uint64_t size, Env &env)
+GoMalloc::allocObject(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "gomalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     if (params_.gcTriggerBytes != 0 &&
         bytesSinceGc_ >= params_.gcTriggerBytes)
         runGc(env);
@@ -130,31 +113,17 @@ GoMalloc::malloc(std::uint64_t size, Env &env)
     // mallocgc zeroes the object: this write is what demand-faults the
     // heap page on the allocation path.
     env.accessVirtual(obj, AccessType::Write);
-
-    live_[obj] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
     bytesSinceGc_ += sizeClassBytes(cls);
     return obj;
 }
 
 void
-GoMalloc::free(Addr ptr, Env &env)
+GoMalloc::freeObject(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     // Becoming unreachable costs nothing at the moment of death; the
     // object is reclaimed by a future GC sweep (or batch-freed at
     // function exit by the OS).
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "gomalloc: death of non-live 0x", std::hex,
-             ptr);
     ++deaths_;
-    liveBytes_ -= it->second;
-    live_.erase(it);
-
     Span &span = spans_.at(spanBaseOf(ptr));
     span.dead.push_back(ptr);
     --span.liveCount;
@@ -168,7 +137,7 @@ GoMalloc::runGc(Env &env)
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
 
     // Mark: proportional to the live set.
-    env.chargeInstructions(20 * live_.size() + 4000);
+    env.chargeInstructions(20 * liveObjects() + 4000);
 
     // Sweep in ascending span order: the sweep touches span metadata
     // (cache state) and appends reclaimed spans to the partial/idle
@@ -201,9 +170,9 @@ GoMalloc::runGc(Env &env)
             auto &pl = partialSpans_[span.szclass];
             pl.erase(std::remove(pl.begin(), pl.end(), base), pl.end());
             idleSpans_.push_back(base);
-            if (params_.scavenge) {
+            if (kScavenge) {
                 // Return the span's pages to the OS; reuse refaults.
-                vm_.madviseFree(base, params_.spanBytes, &env);
+                vm_.madviseFree(base, kSpanBytes, &env);
             }
         }
     }
@@ -211,22 +180,19 @@ GoMalloc::runGc(Env &env)
 }
 
 void
-GoMalloc::functionExit(Env &env)
+GoMalloc::teardown(Env &env)
 {
     // Batch free by the OS at process exit: unmap the reservations.
     CategoryScope scope(env.ledger(), CycleCategory::KernelOther);
     for (Addr arena : arenas_)
-        vm_.munmap(arena, params_.arenaBytes, &env);
+        vm_.munmap(arena, kArenaBytes, &env);
     arenas_.clear();
     arenaCursor_ = 0;
     spans_.clear();
     idleSpans_.clear();
     for (auto &list : partialSpans_)
         list.clear();
-    live_.clear();
-    liveBytes_ = 0;
     bytesSinceGc_ = 0;
-    large_.releaseAll(env);
 }
 
 double
@@ -245,12 +211,6 @@ GoMalloc::inactiveSlotFraction() const
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(live) / static_cast<double>(total);
-}
-
-bool
-GoMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 } // namespace memento

@@ -21,48 +21,31 @@
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
 namespace memento {
 
+/** GoMalloc's tunable. */
+struct GoMallocParams
+{
+    /**
+     * GC trigger: run a cycle when this many bytes have been allocated
+     * since the last one. 0 disables GC (short-lived functions never
+     * reach a trigger).
+     */
+    std::uint64_t gcTriggerBytes = 0;
+};
+
 /** Go-runtime-like allocator with optional GC. */
-class GoMalloc : public Allocator
+class GoMalloc : public SoftwareAllocator
 {
   public:
-    struct Params
-    {
-        /** Reservation unit requested from the OS (Go heap arena). */
-        std::uint64_t arenaBytes = 64 << 20;
-        /** Span size. */
-        std::uint64_t spanBytes = 8 << 10;
-        /**
-         * GC trigger: run a cycle when this many bytes have been
-         * allocated since the last one. 0 disables GC (short-lived
-         * functions never reach a trigger).
-         */
-        std::uint64_t gcTriggerBytes = 0;
-        /**
-         * Scavenge fully-free spans after a GC cycle: their pages are
-         * madvised back to the OS and fault in again on reuse (the Go
-         * 1.13 background scavenger). Only meaningful with GC on.
-         */
-        bool scavenge = true;
-    };
+    /** Declared outside the class so it can default an argument. */
+    using Params = GoMallocParams;
 
-    GoMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
-    GoMalloc(VirtualMemory &vm, StatRegistry &stats);
+    GoMalloc(VirtualMemory &vm, StatRegistry &stats, Params params = {});
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "gomalloc"; }
     double inactiveSlotFraction() const override;
 
@@ -73,6 +56,21 @@ class GoMalloc : public Allocator
     void runGc(Env &env);
 
   private:
+    /** Reservation unit requested from the OS (Go heap arena). */
+    static constexpr std::uint64_t kArenaBytes = 64 << 20;
+    /** Span size. */
+    static constexpr std::uint64_t kSpanBytes = 8 << 10;
+    /**
+     * Scavenge fully-free spans after a GC cycle: their pages are
+     * madvised back to the OS and fault in again on reuse (the Go 1.13
+     * background scavenger).
+     */
+    static constexpr bool kScavenge = true;
+    static_assert(isPowerOfTwo(kSpanBytes) && kSpanBytes >= kPageSize,
+                  "gomalloc: span size must be a power-of-two >= page size");
+    static_assert(kArenaBytes % kSpanBytes == 0,
+                  "gomalloc: arena size must be a multiple of the span size");
+
     struct Span
     {
         Addr base = 0;
@@ -85,13 +83,15 @@ class GoMalloc : public Allocator
         std::vector<Addr> dead; ///< Unreachable, not yet swept.
     };
 
+    Addr allocObject(std::uint64_t size, Env &env) override;
+    void freeObject(Addr ptr, Env &env) override;
+    void teardown(Env &env) override;
+
     Span &spanForClass(unsigned cls, Env &env);
     Span &newSpan(unsigned cls, Env &env);
     Addr spanBaseOf(Addr ptr) const;
 
-    VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     std::unordered_map<Addr, Span> spans_;
     std::vector<std::vector<Addr>> partialSpans_; ///< Per class.
@@ -103,8 +103,6 @@ class GoMalloc : public Allocator
     Addr metaRegion_ = 0;
     std::uint64_t metaCursor_ = 0;
 
-    std::unordered_map<Addr, std::uint32_t> live_;
-    std::uint64_t liveBytes_ = 0;
     std::uint64_t bytesSinceGc_ = 0;
 
     Counter smallMallocs_;

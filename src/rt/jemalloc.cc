@@ -3,19 +3,14 @@
 #include <algorithm>
 #include <vector>
 
+#include "sim/error.h"
 #include "sim/logging.h"
 
 namespace memento {
 
-JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats)
-    : JeMalloc(vm, stats, Params{})
-{
-}
-
 JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : SoftwareAllocator(vm, stats, "jemalloc"),
       params_(params),
-      large_(vm, stats, "jemalloc"),
       tcache_(kNumSmallClasses),
       partialSlabs_(kNumSmallClasses),
       smallMallocs_(stats.counter("jemalloc.small_mallocs")),
@@ -26,11 +21,10 @@ JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
       purges_(stats.counter("jemalloc.purges")),
       purgedPages_(stats.counter("jemalloc.purged_pages"))
 {
-    panic_if(!isPowerOfTwo(params_.slabBytes) ||
-                 params_.slabBytes < kPageSize,
-             "jemalloc: slab size must be a power-of-two >= page size");
-    panic_if(params_.chunkBytes % params_.slabBytes != 0,
-             "jemalloc: chunk size must be a multiple of the slab size");
+    sim_error_if(params_.chunkBytes % kSlabBytes != 0,
+                 ErrorCategory::Config, "tuning.jemalloc_chunk (",
+                 params_.chunkBytes, ") must be a multiple of the ",
+                 kSlabBytes, " B slab size");
 
     // tcache bins metadata (stack pointers per class): pre-populated.
     tcacheMeta_ = vm_.mmap(kPageSize, nullptr, /*populate=*/true);
@@ -39,7 +33,7 @@ JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
     // library initialization. This is pre-existing state for a warm
     // function, so no Env is charged.
     Addr chunk = vm_.mmap(params_.chunkBytes, nullptr,
-                          params_.prefaultFirstChunk, params_.slabBytes);
+                          kPrefaultFirstChunk, kSlabBytes);
     chunks_.push_back(chunk);
     chunkCursor_ = 0;
 }
@@ -47,7 +41,7 @@ JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
 Addr
 JeMalloc::slabBaseOf(Addr ptr) const
 {
-    return ptr & ~(params_.slabBytes - 1);
+    return ptr & ~(kSlabBytes - 1);
 }
 
 void
@@ -67,25 +61,24 @@ JeMalloc::adjustLivePages(Slab &slab, Addr obj, int delta)
 JeMalloc::Slab &
 JeMalloc::newSlab(unsigned cls, Env &env)
 {
-    if (chunkCursor_ + params_.slabBytes > params_.chunkBytes) {
+    if (chunkCursor_ + kSlabBytes > params_.chunkBytes) {
         // Current chunk exhausted: map another (rare).
         ++chunkMmaps_;
         env.chargeInstructions(200);
-        Addr chunk = vm_.mmap(params_.chunkBytes, &env, false,
-                              params_.slabBytes);
+        Addr chunk =
+            vm_.mmap(params_.chunkBytes, &env, false, kSlabBytes);
         chunks_.push_back(chunk);
         chunkCursor_ = 0;
     }
     Addr base = chunks_.back() + chunkCursor_;
-    chunkCursor_ += params_.slabBytes;
+    chunkCursor_ += kSlabBytes;
 
     Slab slab;
     slab.base = base;
     slab.szclass = cls;
-    slab.capacity =
-        static_cast<unsigned>(params_.slabBytes / sizeClassBytes(cls));
+    slab.capacity = static_cast<unsigned>(kSlabBytes / sizeClassBytes(cls));
     if (params_.purgeIntervalOps != 0)
-        slab.livePerPage.assign(params_.slabBytes / kPageSize, 0);
+        slab.livePerPage.assign(kSlabBytes / kPageSize, 0);
     env.chargeInstructions(200);
     env.accessVirtual(base, AccessType::Write); // Slab header init.
     auto [it, inserted] = slabs_.emplace(base, slab);
@@ -102,7 +95,7 @@ JeMalloc::fillTcache(unsigned cls, Env &env)
     env.accessVirtual(tcacheMeta_ + cls * kLineSize / 4,
                       AccessType::Write);
 
-    unsigned want = params_.batch;
+    unsigned want = kBatch;
     while (want > 0) {
         if (partialSlabs_[cls].empty())
             newSlab(cls, env);
@@ -148,7 +141,7 @@ JeMalloc::flushTcache(unsigned cls, Env &env)
     env.accessVirtual(tcacheMeta_ + cls * kLineSize / 4,
                       AccessType::Write);
 
-    unsigned flush = params_.batch;
+    unsigned flush = kBatch;
     auto &stack = tcache_[cls];
     while (flush > 0 && !stack.empty()) {
         Addr obj = stack.front();
@@ -210,20 +203,16 @@ JeMalloc::maybePurge(Env &env)
 }
 
 Addr
-JeMalloc::malloc(std::uint64_t size, Env &env)
+JeMalloc::allocObject(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "jemalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     maybePurge(env);
 
     CategoryScope scope(env.ledger(), CycleCategory::UserAlloc);
     ++smallMallocs_;
-    env.chargeInstructions(params_.fastMallocInstructions);
+    env.chargeInstructions(kFastMallocInstructions);
 
     const unsigned cls = sizeClassIndex(size);
-    if (params_.touchTcacheMeta)
+    if (kTouchTcacheMeta)
         env.accessVirtual(tcacheMeta_ + cls * kLineSize / 4,
                           AccessType::Read);
     if (tcache_[cls].empty())
@@ -231,32 +220,19 @@ JeMalloc::malloc(std::uint64_t size, Env &env)
 
     Addr obj = tcache_[cls].back();
     tcache_[cls].pop_back();
-
-    live_[obj] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
     return obj;
 }
 
 void
-JeMalloc::free(Addr ptr, Env &env)
+JeMalloc::freeObject(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "jemalloc: bad free 0x", std::hex, ptr);
-    liveBytes_ -= it->second;
-    live_.erase(it);
-
     ++smallFrees_;
-    env.chargeInstructions(params_.fastFreeInstructions);
+    env.chargeInstructions(kFastFreeInstructions);
 
     const Addr slab_base = slabBaseOf(ptr);
     const unsigned cls = slabs_.at(slab_base).szclass;
-    if (params_.touchTcacheMeta)
+    if (kTouchTcacheMeta)
         env.accessVirtual(tcacheMeta_ + cls * kLineSize / 4,
                           AccessType::Write);
     tcache_[cls].push_back(ptr);
@@ -265,7 +241,7 @@ JeMalloc::free(Addr ptr, Env &env)
 }
 
 void
-JeMalloc::functionExit(Env &env)
+JeMalloc::teardown(Env &env)
 {
     // Process exit: chunks go back to the OS wholesale.
     CategoryScope scope(env.ledger(), CycleCategory::KernelOther);
@@ -277,10 +253,7 @@ JeMalloc::functionExit(Env &env)
         stack.clear();
     for (auto &list : partialSlabs_)
         list.clear();
-    live_.clear();
-    liveBytes_ = 0;
     chunkCursor_ = params_.chunkBytes; // Force a new chunk if reused.
-    large_.releaseAll(env);
 }
 
 double
@@ -302,12 +275,6 @@ JeMalloc::inactiveSlotFraction() const
     if (total == 0)
         return 0.0;
     return static_cast<double>(inactive) / static_cast<double>(total);
-}
-
-bool
-JeMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 } // namespace memento

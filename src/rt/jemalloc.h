@@ -18,61 +18,55 @@
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
 namespace memento {
 
+/** JeMalloc's tunables: the §6.6 chunk-size study and server decay. */
+struct JeMallocParams
+{
+    /** Chunk pre-mapped from the OS; set by tuning.jemalloc_chunk. */
+    std::uint64_t chunkBytes = 4 << 20;
+    /** tcache capacity per size class. */
+    unsigned tcacheMax = 64;
+    /**
+     * Decay purging: every this many malloc/free operations, fully
+     * free slabs are madvised away (jemalloc's decay). 0 disables it;
+     * long-running servers enable it, which is what keeps page faults
+     * frequent on their heaps (§5's data-processing applications).
+     */
+    std::uint64_t purgeIntervalOps = 0;
+};
+
 /** jemalloc-like tcache/slab allocator. */
-class JeMalloc : public Allocator
+class JeMalloc : public SoftwareAllocator
 {
   public:
-    /** Tunables (the §6.6 allocator-tuning study). */
-    struct Params
-    {
-        /** Chunk size pre-mapped from the OS. */
-        std::uint64_t chunkBytes = 4 << 20;
-        /** Slab run size per size class. */
-        std::uint64_t slabBytes = 16 << 10;
-        /** tcache capacity per size class. */
-        unsigned tcacheMax = 64;
-        /** Objects moved per tcache fill/flush. */
-        unsigned batch = 32;
-        /** Pre-fault the first chunk at init (jemalloc behaviour). */
-        bool prefaultFirstChunk = true;
-        /** Fast-path instruction budgets (zeroed by the idealized
-         *  Mallacc model, which services them in a 0-latency cache). */
-        InstCount fastMallocInstructions = 28;
-        InstCount fastFreeInstructions = 20;
-        /** Whether fast paths touch the tcache metadata in memory. */
-        bool touchTcacheMeta = true;
-        /**
-         * Decay purging: every this many malloc/free operations, fully
-         * free slabs are madvised away (jemalloc's decay). 0 disables
-         * it; long-running servers enable it, which is what keeps
-         * page faults frequent on their heaps (§5's data-processing
-         * applications).
-         */
-        std::uint64_t purgeIntervalOps = 0;
-    };
+    /** Declared outside the class so it can default an argument. */
+    using Params = JeMallocParams;
 
-    JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
-    JeMalloc(VirtualMemory &vm, StatRegistry &stats);
+    /** @throws SimError (Config) when chunkBytes is not slab-aligned. */
+    JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params = {});
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "jemalloc"; }
     double inactiveSlotFraction() const override;
 
   private:
+    /** Slab run size per size class. */
+    static constexpr std::uint64_t kSlabBytes = 16 << 10;
+    /** Objects moved per tcache fill/flush. */
+    static constexpr unsigned kBatch = 32;
+    /** Pre-fault the first chunk at init (jemalloc behaviour). */
+    static constexpr bool kPrefaultFirstChunk = true;
+    /** Fast-path instruction budgets. */
+    static constexpr InstCount kFastMallocInstructions = 28;
+    static constexpr InstCount kFastFreeInstructions = 20;
+    /** Whether fast paths touch the tcache metadata in memory. */
+    static constexpr bool kTouchTcacheMeta = true;
+    static_assert(isPowerOfTwo(kSlabBytes) && kSlabBytes >= kPageSize,
+                  "jemalloc: slab size must be a power-of-two >= page size");
+
     struct Slab
     {
         Addr base = 0;
@@ -83,6 +77,10 @@ class JeMalloc : public Allocator
         /** Live-object count per page (purge granularity). */
         std::vector<std::uint16_t> livePerPage;
     };
+
+    Addr allocObject(std::uint64_t size, Env &env) override;
+    void freeObject(Addr ptr, Env &env) override;
+    void teardown(Env &env) override;
 
     /** Refill the class's tcache with a batch of objects. */
     void fillTcache(unsigned cls, Env &env);
@@ -96,9 +94,7 @@ class JeMalloc : public Allocator
     Slab &newSlab(unsigned cls, Env &env);
     Addr slabBaseOf(Addr ptr) const;
 
-    VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     std::vector<std::vector<Addr>> tcache_; ///< Per-class LIFO stacks.
     /** Slabs by base address. */
@@ -112,8 +108,6 @@ class JeMalloc : public Allocator
     /** tcache metadata region (bins array), one line per class. */
     Addr tcacheMeta_ = 0;
 
-    std::unordered_map<Addr, std::uint32_t> live_;
-    std::uint64_t liveBytes_ = 0;
     std::uint64_t opsSincePurge_ = 0;
 
     Counter smallMallocs_;

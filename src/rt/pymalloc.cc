@@ -1,18 +1,13 @@
 #include "rt/pymalloc.h"
 
+#include "sim/error.h"
 #include "sim/logging.h"
 
 namespace memento {
 
-PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats)
-    : PyMalloc(vm, stats, Params{})
-{
-}
-
 PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : SoftwareAllocator(vm, stats, "pymalloc"),
       params_(params),
-      large_(vm, stats, "pymalloc"),
       usedPools_(kNumSmallClasses),
       smallMallocs_(stats.counter("pymalloc.small_mallocs")),
       smallFrees_(stats.counter("pymalloc.small_frees")),
@@ -20,12 +15,10 @@ PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
       arenaMunmaps_(stats.counter("pymalloc.arena_munmaps")),
       poolAcquires_(stats.counter("pymalloc.pool_acquires"))
 {
-    panic_if(params_.arenaBytes % params_.poolBytes != 0,
-             "pymalloc: arena size must be a multiple of the pool size");
-    // Pool lookup on free masks the pointer with the pool size, which
-    // requires pool-aligned arenas; mmap guarantees page alignment only.
-    panic_if(params_.poolBytes != kPageSize,
-             "pymalloc: pool size must equal the page size");
+    sim_error_if(params_.arenaBytes % kPoolBytes != 0,
+                 ErrorCategory::Config, "tuning.pymalloc_arena (",
+                 params_.arenaBytes, ") must be a multiple of the ",
+                 kPoolBytes, " B pool size");
     // Region holding arena_object records (not eagerly populated: the
     // interpreter faults these in as arenas appear).
     arenaObjRegion_ = vm_.mmap(64 * kPageSize, nullptr);
@@ -51,9 +44,8 @@ PyMalloc::acquirePool(unsigned cls, Env &env)
             pool.arenaBase = base;
             pool.szclass = cls;
             pool.capacity = static_cast<unsigned>(
-                (params_.poolBytes - params_.poolHeaderBytes) /
-                sizeClassBytes(cls));
-            pool.bump = pool_base + params_.poolHeaderBytes;
+                (kPoolBytes - kPoolHeaderBytes) / sizeClassBytes(cls));
+            pool.bump = pool_base + kPoolHeaderBytes;
             // Initialize the pool header in place.
             env.chargeInstructions(25);
             env.accessVirtual(pool_base, AccessType::Write);
@@ -79,12 +71,12 @@ PyMalloc::acquirePool(unsigned cls, Env &env)
         arenaObjCursor_ += 64; // sizeof(struct arena_object)
     }
     arena.totalPools =
-        static_cast<unsigned>(params_.arenaBytes / params_.poolBytes);
+        static_cast<unsigned>(params_.arenaBytes / kPoolBytes);
     arena.freeCount = arena.totalPools;
     // Pools are handed out low-to-high; keep LIFO order so the first
     // pop is the lowest address (matches the real bump behaviour).
     for (unsigned i = arena.totalPools; i > 0; --i)
-        arena.freePools.push_back(arena_base + (i - 1) * params_.poolBytes);
+        arena.freePools.push_back(arena_base + (i - 1) * kPoolBytes);
     env.accessVirtual(arena.objAddr, AccessType::Write);
     arenas_[arena_base] = arena;
 
@@ -124,7 +116,7 @@ PyMalloc::carveBlock(Pool &pool, Env &env)
     env.accessVirtual(pool.base, AccessType::Write);
 
     // Pool exhausted: unlink from the used list.
-    if (!pool.hasFree(params_) && pool.inUsedList) {
+    if (!pool.hasFree() && pool.inUsedList) {
         usedPools_[pool.szclass].erase(pool.usedPos);
         pool.inUsedList = false;
     }
@@ -132,45 +124,26 @@ PyMalloc::carveBlock(Pool &pool, Env &env)
 }
 
 Addr
-PyMalloc::malloc(std::uint64_t size, Env &env)
+PyMalloc::allocObject(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "pymalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     CategoryScope scope(env.ledger(), CycleCategory::UserAlloc);
     ++smallMallocs_;
     env.chargeInstructions(30); // PyObject_Malloc fast-path budget.
 
     const unsigned cls = sizeClassIndex(size);
     Pool &pool = poolForClass(cls, env);
-    Addr block = carveBlock(pool, env);
-
-    live_[block] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
-    return block;
+    return carveBlock(pool, env);
 }
 
 void
-PyMalloc::free(Addr ptr, Env &env)
+PyMalloc::freeObject(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
-    auto live_it = live_.find(ptr);
-    panic_if(live_it == live_.end(), "pymalloc: bad free 0x", std::hex,
-             ptr);
-    liveBytes_ -= live_it->second;
-    live_.erase(live_it);
-
     ++smallFrees_;
     env.chargeInstructions(26);
 
     // Pool header from address arithmetic (step 5 of Fig. 1).
-    const Addr pool_base = ptr & ~(params_.poolBytes - 1);
+    const Addr pool_base = ptr & ~(kPoolBytes - 1);
     auto pool_it = pools_.find(pool_base);
     panic_if(pool_it == pools_.end(), "pymalloc: free outside any pool");
     Pool &pool = pool_it->second;
@@ -219,7 +192,7 @@ PyMalloc::releaseArena(Arena &arena, Env &env)
 }
 
 void
-PyMalloc::functionExit(Env &env)
+PyMalloc::teardown(Env &env)
 {
     // Process exit: the OS tears down all mappings wholesale; no
     // per-object work happens in userspace.
@@ -234,9 +207,6 @@ PyMalloc::functionExit(Env &env)
         list.clear();
     freeArenaObjSlots_.clear();
     arenaObjCursor_ = 0;
-    live_.clear();
-    liveBytes_ = 0;
-    large_.releaseAll(env);
 }
 
 double
@@ -253,12 +223,6 @@ PyMalloc::inactiveSlotFraction() const
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(used) / static_cast<double>(total);
-}
-
-bool
-PyMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 } // namespace memento

@@ -17,41 +17,31 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
 namespace memento {
 
+/** PyMalloc's tunable (the §6.6 "tuning software allocators" study). */
+struct PyMallocParams
+{
+    /** Multiple of the 4 KiB pool; set by tuning.pymalloc_arena. */
+    std::uint64_t arenaBytes = 256 << 10;
+};
+
 /** pymalloc-style arena/pool allocator. */
-class PyMalloc : public Allocator
+class PyMalloc : public SoftwareAllocator
 {
   public:
-    /** Tunables (the §6.6 "tuning software allocators" study). */
-    struct Params
-    {
-        std::uint64_t arenaBytes = 256 << 10;
-        std::uint64_t poolBytes = 4 << 10;
-        /** Pool header size (struct pool_header). */
-        std::uint64_t poolHeaderBytes = 48;
-    };
+    /** Declared outside the class so it can default an argument. */
+    using Params = PyMallocParams;
 
-    PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
-    PyMalloc(VirtualMemory &vm, StatRegistry &stats);
+    /** @throws SimError (Config) when arenaBytes is not pool-aligned. */
+    PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params = {});
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "pymalloc"; }
     double inactiveSlotFraction() const override;
 
@@ -59,6 +49,15 @@ class PyMalloc : public Allocator
     std::size_t arenaCount() const { return arenas_.size(); }
 
   private:
+    /** Pool size. */
+    static constexpr std::uint64_t kPoolBytes = 4 << 10;
+    /** Pool header size (struct pool_header). */
+    static constexpr std::uint64_t kPoolHeaderBytes = 48;
+    // Pool lookup on free masks the pointer with the pool size, which
+    // requires pool-aligned arenas; mmap guarantees page alignment only.
+    static_assert(kPoolBytes == kPageSize,
+                  "pymalloc: pool size must equal the page size");
+
     struct Pool
     {
         Addr base = 0;
@@ -75,10 +74,10 @@ class PyMalloc : public Allocator
         bool inUsedList = false;
 
         bool
-        hasFree(const Params &p) const
+        hasFree() const
         {
             return !freeBlocks.empty() ||
-                   bump + sizeClassBytes(szclass) <= base + p.poolBytes;
+                   bump + sizeClassBytes(szclass) <= base + kPoolBytes;
         }
     };
 
@@ -92,6 +91,10 @@ class PyMalloc : public Allocator
         unsigned freeCount = 0;
     };
 
+    Addr allocObject(std::uint64_t size, Env &env) override;
+    void freeObject(Addr ptr, Env &env) override;
+    void teardown(Env &env) override;
+
     /** Get a pool with free space for @p cls, acquiring one if needed. */
     Pool &poolForClass(unsigned cls, Env &env);
     /** Carve a block from @p pool (it must have space). */
@@ -100,9 +103,7 @@ class PyMalloc : public Allocator
     Addr acquirePool(unsigned cls, Env &env);
     void releaseArena(Arena &arena, Env &env);
 
-    VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     /**
      * Pools with free blocks per class; front = most recently used.
@@ -118,9 +119,6 @@ class PyMalloc : public Allocator
     std::uint64_t arenaObjCursor_ = 0;
     /** Recycled arena_object slots (CPython's unused_arena_objects). */
     std::vector<Addr> freeArenaObjSlots_;
-
-    std::unordered_map<Addr, std::uint32_t> live_; ///< ptr -> size.
-    std::uint64_t liveBytes_ = 0;
 
     Counter smallMallocs_;
     Counter smallFrees_;

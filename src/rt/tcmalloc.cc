@@ -1,18 +1,10 @@
 #include "rt/tcmalloc.h"
 
-#include "sim/logging.h"
-
 namespace memento {
 
-TcMalloc::TcMalloc(VirtualMemory &vm, StatRegistry &stats)
-    : TcMalloc(vm, stats, Params{})
-{
-}
-
 TcMalloc::TcMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : SoftwareAllocator(vm, stats, "tcmalloc"),
       params_(params),
-      large_(vm, stats, "tcmalloc"),
       cache_(kNumSmallClasses),
       central_(kNumSmallClasses),
       openSpan_(kNumSmallClasses, kNullAddr),
@@ -23,11 +15,6 @@ TcMalloc::TcMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
       spanCarves_(stats.counter("tcmalloc.span_carves")),
       heapGrows_(stats.counter("tcmalloc.heap_grows"))
 {
-    panic_if(!isPowerOfTwo(params_.spanBytes) ||
-                 params_.spanBytes < kPageSize,
-             "tcmalloc: span size must be a power-of-two >= page size");
-    panic_if(params_.growBytes % params_.spanBytes != 0,
-             "tcmalloc: grow size must be a multiple of the span size");
     // Thread-cache headers and central-list metadata; resident in a
     // warm process.
     metaRegion_ = vm_.mmap(2 * kPageSize, nullptr, /*populate=*/true);
@@ -36,7 +23,7 @@ TcMalloc::TcMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
 TcMalloc::Span &
 TcMalloc::spanOf(Addr ptr)
 {
-    return spans_.at(ptr & ~(params_.spanBytes - 1));
+    return spans_.at(ptr & ~(kSpanBytes - 1));
 }
 
 void
@@ -47,7 +34,7 @@ TcMalloc::refill(unsigned cls, Env &env)
     env.chargeInstructions(160);
     env.accessVirtual(metaRegion_ + cls * 64, AccessType::Write);
 
-    unsigned want = params_.transferBatch;
+    unsigned want = kTransferBatch;
     auto &central = central_[cls];
     while (want > 0 && !central.empty()) {
         cache_[cls].push_back(central.back());
@@ -60,22 +47,20 @@ TcMalloc::refill(unsigned cls, Env &env)
         if (openSpan_[cls] == kNullAddr ||
             spans_.at(openSpan_[cls]).carved ==
                 spans_.at(openSpan_[cls]).capacity) {
-            if (growBase_ == 0 || growUsed_ + params_.spanBytes >
-                                      growSize_) {
+            if (growBase_ == 0 || growUsed_ + kSpanBytes > growSize_) {
                 ++heapGrows_;
                 env.chargeInstructions(300);
-                growBase_ = vm_.mmap(params_.growBytes, &env, false,
-                                     params_.spanBytes);
+                growBase_ = vm_.mmap(kGrowBytes, &env, false, kSpanBytes);
                 regions_.push_back(growBase_);
-                growSize_ = params_.growBytes;
+                growSize_ = kGrowBytes;
                 growUsed_ = 0;
             }
             Span span;
             span.base = growBase_ + growUsed_;
-            growUsed_ += params_.spanBytes;
+            growUsed_ += kSpanBytes;
             span.szclass = cls;
-            span.capacity = static_cast<unsigned>(params_.spanBytes /
-                                                  sizeClassBytes(cls));
+            span.capacity =
+                static_cast<unsigned>(kSpanBytes / sizeClassBytes(cls));
             ++spanCarves_;
             env.chargeInstructions(220);
             env.accessVirtual(span.base, AccessType::Write);
@@ -99,8 +84,7 @@ TcMalloc::release(unsigned cls, Env &env)
     env.chargeInstructions(140);
     env.accessVirtual(metaRegion_ + cls * 64, AccessType::Write);
     auto &cache = cache_[cls];
-    for (unsigned i = 0; i < params_.transferBatch && !cache.empty();
-         ++i) {
+    for (unsigned i = 0; i < kTransferBatch && !cache.empty(); ++i) {
         central_[cls].push_back(cache.front());
         cache.erase(cache.begin());
         env.chargeInstructions(6);
@@ -108,16 +92,12 @@ TcMalloc::release(unsigned cls, Env &env)
 }
 
 Addr
-TcMalloc::malloc(std::uint64_t size, Env &env)
+TcMalloc::allocObject(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "tcmalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     CategoryScope scope(env.ledger(), CycleCategory::UserAlloc);
     ++smallMallocs_;
     env.chargeInstructions(params_.cachedPathInstructions +
-                           params_.restOfFastPathInstructions);
+                           kRestOfFastPathInstructions);
 
     const unsigned cls = sizeClassIndex(size);
     if (cache_[cls].empty())
@@ -132,29 +112,16 @@ TcMalloc::malloc(std::uint64_t size, Env &env)
         env.accessVirtual(obj, AccessType::Read);
     }
     ++spanOf(obj).live;
-
-    live_[obj] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
     return obj;
 }
 
 void
-TcMalloc::free(Addr ptr, Env &env)
+TcMalloc::freeObject(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "tcmalloc: bad free 0x", std::hex, ptr);
-    liveBytes_ -= it->second;
-    live_.erase(it);
-
     ++smallFrees_;
     env.chargeInstructions(params_.cachedPathInstructions / 2 +
-                           params_.restOfFastPathInstructions / 2);
+                           kRestOfFastPathInstructions / 2);
 
     Span &span = spanOf(ptr);
     --span.live;
@@ -162,19 +129,19 @@ TcMalloc::free(Addr ptr, Env &env)
     // Push threads the list pointer through the freed object.
     env.accessVirtual(ptr, AccessType::Write);
     cache_[cls].push_back(ptr);
-    if (cache_[cls].size() > params_.cacheMax)
+    if (cache_[cls].size() > kCacheMax)
         release(cls, env);
 }
 
 void
-TcMalloc::functionExit(Env &env)
+TcMalloc::teardown(Env &env)
 {
     // TCMalloc famously does not return memory eagerly; process exit
     // lets the OS unmap everything. Regions are unmapped here for the
     // accounting the paper's batch-free path measures.
     CategoryScope scope(env.ledger(), CycleCategory::KernelOther);
     for (Addr r : regions_)
-        vm_.munmap(r, params_.growBytes, &env);
+        vm_.munmap(r, kGrowBytes, &env);
     regions_.clear();
     spans_.clear();
     for (auto &c : cache_)
@@ -185,15 +152,6 @@ TcMalloc::functionExit(Env &env)
     growBase_ = 0;
     growUsed_ = 0;
     growSize_ = 0;
-    live_.clear();
-    liveBytes_ = 0;
-    large_.releaseAll(env);
-}
-
-bool
-TcMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 double

@@ -12,8 +12,8 @@
  * dereferences the object — the load Mallacc's cache short-circuits),
  * and its central lists transfer in fixed batch sizes.
  *
- * Offered as an alternative C++ baseline: construct it instead of
- * JeMalloc, or compare both (bench/abl_design, tests).
+ * The machine builds it only as the base of the idealized Mallacc
+ * comparator (hw/mallacc.h); the C++ baseline is JeMalloc.
  */
 
 #ifndef MEMENTO_RT_TCMALLOC_H
@@ -24,53 +24,51 @@
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
 namespace memento {
 
+/** TcMalloc's tunables: the fast-path parts Mallacc idealizes. */
+struct TcMallocParams
+{
+    /**
+     * Instructions of the fast-path steps Mallacc's malloc cache
+     * serves (size-class lookup and free-list pop/push).
+     */
+    InstCount cachedPathInstructions = 14;
+    /** Follow the free-list pointer inside the object on pop. */
+    bool popTouchesObject = true;
+};
+
 /** TCMalloc-like thread-cache / central-list / page-heap allocator. */
-class TcMalloc : public Allocator
+class TcMalloc : public SoftwareAllocator
 {
   public:
-    struct Params
-    {
-        /** Span size carved by the central lists. */
-        std::uint64_t spanBytes = 32 << 10;
-        /** Page-heap growth increment (sys_alloc). */
-        std::uint64_t growBytes = 1 << 20;
-        /** Thread-cache capacity per class (object count). */
-        unsigned cacheMax = 64;
-        /** Objects moved per central transfer. */
-        unsigned transferBatch = 16;
-        /**
-         * Instruction budgets for the paths Mallacc accelerates (size
-         * class lookup + free-list pop/push) and the rest of the fast
-         * path.
-         */
-        InstCount cachedPathInstructions = 14;
-        InstCount restOfFastPathInstructions = 12;
-        /** Follow the free-list pointer inside the object on pop. */
-        bool popTouchesObject = true;
-    };
+    /** Declared outside the class so it can default an argument. */
+    using Params = TcMallocParams;
 
-    TcMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
-    TcMalloc(VirtualMemory &vm, StatRegistry &stats);
+    TcMalloc(VirtualMemory &vm, StatRegistry &stats, Params params = {});
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     double inactiveSlotFraction() const override;
     std::string name() const override { return "tcmalloc"; }
 
   private:
+    /** Span size carved by the central lists. */
+    static constexpr std::uint64_t kSpanBytes = 32 << 10;
+    /** Page-heap growth increment (sys_alloc). */
+    static constexpr std::uint64_t kGrowBytes = 1 << 20;
+    /** Thread-cache capacity per class (object count). */
+    static constexpr unsigned kCacheMax = 64;
+    /** Objects moved per central transfer. */
+    static constexpr unsigned kTransferBatch = 16;
+    /** Instructions of the rest of the fast path. */
+    static constexpr InstCount kRestOfFastPathInstructions = 12;
+    static_assert(isPowerOfTwo(kSpanBytes) && kSpanBytes >= kPageSize,
+                  "tcmalloc: span size must be a power-of-two >= page size");
+    static_assert(kGrowBytes % kSpanBytes == 0,
+                  "tcmalloc: grow size must be a multiple of the span size");
+
     struct Span
     {
         Addr base = 0;
@@ -80,15 +78,17 @@ class TcMalloc : public Allocator
         unsigned live = 0;
     };
 
+    Addr allocObject(std::uint64_t size, Env &env) override;
+    void freeObject(Addr ptr, Env &env) override;
+    void teardown(Env &env) override;
+
     /** Refill the class's thread cache from the central list. */
     void refill(unsigned cls, Env &env);
     /** Release half the thread cache back to the central list. */
     void release(unsigned cls, Env &env);
     Span &spanOf(Addr ptr);
 
-    VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     /** Thread cache: per-class LIFO of object addresses. */
     std::vector<std::vector<Addr>> cache_;
@@ -108,9 +108,6 @@ class TcMalloc : public Allocator
 
     /** Central/pageheap metadata region (pre-populated, warm). */
     Addr metaRegion_ = 0;
-
-    std::unordered_map<Addr, std::uint32_t> live_;
-    std::uint64_t liveBytes_ = 0;
 
     Counter smallMallocs_;
     Counter smallFrees_;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Deterministic fault-injection tests: every inject.* fault must surface
- * as a structured, recoverable SimError captured by the fault-tolerant
+ * Deterministic fault-injection tests: every inject.* fault, and every
+ * allocator tuning value a model cannot use, must surface as a
+ * structured, recoverable SimError captured by the fault-tolerant
  * runner (Experiment::tryRunOne), never as an abort, and a plan scoped
  * to another workload must leave the run untouched.
  */
@@ -14,6 +15,7 @@
 #include "machine/experiment.h"
 #include "sa/trace_check.h"
 #include "sim/config.h"
+#include "sim/config_file.h"
 #include "sim/error.h"
 #include "test_util.h"
 #include "wl/trace_generator.h"
@@ -279,6 +281,50 @@ TEST(FaultInjectionTest, PeriodicChecksPassOnHealthyRun)
 
     const RunResult res = Experiment::tryRunOne(spec, trace, cfg);
     EXPECT_FALSE(res.failed()) << res.error->message;
+}
+
+// ---------------------------------------------------------------------
+// Allocator tuning values the models cannot use
+// ---------------------------------------------------------------------
+
+/** Run a tiny @p lang workload with @p key set to @p value. */
+RunResult
+runWithTuning(Language lang, const std::string &key,
+              const std::string &value)
+{
+    const WorkloadSpec spec = tinySpec(lang);
+    MachineConfig cfg = test::smallConfig();
+    applyConfigOption(key, value, cfg);
+    return Experiment::tryRunOne(spec, TraceGenerator(spec).generate(),
+                                 cfg);
+}
+
+TEST(FaultInjectionTest, PymallocArenaOffThePoolSizeIsAConfigFailure)
+{
+    const RunResult res =
+        runWithTuning(Language::Python, "tuning.pymalloc_arena", "6000");
+    ASSERT_TRUE(res.failed());
+    EXPECT_EQ(res.error->category, ErrorCategory::Config);
+    EXPECT_NE(res.error->message.find("tuning.pymalloc_arena"),
+              std::string::npos)
+        << res.error->message;
+    EXPECT_FALSE(
+        runWithTuning(Language::Python, "tuning.pymalloc_arena", "8192")
+            .failed());
+}
+
+TEST(FaultInjectionTest, JemallocChunkOffTheSlabSizeIsAConfigFailure)
+{
+    const RunResult res =
+        runWithTuning(Language::Cpp, "tuning.jemalloc_chunk", "20480");
+    ASSERT_TRUE(res.failed());
+    EXPECT_EQ(res.error->category, ErrorCategory::Config);
+    EXPECT_NE(res.error->message.find("tuning.jemalloc_chunk"),
+              std::string::npos)
+        << res.error->message;
+    EXPECT_FALSE(
+        runWithTuning(Language::Cpp, "tuning.jemalloc_chunk", "32768")
+            .failed());
 }
 
 } // namespace
