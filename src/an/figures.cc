@@ -306,8 +306,8 @@ renderTab03(const FigureInput &, std::ostream &os)
                        cacti.hotCost())});
     t.row({"L2", "256KB, 8-way, 14 cycle, LRU"});
     t.row({"LLC", "2MB slice, 16-way, 40 cycle, LRU"});
-    t.row({"AAC", sram("32-entry, direct-mapped, ", cfg.memento.aacLatency,
-                       cacti.aacCost())});
+    t.row({"AAC", sram("32-entry, direct-mapped, ",
+                       HwPageAllocator::kAacLatency, cacti.aacCost())});
     t.row({"DRAM", "64GB, DDR4 3200, 16 banks"});
     t.print(os);
     os << "\nPaper reference: HOT 1.32mW / 0.0084mm^2, "
@@ -986,11 +986,8 @@ cellsAblation()
     variant().eagerArenaPrefetch = false; // demand
     variant();                            // bypass on
     variant().bypassEnabled = false;      // bypass off
-    for (unsigned refill : kAblRefill) {
-        MementoConfig &m = variant();
-        m.pagePoolRefill = refill;
-        m.pagePoolLowWater = refill / 4;
-    }
+    for (unsigned refill : kAblRefill)
+        variant().pagePoolRefill = refill;
     for (Cycles lat : kAblHotLatency)
         variant().hotLatency = lat;
     return crossCells(specsOf({"html"}), cfgs);

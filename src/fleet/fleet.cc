@@ -4,10 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "machine/sweep.h"
 #include "os/kernel_cost.h"
+#include "os/virtual_memory.h"
 #include "sim/config_canon.h"
 #include "sim/error.h"
 #include "sim/json.h"
@@ -125,7 +125,8 @@ fleetSwitchCost(const MachineConfig &cfg, std::uint64_t hot_valid)
 {
     // Definitionally KernelCostModel::chargeContextSwitch for a switch
     // flushing hot_valid entries (held together by a unit test).
-    return cfg.kernel.contextSwitchCycles + hot_valid * cfg.memento.hotLatency;
+    return KernelCostModel::kContextSwitchCycles +
+           hot_valid * cfg.memento.hotLatency;
 }
 
 Cycles
@@ -138,12 +139,12 @@ fleetReclaimCost(const MachineConfig &cfg, std::uint64_t pages)
     if (cfg.memento.enabled) {
         const std::uint64_t pages_per_arena =
             std::max<std::uint64_t>(1, cfg.memento.objectsPerArena *
-                                           cfg.memento.maxSmallSize /
+                                           kMaxSmallSize /
                                            kPageSize);
         units = (pages + pages_per_arena - 1) / pages_per_arena;
     }
-    const InstCount instr = cfg.kernel.munmapBaseInstructions +
-                            cfg.kernel.munmapPerPageInstructions * units;
+    const InstCount instr = VirtualMemory::kMunmapBaseInstructions +
+                            VirtualMemory::kMunmapPerPageInstructions * units;
     // Same instruction->cycle rounding as Machine::chargeInstructions.
     return static_cast<Cycles>(
         static_cast<double>(instr) / cfg.core.baseIpc + 0.5);
@@ -159,27 +160,9 @@ fleetColdSetupCost(const MachineConfig &cfg)
 }
 
 std::string
-fleetCanonicalText(const FleetConfig &fleet)
+fleetCanonicalText(const MachineConfig &cfg)
 {
-    std::ostringstream os;
-    const auto f64 = [&os](const char *key, double v) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        os << key << "=" << buf << "\n";
-    };
-    // Sorted by key, one per line, like canonicalConfigText.
-    os << "fleet.arrival=" << fleet.arrival << "\n";
-    f64("fleet.burst_factor", fleet.burstFactor);
-    f64("fleet.burst_ms", fleet.burstMs);
-    os << "fleet.cores=" << fleet.cores << "\n";
-    os << "fleet.invocations=" << fleet.invocations << "\n";
-    f64("fleet.keep_alive_ms", fleet.keepAliveMs);
-    os << "fleet.memory_budget_pages=" << fleet.memoryBudgetPages << "\n";
-    os << "fleet.mix=" << fleet.mix << "\n";
-    f64("fleet.period_ms", fleet.periodMs);
-    f64("fleet.rate_rps", fleet.ratePerSec);
-    os << "fleet.seed=" << fleet.seed << "\n";
-    return os.str();
+    return canonicalConfigText(cfg, ConfigScope::Fleet);
 }
 
 FleetMetrics
@@ -210,7 +193,7 @@ simulateFleet(const std::vector<Arrival> &arrivals,
 
     DigestBuilder digest;
     digest.add(std::string_view("memento-fleet-state"));
-    digest.add(fleetCanonicalText(fleet));
+    digest.add(fleetCanonicalText(cfg));
     digest.add(static_cast<std::uint64_t>(profiles.size()));
     for (const FleetProfile &p : profiles) {
         digest.add(std::string_view(p.id));

@@ -169,11 +169,11 @@ Cycles nearestRank(std::vector<Cycles> &values, std::uint64_t num,
 Cycles fleetColdSetupCost(const MachineConfig &cfg);
 
 /**
- * Canonical `key=value` text of the fleet shape, folded into the fleet
- * digest (the fleet analogue of canonicalConfigText, which
- * deliberately excludes fleet.*).
+ * Canonical `key=value` text of the fleet shape (the fleet.* keys of
+ * @p cfg), folded into the fleet digest: the fleet analogue of
+ * canonicalConfigText, which deliberately excludes fleet.*.
  */
-std::string fleetCanonicalText(const FleetConfig &fleet);
+std::string fleetCanonicalText(const MachineConfig &cfg);
 
 /**
  * The fleet stage alone: replay @p arrivals (time-ordered) against

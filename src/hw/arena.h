@@ -38,7 +38,6 @@ class ArenaGeometry
     ArenaGeometry(const MementoConfig &mcfg, const AddressLayout &layout)
         : regionStart_(layout.mementoRegionStart),
           perClassBytes_(layout.perClassRegionBytes),
-          numClasses_(mcfg.numSizeClasses),
           objectsPerArena_(mcfg.objectsPerArena)
     {
         // The header's allocation bitmap field is 256 bits (Fig. 5a).
@@ -49,7 +48,7 @@ class ArenaGeometry
     Addr regionStart() const { return regionStart_; }
     Addr regionEnd() const
     {
-        return regionStart_ + perClassBytes_ * numClasses_;
+        return regionStart_ + perClassBytes_ * kNumSmallClasses;
     }
 
     /** True when @p va lies in [MRS, MRE). */
@@ -59,7 +58,6 @@ class ArenaGeometry
         return va >= regionStart() && va < regionEnd();
     }
 
-    unsigned numClasses() const { return numClasses_; }
     unsigned objectsPerArena() const { return objectsPerArena_; }
 
     /** Total bytes (header + body) of a class-@p cls arena, unpadded. */
@@ -130,7 +128,6 @@ class ArenaGeometry
   private:
     Addr regionStart_;
     std::uint64_t perClassBytes_;
-    unsigned numClasses_;
     unsigned objectsPerArena_;
 };
 

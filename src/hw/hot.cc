@@ -3,7 +3,7 @@
 namespace memento {
 
 Hot::Hot(const MementoConfig &cfg, StatRegistry &stats)
-    : entries_(cfg.numSizeClasses),
+    : entries_(kNumSmallClasses),
       latency_(cfg.hotLatency),
       allocHits_(stats.counter("hot.alloc_hits")),
       allocMisses_(stats.counter("hot.alloc_misses")),

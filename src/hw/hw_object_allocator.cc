@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "mem/tlb.h"
+
 namespace memento {
 
 HwObjectAllocator::HwObjectAllocator(const MachineConfig &cfg,
@@ -172,7 +174,7 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
     if (!hit) {
         // Translate the arena base through the TLB, fetch the header,
         // clear the bit, write it back (step 13 of Fig. 6).
-        env.chargeCycles(cfg_.l1Tlb.latency);
+        env.chargeCycles(kL1TlbLatency);
         env.accessPhysical(state.headerPa, AccessType::Read);
     }
     state.bitmap.reset(idx);

@@ -40,7 +40,8 @@ HwPageAllocator::Pool::refill()
 Addr
 HwPageAllocator::Pool::allocFrame()
 {
-    if (frames_.size() <= cfg_.pagePoolLowWater)
+    // Low-water mark: a quarter of a refill batch.
+    if (frames_.size() <= cfg_.pagePoolRefill / 4)
         refill();
     Addr frame = frames_.back();
     frames_.pop_back();
@@ -82,7 +83,7 @@ HwPageAllocator::HwPageAllocator(const MachineConfig &cfg,
     : cfg_(cfg),
       geometry_(geometry),
       pool_(cfg.memento, cfg.inject, buddy, stats),
-      aacValid_(cfg.memento.numSizeClasses, false),
+      aacValid_(kNumSmallClasses, false),
       arenaGrants_(stats.counter("hwpage.arena_grants")),
       walkPopulates_(stats.counter("hwpage.walk_populates")),
       arenaFrees_(stats.counter("hwpage.arena_frees")),
@@ -114,7 +115,7 @@ HwPageAllocator::chargeAacAccess(unsigned cls, Env &env)
 {
     if (aacValid_[cls]) {
         ++aacHits_;
-        env.chargeCycles(cfg_.memento.aacLatency);
+        env.chargeCycles(kAacLatency);
     } else {
         // Miss: the per-class pointer is loaded from the reserved
         // memory block next to the controller — roughly an LLC access.

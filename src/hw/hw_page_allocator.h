@@ -32,6 +32,9 @@ class HwPageAllocator
     HwPageAllocator(const MachineConfig &cfg, const ArenaGeometry &geometry,
                     BuddyAllocator &buddy, StatRegistry &stats);
 
+    /** AAC hit latency (Table 3), in cycles. */
+    static constexpr Cycles kAacLatency = 1;
+
     /** FrameSource view of the pool (feeds the Memento page table). */
     FrameSource &poolFrames() { return pool_; }
 

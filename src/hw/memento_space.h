@@ -25,12 +25,12 @@ namespace memento {
 struct MementoSpace
 {
     MementoSpace(const ArenaGeometry &geometry, FrameSource &pool_frames)
-        : bump(geometry.numClasses()),
-          availList(geometry.numClasses()),
-          fullList(geometry.numClasses()),
+        : bump(kNumSmallClasses),
+          availList(kNumSmallClasses),
+          fullList(kNumSmallClasses),
           mpt(pool_frames)
     {
-        for (unsigned cls = 0; cls < geometry.numClasses(); ++cls)
+        for (unsigned cls = 0; cls < kNumSmallClasses; ++cls)
             bump[cls] = geometry.classBase(cls);
     }
 

@@ -194,12 +194,12 @@ inline Addr
 Machine::translate(Addr vaddr)
 {
     // L1 TLB (entries may be 4 KiB or 2 MiB).
-    chargeCycles(l1Tlb_->latency());
+    chargeCycles(kL1TlbLatency);
     if (auto paddr = l1Tlb_->translate(vaddr))
         return *paddr;
 
     // L2 TLB.
-    chargeCycles(l2Tlb_->latency());
+    chargeCycles(kL2TlbLatency);
     if (auto paddr = l2Tlb_->translate(vaddr)) {
         // Refill the L1 at the same granularity the mapping has.
         ProcContext &p = procs_[current_];

@@ -1,22 +1,17 @@
 #include "mem/dram.h"
 
-#include "sim/logging.h"
-
 namespace memento {
 
 Dram::Dram(const DramConfig &cfg, StatRegistry &stats)
     : cfg_(cfg),
       banks_(cfg.banks),
       bankModConstant_(fastModConstant(cfg.banks)),
-      rowShift_(log2Exact(cfg.rowBytes)),
       reads_(stats.counter("dram.reads")),
       writes_(stats.counter("dram.writes")),
       rowHits_(stats.counter("dram.row_hits")),
       rowMisses_(stats.counter("dram.row_misses")),
       bytes_(stats.counter("dram.bytes"))
 {
-    panic_if(!isPowerOfTwo(cfg.rowBytes),
-             "dram: row size must be a power of two");
 }
 
 Cycles
@@ -26,7 +21,7 @@ Dram::access(Addr paddr, bool is_write, Cycles now)
     // Neither index divides: any bank count reduces by fastMod().
     const std::uint64_t line = paddr >> kLineShift;
     Bank &bank = banks_[fastMod(line, bankModConstant_, banks_.size())];
-    const std::uint64_t row = paddr >> rowShift_;
+    const std::uint64_t row = paddr >> kRowShift;
 
     Cycles latency;
     if (bank.openRow == row) {
@@ -40,7 +35,7 @@ Dram::access(Addr paddr, bool is_write, Cycles now)
 
     // Queue behind an in-flight access to the same bank.
     if (bank.busyUntil > now)
-        latency += cfg_.bankBusyPenalty;
+        latency += kBankBusyPenalty;
     bank.busyUntil = now + latency;
 
     bytes_ += kLineSize;

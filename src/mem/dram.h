@@ -24,6 +24,9 @@ namespace memento {
 class Dram
 {
   public:
+    /** Extra queuing delay per access to a still-busy bank. */
+    static constexpr Cycles kBankBusyPenalty = 24;
+
     Dram(const DramConfig &cfg, StatRegistry &stats);
 
     /**
@@ -51,10 +54,15 @@ class Dram
         Cycles busyUntil = 0;
     };
 
+    /** Row size of the open-row model. */
+    static constexpr std::uint64_t kRowBytes = 8192;
+    static_assert(isPowerOfTwo(kRowBytes),
+                  "dram: row size must be a power of two");
+    static constexpr unsigned kRowShift = log2Exact(kRowBytes);
+
     DramConfig cfg_;
     std::vector<Bank> banks_;
     Uint128 bankModConstant_; ///< fastModConstant(banks_.size()).
-    unsigned rowShift_;       ///< log2(cfg_.rowBytes).
 
     Counter reads_;
     Counter writes_;

@@ -10,7 +10,6 @@ Tlb::Tlb(const std::string &name, const TlbConfig &cfg, StatRegistry &stats)
       setMask_(isPowerOfTwo(numSets_) ? numSets_ - 1 : 0),
       modConstant_(fastModConstant(numSets_)),
       ways_(cfg.ways),
-      latency_(cfg.latency),
       entries_(numSets_ * cfg.ways),
       lruClock_(ways_),
       hits_(stats.counter(name + ".hits")),

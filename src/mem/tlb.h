@@ -20,6 +20,10 @@ namespace memento {
 /** Shift of a 2 MiB huge page. */
 inline constexpr unsigned kHugePageShift = 21;
 
+/** Hit latencies of the L1 and L2 TLBs (Table 3), in cycles. */
+inline constexpr Cycles kL1TlbLatency = 1;
+inline constexpr Cycles kL2TlbLatency = 7;
+
 /** One level of virtual-to-physical translation caching. */
 class Tlb
 {
@@ -48,8 +52,6 @@ class Tlb
 
     /** Drop every translation (context switch). */
     void flushAll();
-
-    Cycles latency() const { return latency_; }
 
     std::uint64_t hitCount() const { return hits_.value(); }
     std::uint64_t missCount() const { return misses_.value(); }
@@ -95,7 +97,6 @@ class Tlb
     std::uint64_t setMask_;
     Uint128 modConstant_; ///< fastModConstant(numSets_).
     unsigned ways_;
-    Cycles latency_;
     std::vector<Entry> entries_;
     /**
      * Starts at ways_, so every valid entry's stamp exceeds every

@@ -7,7 +7,7 @@ KernelCostModel::chargeContextSwitch(Env &env,
                                      unsigned hot_entries_flushed) const
 {
     CategoryScope scope(env.ledger(), CycleCategory::ContextSwitch);
-    env.chargeCycles(cfg_.kernel.contextSwitchCycles);
+    env.chargeCycles(kContextSwitchCycles);
     // Flushing the HOT issues one metadata writeback per valid entry;
     // each completes at L1 speed (the entries are small and the write
     // port is pipelined), so charge the HOT latency per entry.

@@ -35,6 +35,9 @@ class KernelCostModel
     /** Instructions modeled for container set-up. */
     static constexpr InstCount kContainerSetupInstructions = 9'000'000;
 
+    /** Context-switch cost, excluding any HOT flush. */
+    static constexpr Cycles kContextSwitchCycles = 3600;
+
   private:
     const MachineConfig &cfg_;
 };

@@ -10,8 +10,7 @@ Process::Process(int pid, const std::string &name, const MachineConfig &cfg,
                                           "vm" + std::to_string(pid)))
 {
     mementoRegs_.mrs = cfg.layout.mementoRegionStart;
-    mementoRegs_.mre =
-        cfg.layout.mementoRegionEnd(cfg.memento.numSizeClasses);
+    mementoRegs_.mre = cfg.layout.mementoRegionEnd();
 }
 
 } // namespace memento

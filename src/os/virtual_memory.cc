@@ -203,9 +203,8 @@ VirtualMemory::munmap(Addr base, std::uint64_t len, Env *env)
     if (env) {
         CategoryScope scope(env->ledger(), CycleCategory::KernelMmap);
         env->chargeCycles(cfg_.kernel.modeSwitchCycles);
-        env->chargeInstructions(cfg_.kernel.munmapBaseInstructions +
-                                cfg_.kernel.munmapPerPageInstructions *
-                                    pages_present);
+        env->chargeInstructions(kMunmapBaseInstructions +
+                                kMunmapPerPageInstructions * pages_present);
     }
 }
 
@@ -230,8 +229,8 @@ VirtualMemory::madviseFree(Addr base, std::uint64_t len, Env *env)
     if (env && pages_present > 0) {
         CategoryScope scope(env->ledger(), CycleCategory::KernelMmap);
         env->chargeCycles(cfg_.kernel.modeSwitchCycles);
-        env->chargeInstructions(500 + cfg_.kernel.munmapPerPageInstructions *
-                                          pages_present);
+        env->chargeInstructions(500 +
+                                kMunmapPerPageInstructions * pages_present);
     }
 }
 
@@ -280,9 +279,9 @@ VirtualMemory::tryHugeFault(Addr vaddr, Env &env)
     updatePeak();
     touchStructPage(frame, &env, /*write=*/true);
     // Zeroing 2 MiB dominates the huge fault (streaming stores).
-    env.chargeCycles(cfg_.kernel.thpZeroCyclesPerPage * pages);
+    env.chargeCycles(kThpZeroCyclesPerPage * pages);
     env.chargeInstructions(cfg_.kernel.faultInstructions +
-                           cfg_.kernel.buddyAllocInstructions);
+                           kBuddyAllocInstructions);
     return true;
 }
 
@@ -325,7 +324,7 @@ VirtualMemory::handleFault(Addr vaddr, Env &env)
         // Fall through to the 4 KiB path (mode switch already paid).
         ++faults_;
         env.chargeInstructions(cfg_.kernel.faultInstructions +
-                               cfg_.kernel.buddyAllocInstructions);
+                               kBuddyAllocInstructions);
         backPage(pageBase(vaddr), &env);
         return true;
     }
@@ -334,7 +333,7 @@ VirtualMemory::handleFault(Addr vaddr, Env &env)
     CategoryScope scope(env.ledger(), CycleCategory::KernelFault);
     env.chargeCycles(cfg_.kernel.modeSwitchCycles);
     env.chargeInstructions(cfg_.kernel.faultInstructions +
-                           cfg_.kernel.buddyAllocInstructions);
+                           kBuddyAllocInstructions);
     backPage(pageBase(vaddr), &env);
     return true;
 }

@@ -40,6 +40,14 @@ class VirtualMemory : public FrameSource
     /** Physical base of the kernel's struct-page array (vmemmap). */
     static constexpr Addr kStructPageBase = 1ull << 40;
 
+    /** munmap instructions: a base cost plus teardown per present page. */
+    static constexpr InstCount kMunmapBaseInstructions = 1400;
+    static constexpr InstCount kMunmapPerPageInstructions = 180;
+    /** Buddy-allocator instructions to allocate a page on a fault. */
+    static constexpr InstCount kBuddyAllocInstructions = 250;
+    /** Zeroing cost per 4 KiB subpage of a huge-page fault. */
+    static constexpr Cycles kThpZeroCyclesPerPage = 24;
+
     /**
      * @param prefix Stat prefix, e.g. "vm0".
      */

@@ -46,6 +46,9 @@ class JeMalloc : public SoftwareAllocator
     /** Declared outside the class so it can default an argument. */
     using Params = JeMallocParams;
 
+    /** Slab run size; tuning.jemalloc_chunk must be a multiple of it. */
+    static constexpr std::uint64_t kSlabBytes = 16 << 10;
+
     /** @throws SimError (Config) when chunkBytes is not slab-aligned. */
     JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params = {});
 
@@ -53,8 +56,6 @@ class JeMalloc : public SoftwareAllocator
     double inactiveSlotFraction() const override;
 
   private:
-    /** Slab run size per size class. */
-    static constexpr std::uint64_t kSlabBytes = 16 << 10;
     /** Objects moved per tcache fill/flush. */
     static constexpr unsigned kBatch = 32;
     /** Pre-fault the first chunk at init (jemalloc behaviour). */

@@ -39,6 +39,9 @@ class PyMalloc : public SoftwareAllocator
     /** Declared outside the class so it can default an argument. */
     using Params = PyMallocParams;
 
+    /** Pool size; tuning.pymalloc_arena must be a multiple of it. */
+    static constexpr std::uint64_t kPoolBytes = 4 << 10;
+
     /** @throws SimError (Config) when arenaBytes is not pool-aligned. */
     PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params = {});
 
@@ -49,8 +52,6 @@ class PyMalloc : public SoftwareAllocator
     std::size_t arenaCount() const { return arenas_.size(); }
 
   private:
-    /** Pool size. */
-    static constexpr std::uint64_t kPoolBytes = 4 << 10;
     /** Pool header size (struct pool_header). */
     static constexpr std::uint64_t kPoolHeaderBytes = 48;
     // Pool lookup on free masks the pointer with the pool size, which

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "fleet/arrivals.h"
+#include "rt/jemalloc.h"
+#include "rt/pymalloc.h"
 #include "sim/config_schema.h"
 #include "sim/logging.h"
 #include "wl/workloads.h"
@@ -26,21 +28,14 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
-/** memento.* keys that configure hardware the enable bit gates. */
-constexpr std::string_view kMementoHardwareKeys[] = {
-    "memento.bypass",    "memento.eager_prefetch",
-    "memento.mallacc",   "memento.objects_per_arena",
-    "memento.hot_latency", "memento.pool_refill",
-};
-
+/**
+ * True for a schema key that configures hardware the enable bit gates:
+ * every memento.* key except memento.enabled itself.
+ */
 bool
 isMementoHardwareKey(std::string_view key)
 {
-    for (const std::string_view k : kMementoHardwareKeys) {
-        if (k == key)
-            return true;
-    }
-    return false;
+    return key.starts_with("memento.") && key != "memento.enabled";
 }
 
 } // namespace
@@ -134,19 +129,19 @@ lintConfigStream(std::istream &is, const std::string &subject,
     if (touches_layout) {
         const Addr mrs = cfg.layout.mementoRegionStart;
         const std::uint64_t span =
-            cfg.layout.perClassRegionBytes * cfg.memento.numSizeClasses;
+            cfg.layout.perClassRegionBytes * kNumSmallClasses;
         const Addr mre = mrs + span;
         const unsigned at =
             std::max({line_of("layout.heap_base"),
                       line_of("layout.memento_region_start"),
                       line_of("layout.per_class_region_bytes")});
         if (mre <= mrs ||
-            span / cfg.memento.numSizeClasses !=
+            span / kNumSmallClasses !=
                 cfg.layout.perClassRegionBytes) {
             report.add("config-region-overlap", subject, at,
                        detail::formatMsg(
                            "Memento region is inverted: MRE (MRS + ",
-                           cfg.memento.numSizeClasses, " x ",
+                           kNumSmallClasses, " x ",
                            cfg.layout.perClassRegionBytes,
                            " bytes) wraps below MRS 0x", std::hex, mrs));
         } else if (cfg.layout.heapBase >= mrs &&
@@ -156,16 +151,24 @@ lintConfigStream(std::istream &is, const std::string &subject,
                            "heap base 0x", std::hex, cfg.layout.heapBase,
                            " falls inside the Memento region [0x", mrs,
                            ", 0x", mre, ")"));
-        } else if (cfg.layout.imageBase >= mrs &&
-                   cfg.layout.imageBase < mre) {
-            report.add("config-region-overlap", subject, at,
-                       detail::formatMsg(
-                           "image base 0x", std::hex,
-                           cfg.layout.imageBase,
-                           " falls inside the Memento region [0x", mrs,
-                           ", 0x", mre, ")"));
         }
     }
+
+    // The allocator models reject these at construction; report them
+    // here, at the key's line, with the same multiples.
+    const auto multiple_of = [&](std::string_view key, std::uint64_t value,
+                                 std::uint64_t unit, const char *what) {
+        if (value % unit != 0) {
+            report.add("config-bad-value", subject, line_of(key),
+                       detail::formatMsg(key, " (", value,
+                                         ") must be a multiple of the ",
+                                         unit, " B ", what));
+        }
+    };
+    multiple_of("tuning.pymalloc_arena", cfg.tuning.pymallocArenaBytes,
+                PyMalloc::kPoolBytes, "pool size");
+    multiple_of("tuning.jemalloc_chunk", cfg.tuning.jemallocChunkBytes,
+                JeMalloc::kSlabBytes, "slab size");
 
     if (!cfg.memento.enabled) {
         for (const auto &[key, at] : assignments) {

@@ -9,10 +9,12 @@
  * config-out-of-range, config-duplicate-key (explicit
  * last-value-wins). Cross-key rules evaluated on the effective
  * configuration after the whole file is read: config-region-overlap
- * (MRS/MRE inversion or overlap with the heap/image layout),
- * config-bypass-no-memento (memento.* hardware keys set while
- * memento.enabled stays off), and config-check-conflict
- * (check.interval beyond the check.max_ops watchdog budget).
+ * (MRS/MRE inversion or overlap with the heap), config-bad-value for a
+ * tuning.pymalloc_arena or tuning.jemalloc_chunk that is not a multiple
+ * of the model's pool or slab size, config-bypass-no-memento (memento.*
+ * hardware keys set while memento.enabled stays off), and
+ * config-check-conflict (check.interval beyond the check.max_ops
+ * watchdog budget).
  *
  * The linter never throws and reports every finding with its 1-based
  * line number; lint order is line order, then cross-key order, so

@@ -58,12 +58,12 @@ allDiagRules()
         {"config-duplicate-key", DiagSeverity::Warning,
          "Key assigned more than once (the last value wins)"},
         {"config-bad-value", DiagSeverity::Error,
-         "Value does not parse as the key's type"},
+         "Value does not parse as the key's type, or is not a multiple "
+         "of the allocator model's pool or slab size"},
         {"config-out-of-range", DiagSeverity::Error,
          "Value is outside the key's declared range"},
         {"config-region-overlap", DiagSeverity::Error,
-         "Memento region [MRS, MRE) is inverted or overlaps the "
-         "heap/image layout"},
+         "Memento region [MRS, MRE) is inverted or overlaps the heap"},
         {"config-bypass-no-memento", DiagSeverity::Warning,
          "Memento hardware keys set while memento.enabled is off"},
         {"config-check-conflict", DiagSeverity::Warning,

@@ -6,6 +6,7 @@
 
 #include "sim/error.h"
 #include "sim/logging.h"
+#include "sim/size_class.h"
 
 namespace memento {
 namespace {
@@ -28,8 +29,8 @@ class ShadowHeap
     ShadowHeap(const TraceCheckPolicy &policy,
                const std::string &subject, DiagReport &report)
         : policy_(policy), subject_(subject), report_(report),
-          classLive_(policy.numSizeClasses, 0),
-          classReported_(policy.numSizeClasses, false)
+          classLive_(kNumSmallClasses, 0),
+          classReported_(kNumSmallClasses, false)
     {
     }
 
@@ -86,24 +87,6 @@ class ShadowHeap
         report_.add(rule, subject_, location, std::move(message));
     }
 
-    /** Class index for a small size under the policy's step. */
-    unsigned
-    classOf(std::uint64_t size) const
-    {
-        const std::uint64_t step =
-            std::max<std::uint64_t>(1, policy_.maxSmallSize /
-                                           policy_.numSizeClasses);
-        const std::uint64_t cls = (size + step - 1) / step;
-        return static_cast<unsigned>(
-            std::min<std::uint64_t>(cls, policy_.numSizeClasses) - 1);
-    }
-
-    bool
-    isSmall(std::uint64_t size) const
-    {
-        return size >= 1 && size <= policy_.maxSmallSize;
-    }
-
     void
     onMalloc(const TraceOp &op, std::uint64_t i)
     {
@@ -128,8 +111,8 @@ class ShadowHeap
         }
         freed_.erase(op.objId); // Reusing a freed handle is legal.
         live_.emplace(op.objId, ShadowObject{op.value, i});
-        if (isSmall(op.value)) {
-            const unsigned cls = classOf(op.value);
+        if (isSmallSize(op.value)) {
+            const unsigned cls = sizeClassIndex(op.value);
             if (++classLive_[cls] > policy_.classCapacity(cls) &&
                 !classReported_[cls]) {
                 classReported_[cls] = true;
@@ -149,8 +132,8 @@ class ShadowHeap
     {
         const auto it = live_.find(op.objId);
         if (it != live_.end()) {
-            if (isSmall(it->second.size))
-                --classLive_[classOf(it->second.size)];
+            if (isSmallSize(it->second.size))
+                --classLive_[sizeClassIndex(it->second.size)];
             freed_[op.objId] = i;
             live_.erase(it);
             return;
@@ -230,8 +213,6 @@ TraceCheckPolicy
 TraceCheckPolicy::fromConfig(const MachineConfig &cfg)
 {
     TraceCheckPolicy policy;
-    policy.maxSmallSize = cfg.memento.maxSmallSize;
-    policy.numSizeClasses = cfg.memento.numSizeClasses;
     policy.objectsPerArena = cfg.memento.objectsPerArena;
     policy.perClassRegionBytes = cfg.layout.perClassRegionBytes;
     return policy;
@@ -240,11 +221,8 @@ TraceCheckPolicy::fromConfig(const MachineConfig &cfg)
 std::uint64_t
 TraceCheckPolicy::classCapacity(unsigned cls) const
 {
-    const std::uint64_t step =
-        std::max<std::uint64_t>(1, maxSmallSize / numSizeClasses);
-    const std::uint64_t slot = (static_cast<std::uint64_t>(cls) + 1) * step;
     const std::uint64_t arena_bytes =
-        std::max<std::uint64_t>(1, slot * objectsPerArena);
+        std::max<std::uint64_t>(1, sizeClassBytes(cls) * objectsPerArena);
     const std::uint64_t arenas =
         std::max<std::uint64_t>(1, perClassRegionBytes / arena_bytes);
     return arenas * objectsPerArena;

@@ -41,15 +41,11 @@ namespace memento {
 
 /**
  * The admission rules the checker enforces, lifted from the machine
- * configuration (paper defaults: 64 classes x 8 B steps up to 512 B,
- * 256 objects per arena, 1 GiB of region per class).
+ * configuration (paper defaults: 256 objects per arena, 1 GiB of region
+ * per class); the size classes are sim/size_class.h's.
  */
 struct TraceCheckPolicy
 {
-    /** Largest object served by the hardware small-object path. */
-    std::uint64_t maxSmallSize = 512;
-    /** Size-class count (8-byte steps up to maxSmallSize). */
-    unsigned numSizeClasses = 64;
     /** Objects per arena. */
     unsigned objectsPerArena = 256;
     /** Memento region bytes reserved per size class. */

@@ -3,7 +3,15 @@
  * Machine configuration: Table 3 of the paper plus Memento parameters,
  * OS cost-model knobs, and the simulated address-space layout.
  *
- * All latencies are in core clock cycles at coreFreqGhz. Defaults mirror
+ * Every field here is set by exactly one key of the schema
+ * (sim/config_schema.cc), and that same entry renders it into the
+ * canonical texts (sim/config_canon.h). A model parameter that no key
+ * sets is not a field: it is a named constant next to the code that
+ * reads it (the TLB latencies in mem/tlb.h, the DRAM row size, the
+ * kernel's munmap and buddy costs), and the size classes come from
+ * sim/size_class.h.
+ *
+ * All latencies are in core clock cycles at core.freqGhz. Defaults mirror
  * the paper's simulated system (4-issue OOO @ 3 GHz, 32 KB L1s, 256 KB L2,
  * 2 MB LLC slice, 64-/2048-entry TLBs, DDR4-3200, 64-entry HOT, 32-entry
  * AAC).
@@ -15,6 +23,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/size_class.h"
 #include "sim/types.h"
 
 namespace memento {
@@ -29,12 +38,11 @@ struct CacheConfig
     std::uint64_t numSets() const { return sizeBytes / (ways * kLineSize); }
 };
 
-/** Geometry and latency of one TLB level. */
+/** Geometry of one TLB level (its latency is a constant in mem/tlb.h). */
 struct TlbConfig
 {
     unsigned entries = 0;
     unsigned ways = 1;
-    Cycles latency = 1;
 };
 
 /** DRAM timing and geometry (DDR4-3200-like, expressed in core cycles). */
@@ -46,19 +54,12 @@ struct DramConfig
     Cycles hitLatency = 75;
     /** Row-miss access latency (tRP + tRCD + CL + transfer). */
     Cycles missLatency = 135;
-    /** Extra queuing delay applied per outstanding same-bank access. */
-    Cycles bankBusyPenalty = 24;
-    /** Row size of the open-row model; a power of two. */
-    std::uint64_t rowBytes = 8192;
 };
 
 /** Core front/back-end approximation of the 4-issue OOO core. */
 struct CoreConfig
 {
     double freqGhz = 3.0;
-    unsigned issueWidth = 4;
-    unsigned robEntries = 256;
-    unsigned lsqEntries = 64;
     /**
      * Average non-memory retirement IPC used to convert instruction
      * counts into cycles. Memory stalls are charged separately by the
@@ -84,20 +85,12 @@ struct KernelConfig
     Cycles modeSwitchCycles = 300;
     /** Instructions executed by mmap (VMA setup, bookkeeping). */
     InstCount mmapInstructions = 1800;
-    /** Base instructions for munmap plus per-page teardown cost. */
-    InstCount munmapBaseInstructions = 1400;
-    InstCount munmapPerPageInstructions = 180;
     /**
      * Instructions for a minor (anonymous) page fault. Functions run
      * inside containers, where the fault path includes memcg charging
      * and cgroup accounting on top of the bare handler.
      */
     InstCount faultInstructions = 5000;
-    /** Instructions for buddy-allocator page alloc/free. */
-    InstCount buddyAllocInstructions = 250;
-    InstCount buddyFreeInstructions = 220;
-    /** Context switch cost excluding any HOT flush. */
-    Cycles contextSwitchCycles = 3600;
     /** Whether mmap eagerly populates pages (MAP_POPULATE study). */
     bool mapPopulate = false;
     /**
@@ -107,8 +100,6 @@ struct KernelConfig
      * counter-proposal to Memento's hardware page management.
      */
     bool transparentHugePages = false;
-    /** Zeroing cost per 4 KiB subpage of a huge-page fault. */
-    Cycles thpZeroCyclesPerPage = 24;
 };
 
 /** Memento hardware parameters. */
@@ -116,22 +107,12 @@ struct MementoConfig
 {
     bool enabled = false;
 
-    /** Number of size classes (8-byte steps up to maxSmallSize). */
-    unsigned numSizeClasses = 64;
-    /** Largest object handled in hardware, in bytes. */
-    std::uint64_t maxSmallSize = 512;
     /** Objects per arena. */
     unsigned objectsPerArena = 256;
     /** HOT access latency for hits. */
     Cycles hotLatency = 2;
-    /** AAC access latency for hits. */
-    Cycles aacLatency = 1;
-    /** AAC entry count (per-core pointers cached). */
-    unsigned aacEntries = 32;
     /** Physical pages the OS grants the page allocator per refill. */
     unsigned pagePoolRefill = 64;
-    /** Low-water mark that triggers an asynchronous OS refill. */
-    unsigned pagePoolLowWater = 16;
     /** Enable the main-memory bypass mechanism. */
     bool bypassEnabled = true;
     /** Eagerly prefetch the next available arena on last-object alloc. */
@@ -267,17 +248,16 @@ struct AddressLayout
 {
     /** Base of the conventional mmap heap region. */
     Addr heapBase = 0x0000'7000'0000ull;
-    /** Base of code/static image (only used for footprint accounting). */
-    Addr imageBase = 0x0000'0040'0000ull;
     /** Memento Region Start register value. */
     Addr mementoRegionStart = 0x4000'0000'0000ull;
     /** Bytes of Memento region per size class (region = 64x this). */
     std::uint64_t perClassRegionBytes = 1ull << 30;
 
+    /** Memento Region End: one per-class span for each size class. */
     Addr
-    mementoRegionEnd(unsigned num_classes) const
+    mementoRegionEnd() const
     {
-        return mementoRegionStart + perClassRegionBytes * num_classes;
+        return mementoRegionStart + perClassRegionBytes * kNumSmallClasses;
     }
 };
 
@@ -289,8 +269,8 @@ struct MachineConfig
     CacheConfig l1i{32 << 10, 8, 2};
     CacheConfig l2{256 << 10, 8, 14};
     CacheConfig llc{2 << 20, 16, 40};
-    TlbConfig l1Tlb{64, 4, 1};
-    TlbConfig l2Tlb{2048, 12, 7};
+    TlbConfig l1Tlb{64, 4};
+    TlbConfig l2Tlb{2048, 12};
     DramConfig dram;
     KernelConfig kernel;
     MementoConfig memento;

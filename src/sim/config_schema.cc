@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "sim/error.h"
 
@@ -12,206 +15,219 @@ namespace {
 constexpr double kNoMin = 0.0;
 constexpr double kNoMax = 1e30; // Effectively unbounded.
 
-/** Setter shorthand: the lambda body stores `v` into the config `c`. */
-#define MEMENTO_SET(expr)                                                   \
-    +[](MachineConfig &c, const ConfigValue &v) {                           \
-        (void)v;                                                            \
-        expr;                                                               \
-    }
+/** The canonical text a key feeds: the one place that rule is decided. */
+ConfigScope
+scopeOf(std::string_view name)
+{
+    if (name.starts_with("fleet."))
+        return ConfigScope::Fleet;
+    if (name.starts_with("sweep.") || name.starts_with("inject.store_"))
+        return ConfigScope::Policy;
+    return ConfigScope::Cell;
+}
+
+/**
+ * The entry for key @p name over the field that @p Field (a captureless
+ * generic lambda) returns a reference to. The value type, the setter and
+ * the renderer all follow from the field's C++ type.
+ */
+template <typename Field>
+ConfigKeyInfo
+makeKey(const char *name, double min_value, double max_value,
+        const char *doc, Field)
+{
+    using T = std::remove_reference_t<decltype(Field{}(
+        std::declval<MachineConfig &>()))>;
+    constexpr bool is_bool = std::is_same_v<T, bool>;
+    constexpr bool is_f64 = std::is_same_v<T, double>;
+    constexpr bool is_str = std::is_same_v<T, std::string>;
+    constexpr bool is_u32 = std::is_same_v<T, unsigned>;
+    static_assert(is_bool || is_f64 || is_str || is_u32 ||
+                      std::is_same_v<T, std::uint64_t>,
+                  "config field of an unsupported type");
+    constexpr ConfigType type = is_bool  ? ConfigType::Bool
+                                : is_f64 ? ConfigType::F64
+                                : is_str ? ConfigType::String
+                                : is_u32 ? ConfigType::U32
+                                         : ConfigType::U64;
+    return {
+        name, type, min_value, max_value, doc, scopeOf(name),
+        +[](MachineConfig &c, const ConfigValue &v) {
+            T &field = Field{}(c);
+            if constexpr (is_bool)
+                field = v.boolean;
+            else if constexpr (is_f64)
+                field = v.f64;
+            else if constexpr (is_str)
+                field = v.str;
+            else
+                field = static_cast<T>(v.u64);
+        },
+        +[](const MachineConfig &c, std::string &out) {
+            const T &field = Field{}(c);
+            if constexpr (is_bool) {
+                out += field ? '1' : '0';
+            } else if constexpr (is_f64) {
+                char buf[32];
+                std::snprintf(buf, sizeof buf, "%.17g", field);
+                out += buf;
+            } else if constexpr (is_str) {
+                out += field;
+            } else {
+                out += std::to_string(field);
+            }
+        }};
+}
+
+/** Entry for @p name over the MachineConfig member @p field. */
+#define MEMENTO_KEY(name, field, min_value, max_value, doc)                 \
+    makeKey(name, min_value, max_value, doc,                                \
+            [](auto &c) -> auto & { return c.field; })
 
 const std::vector<ConfigKeyInfo> &
 schemaTable()
 {
     // Sorted by name; checked by the SchemaSorted test.
     static const std::vector<ConfigKeyInfo> table = {
-        {"check.interval", ConfigType::U64, kNoMin, kNoMax,
-         "invariant-checker period in trace ops (0 = off)",
-         MEMENTO_SET(c.check.interval = v.u64)},
-        {"check.max_cycles", ConfigType::U64, kNoMin, kNoMax,
-         "watchdog cycle budget per run (0 = off)",
-         MEMENTO_SET(c.check.maxCycles = v.u64)},
-        {"check.max_ops", ConfigType::U64, kNoMin, kNoMax,
-         "watchdog trace-op budget per run (0 = off)",
-         MEMENTO_SET(c.check.maxOps = v.u64)},
-        {"core.base_ipc", ConfigType::F64, 0.01, 64,
-         "non-memory retirement IPC",
-         MEMENTO_SET(c.core.baseIpc = v.f64)},
-        {"core.freq_ghz", ConfigType::F64, 0.01, 100, "core clock (GHz)",
-         MEMENTO_SET(c.core.freqGhz = v.f64)},
-        {"core.load_hidden", ConfigType::F64, 0, 1,
-         "fraction of load latency hidden by the OOO window",
-         MEMENTO_SET(c.core.memLatencyHiddenFraction = v.f64)},
-        {"core.store_hidden", ConfigType::F64, 0, 1,
-         "fraction of store latency hidden by the store buffer",
-         MEMENTO_SET(c.core.storeLatencyHiddenFraction = v.f64)},
-        {"dram.banks", ConfigType::U32, 1, 65536, "DRAM bank count",
-         MEMENTO_SET(c.dram.banks = static_cast<unsigned>(v.u64))},
-        {"dram.hit_latency", ConfigType::U64, kNoMin, 1e9,
-         "row-hit latency (cycles)",
-         MEMENTO_SET(c.dram.hitLatency = v.u64)},
-        {"dram.miss_latency", ConfigType::U64, kNoMin, 1e9,
-         "row-miss latency (cycles)",
-         MEMENTO_SET(c.dram.missLatency = v.u64)},
-        {"dram.size", ConfigType::U64, 1 << 20, 1ull << 48,
-         "DRAM capacity (bytes)", MEMENTO_SET(c.dram.sizeBytes = v.u64)},
-        {"fleet.arrival", ConfigType::String, kNoMin, kNoMax,
-         "fleet arrival process: poisson, bursty, or diurnal",
-         MEMENTO_SET(c.fleet.arrival = v.str)},
-        {"fleet.burst_factor", ConfigType::F64, 1, 1000,
-         "bursty arrivals: rate multiplier inside a burst",
-         MEMENTO_SET(c.fleet.burstFactor = v.f64)},
-        {"fleet.burst_ms", ConfigType::F64, 0.01, 1e6,
-         "bursty arrivals: burst length (ms)",
-         MEMENTO_SET(c.fleet.burstMs = v.f64)},
-        {"fleet.cores", ConfigType::U32, 1, 4096,
-         "simulated cores on the fleet node",
-         MEMENTO_SET(c.fleet.cores = static_cast<unsigned>(v.u64))},
-        {"fleet.invocations", ConfigType::U64, 1, 100'000'000,
-         "total invocations the arrival process generates",
-         MEMENTO_SET(c.fleet.invocations = v.u64)},
-        {"fleet.keep_alive_ms", ConfigType::F64, kNoMin, 1e9,
-         "keep-alive window for idle instances (ms; 0 = none)",
-         MEMENTO_SET(c.fleet.keepAliveMs = v.f64)},
-        {"fleet.memory_budget_pages", ConfigType::U64, kNoMin, kNoMax,
-         "node RSS budget in pages (0 = unlimited)",
-         MEMENTO_SET(c.fleet.memoryBudgetPages = v.u64)},
-        {"fleet.mix", ConfigType::String, kNoMin, kNoMax,
-         "workload mix: 'function', 'all', or one workload id",
-         MEMENTO_SET(c.fleet.mix = v.str)},
-        {"fleet.period_ms", ConfigType::F64, 0.01, 1e6,
-         "bursty arrivals: burst period (ms)",
-         MEMENTO_SET(c.fleet.periodMs = v.f64)},
-        {"fleet.rate_rps", ConfigType::F64, 0.01, 1e9,
-         "mean arrival rate (invocations per second)",
-         MEMENTO_SET(c.fleet.ratePerSec = v.f64)},
-        {"fleet.seed", ConfigType::U64, kNoMin, kNoMax,
-         "seed of the arrival-process RNG",
-         MEMENTO_SET(c.fleet.seed = v.u64)},
-        {"inject.arena_bit_flip_at", ConfigType::U64, kNoMin, kNoMax,
-         "flip an arena bitmap bit after op N (0 = off)",
-         MEMENTO_SET(c.inject.arenaBitFlipAt = v.u64)},
-        {"inject.mmap_fail_at", ConfigType::U64, kNoMin, kNoMax,
-         "fail the Nth mmap call (0 = off)",
-         MEMENTO_SET(c.inject.mmapFailAt = v.u64)},
-        {"inject.pool_exhaust_at", ConfigType::U64, kNoMin, kNoMax,
-         "fail the page pool after N granted pages (0 = off)",
-         MEMENTO_SET(c.inject.poolExhaustAtPage = v.u64)},
-        {"inject.store_kill_at", ConfigType::U64, kNoMin, kNoMax,
-         "kill the process after the Nth completed cell store (0 = off)",
-         MEMENTO_SET(c.inject.storeKillAt = v.u64)},
-        {"inject.store_torn_write", ConfigType::U64, kNoMin, kNoMax,
-         "tear the Nth result-store cell write in half (0 = off)",
-         MEMENTO_SET(c.inject.storeTornWriteAt = v.u64)},
-        {"inject.trace_corrupt_at", ConfigType::U64, kNoMin, kNoMax,
-         "corrupt the trace record at op N (0 = off)",
-         MEMENTO_SET(c.inject.traceCorruptAt = v.u64)},
-        {"inject.trace_truncate_at", ConfigType::U64, kNoMin, kNoMax,
-         "truncate the replayed trace to N ops (0 = off)",
-         MEMENTO_SET(c.inject.traceTruncateAt = v.u64)},
-        {"inject.workload", ConfigType::String, kNoMin, kNoMax,
-         "restrict the fault plan to this workload id",
-         MEMENTO_SET(c.inject.workload = v.str)},
-        {"kernel.fault_instructions", ConfigType::U64, kNoMin, 1e12,
-         "instructions per minor page fault",
-         MEMENTO_SET(c.kernel.faultInstructions = v.u64)},
-        {"kernel.map_populate", ConfigType::Bool, kNoMin, kNoMax,
-         "mmap eagerly populates pages",
-         MEMENTO_SET(c.kernel.mapPopulate = v.boolean)},
-        {"kernel.mmap_instructions", ConfigType::U64, kNoMin, 1e12,
-         "instructions per mmap call",
-         MEMENTO_SET(c.kernel.mmapInstructions = v.u64)},
-        {"kernel.mode_switch_cycles", ConfigType::U64, kNoMin, 1e9,
-         "user/kernel mode-switch cost (cycles)",
-         MEMENTO_SET(c.kernel.modeSwitchCycles = v.u64)},
-        {"kernel.thp", ConfigType::Bool, kNoMin, kNoMax,
-         "transparent huge pages for anonymous faults",
-         MEMENTO_SET(c.kernel.transparentHugePages = v.boolean)},
-        {"l1d.latency", ConfigType::U64, kNoMin, 1e6,
-         "L1D hit latency (cycles)", MEMENTO_SET(c.l1d.latency = v.u64)},
-        {"l1d.size", ConfigType::U64, kLineSize, 1ull << 40,
-         "L1D capacity (bytes)", MEMENTO_SET(c.l1d.sizeBytes = v.u64)},
-        {"l1d.ways", ConfigType::U32, 1, 1024, "L1D associativity",
-         MEMENTO_SET(c.l1d.ways = static_cast<unsigned>(v.u64))},
-        {"l1i.latency", ConfigType::U64, kNoMin, 1e6,
-         "L1I hit latency (cycles)", MEMENTO_SET(c.l1i.latency = v.u64)},
-        {"l1i.size", ConfigType::U64, kLineSize, 1ull << 40,
-         "L1I capacity (bytes)", MEMENTO_SET(c.l1i.sizeBytes = v.u64)},
-        {"l1i.ways", ConfigType::U32, 1, 1024, "L1I associativity",
-         MEMENTO_SET(c.l1i.ways = static_cast<unsigned>(v.u64))},
-        {"l2.latency", ConfigType::U64, kNoMin, 1e6,
-         "L2 hit latency (cycles)", MEMENTO_SET(c.l2.latency = v.u64)},
-        {"l2.size", ConfigType::U64, kLineSize, 1ull << 40,
-         "L2 capacity (bytes)", MEMENTO_SET(c.l2.sizeBytes = v.u64)},
-        {"l2.ways", ConfigType::U32, 1, 1024, "L2 associativity",
-         MEMENTO_SET(c.l2.ways = static_cast<unsigned>(v.u64))},
-        {"layout.heap_base", ConfigType::U64, 4096, 1ull << 47,
-         "base address of the conventional mmap heap",
-         MEMENTO_SET(c.layout.heapBase = v.u64)},
-        {"layout.memento_region_start", ConfigType::U64, 4096,
-         1ull << 47, "Memento Region Start (MRS) register value",
-         MEMENTO_SET(c.layout.mementoRegionStart = v.u64)},
-        {"layout.per_class_region_bytes", ConfigType::U64, 4096,
-         1ull << 40, "Memento region bytes reserved per size class",
-         MEMENTO_SET(c.layout.perClassRegionBytes = v.u64)},
-        {"llc.latency", ConfigType::U64, kNoMin, 1e6,
-         "LLC hit latency (cycles)", MEMENTO_SET(c.llc.latency = v.u64)},
-        {"llc.size", ConfigType::U64, kLineSize, 1ull << 40,
-         "LLC capacity (bytes)", MEMENTO_SET(c.llc.sizeBytes = v.u64)},
-        {"llc.ways", ConfigType::U32, 1, 1024, "LLC associativity",
-         MEMENTO_SET(c.llc.ways = static_cast<unsigned>(v.u64))},
-        {"memento.bypass", ConfigType::Bool, kNoMin, kNoMax,
-         "enable the main-memory bypass mechanism",
-         MEMENTO_SET(c.memento.bypassEnabled = v.boolean)},
-        {"memento.eager_prefetch", ConfigType::Bool, kNoMin, kNoMax,
-         "prefetch the next arena on last-object alloc",
-         MEMENTO_SET(c.memento.eagerArenaPrefetch = v.boolean)},
-        {"memento.enabled", ConfigType::Bool, kNoMin, kNoMax,
-         "enable the Memento hardware",
-         MEMENTO_SET(c.memento.enabled = v.boolean)},
-        {"memento.hot_latency", ConfigType::U64, kNoMin, 1e6,
-         "HOT hit latency (cycles)",
-         MEMENTO_SET(c.memento.hotLatency = v.u64)},
-        {"memento.mallacc", ConfigType::Bool, kNoMin, kNoMax,
-         "idealized Mallacc comparator instead of Memento",
-         MEMENTO_SET(c.memento.mallaccMode = v.boolean)},
-        {"memento.objects_per_arena", ConfigType::U32, 1, 1 << 20,
-         "objects per arena",
-         MEMENTO_SET(c.memento.objectsPerArena =
-                         static_cast<unsigned>(v.u64))},
-        {"memento.pool_refill", ConfigType::U32, 1, 1 << 20,
-         "pages granted per page-pool refill",
-         MEMENTO_SET(c.memento.pagePoolRefill =
-                         static_cast<unsigned>(v.u64))},
-        {"sweep.cache_dir", ConfigType::String, kNoMin, kNoMax,
-         "result-store directory for crash-safe resumable sweeps",
-         MEMENTO_SET(c.sweep.cacheDir = v.str)},
-        {"sweep.keep_going", ConfigType::Bool, kNoMin, kNoMax,
-         "record per-cell failures and keep sweeping",
-         MEMENTO_SET(c.sweep.keepGoing = v.boolean)},
-        {"tlb.l1_entries", ConfigType::U32, 1, 1 << 24,
-         "L1 TLB entry count",
-         MEMENTO_SET(c.l1Tlb.entries = static_cast<unsigned>(v.u64))},
-        {"tlb.l1_ways", ConfigType::U32, 1, 1024, "L1 TLB associativity",
-         MEMENTO_SET(c.l1Tlb.ways = static_cast<unsigned>(v.u64))},
-        {"tlb.l2_entries", ConfigType::U32, 1, 1 << 24,
-         "L2 TLB entry count",
-         MEMENTO_SET(c.l2Tlb.entries = static_cast<unsigned>(v.u64))},
-        {"tlb.l2_ways", ConfigType::U32, 1, 1024, "L2 TLB associativity",
-         MEMENTO_SET(c.l2Tlb.ways = static_cast<unsigned>(v.u64))},
-        {"tuning.go_gc_trigger", ConfigType::U64, 1024, 1ull << 40,
-         "Go GC trigger heap size (bytes)",
-         MEMENTO_SET(c.tuning.goGcTriggerBytes = v.u64)},
-        {"tuning.jemalloc_chunk", ConfigType::U64, 4096, 1ull << 40,
-         "jemalloc chunk size (bytes)",
-         MEMENTO_SET(c.tuning.jemallocChunkBytes = v.u64)},
-        {"tuning.pymalloc_arena", ConfigType::U64, 4096, 1ull << 40,
-         "pymalloc arena size (bytes)",
-         MEMENTO_SET(c.tuning.pymallocArenaBytes = v.u64)},
+        MEMENTO_KEY("check.interval", check.interval, kNoMin, kNoMax,
+                    "invariant-checker period in trace ops (0 = off)"),
+        MEMENTO_KEY("check.max_cycles", check.maxCycles, kNoMin, kNoMax,
+                    "watchdog cycle budget per run (0 = off)"),
+        MEMENTO_KEY("check.max_ops", check.maxOps, kNoMin, kNoMax,
+                    "watchdog trace-op budget per run (0 = off)"),
+        MEMENTO_KEY("core.base_ipc", core.baseIpc, 0.01, 64,
+                    "non-memory retirement IPC"),
+        MEMENTO_KEY("core.freq_ghz", core.freqGhz, 0.01, 100,
+                    "core clock (GHz)"),
+        MEMENTO_KEY("core.load_hidden", core.memLatencyHiddenFraction, 0, 1,
+                    "fraction of load latency hidden by the OOO window"),
+        MEMENTO_KEY("core.store_hidden", core.storeLatencyHiddenFraction, 0, 1,
+                    "fraction of store latency hidden by the store buffer"),
+        MEMENTO_KEY("dram.banks", dram.banks, 1, 65536, "DRAM bank count"),
+        MEMENTO_KEY("dram.hit_latency", dram.hitLatency, kNoMin, 1e9,
+                    "row-hit latency (cycles)"),
+        MEMENTO_KEY("dram.miss_latency", dram.missLatency, kNoMin, 1e9,
+                    "row-miss latency (cycles)"),
+        MEMENTO_KEY("dram.size", dram.sizeBytes, 1 << 20, 1ull << 48,
+                    "DRAM capacity (bytes)"),
+        MEMENTO_KEY("fleet.arrival", fleet.arrival, kNoMin, kNoMax,
+                    "fleet arrival process: poisson, bursty, or diurnal"),
+        MEMENTO_KEY("fleet.burst_factor", fleet.burstFactor, 1, 1000,
+                    "bursty arrivals: rate multiplier inside a burst"),
+        MEMENTO_KEY("fleet.burst_ms", fleet.burstMs, 0.01, 1e6,
+                    "bursty arrivals: burst length (ms)"),
+        MEMENTO_KEY("fleet.cores", fleet.cores, 1, 4096,
+                    "simulated cores on the fleet node"),
+        MEMENTO_KEY("fleet.invocations", fleet.invocations, 1, 100'000'000,
+                    "total invocations the arrival process generates"),
+        MEMENTO_KEY("fleet.keep_alive_ms", fleet.keepAliveMs, kNoMin, 1e9,
+                    "keep-alive window for idle instances (ms; 0 = none)"),
+        MEMENTO_KEY("fleet.memory_budget_pages", fleet.memoryBudgetPages,
+                    kNoMin, kNoMax,
+                    "node RSS budget in pages (0 = unlimited)"),
+        MEMENTO_KEY("fleet.mix", fleet.mix, kNoMin, kNoMax,
+                    "workload mix: 'function', 'all', or one workload id"),
+        MEMENTO_KEY("fleet.period_ms", fleet.periodMs, 0.01, 1e6,
+                    "bursty arrivals: burst period (ms)"),
+        MEMENTO_KEY("fleet.rate_rps", fleet.ratePerSec, 0.01, 1e9,
+                    "mean arrival rate (invocations per second)"),
+        MEMENTO_KEY("fleet.seed", fleet.seed, kNoMin, kNoMax,
+                    "seed of the arrival-process RNG"),
+        MEMENTO_KEY("inject.arena_bit_flip_at", inject.arenaBitFlipAt, kNoMin,
+                    kNoMax, "flip an arena bitmap bit after op N (0 = off)"),
+        MEMENTO_KEY("inject.mmap_fail_at", inject.mmapFailAt, kNoMin, kNoMax,
+                    "fail the Nth mmap call (0 = off)"),
+        MEMENTO_KEY("inject.pool_exhaust_at", inject.poolExhaustAtPage, kNoMin,
+                    kNoMax,
+                    "fail the page pool after N granted pages (0 = off)"),
+        MEMENTO_KEY("inject.store_kill_at", inject.storeKillAt, kNoMin, kNoMax,
+                    "kill the process after the Nth completed cell store "
+                    "(0 = off)"),
+        MEMENTO_KEY("inject.store_torn_write", inject.storeTornWriteAt, kNoMin,
+                    kNoMax,
+                    "tear the Nth result-store cell write in half (0 = off)"),
+        MEMENTO_KEY("inject.trace_corrupt_at", inject.traceCorruptAt, kNoMin,
+                    kNoMax, "corrupt the trace record at op N (0 = off)"),
+        MEMENTO_KEY("inject.trace_truncate_at", inject.traceTruncateAt, kNoMin,
+                    kNoMax, "truncate the replayed trace to N ops (0 = off)"),
+        MEMENTO_KEY("inject.workload", inject.workload, kNoMin, kNoMax,
+                    "restrict the fault plan to this workload id"),
+        MEMENTO_KEY("kernel.fault_instructions", kernel.faultInstructions,
+                    kNoMin, 1e12, "instructions per minor page fault"),
+        MEMENTO_KEY("kernel.map_populate", kernel.mapPopulate, kNoMin, kNoMax,
+                    "mmap eagerly populates pages"),
+        MEMENTO_KEY("kernel.mmap_instructions", kernel.mmapInstructions,
+                    kNoMin, 1e12, "instructions per mmap call"),
+        MEMENTO_KEY("kernel.mode_switch_cycles", kernel.modeSwitchCycles,
+                    kNoMin, 1e9, "user/kernel mode-switch cost (cycles)"),
+        MEMENTO_KEY("kernel.thp", kernel.transparentHugePages, kNoMin, kNoMax,
+                    "transparent huge pages for anonymous faults"),
+        MEMENTO_KEY("l1d.latency", l1d.latency, kNoMin, 1e6,
+                    "L1D hit latency (cycles)"),
+        MEMENTO_KEY("l1d.size", l1d.sizeBytes, kLineSize, 1ull << 40,
+                    "L1D capacity (bytes)"),
+        MEMENTO_KEY("l1d.ways", l1d.ways, 1, 1024, "L1D associativity"),
+        MEMENTO_KEY("l1i.latency", l1i.latency, kNoMin, 1e6,
+                    "L1I hit latency (cycles)"),
+        MEMENTO_KEY("l1i.size", l1i.sizeBytes, kLineSize, 1ull << 40,
+                    "L1I capacity (bytes)"),
+        MEMENTO_KEY("l1i.ways", l1i.ways, 1, 1024, "L1I associativity"),
+        MEMENTO_KEY("l2.latency", l2.latency, kNoMin, 1e6,
+                    "L2 hit latency (cycles)"),
+        MEMENTO_KEY("l2.size", l2.sizeBytes, kLineSize, 1ull << 40,
+                    "L2 capacity (bytes)"),
+        MEMENTO_KEY("l2.ways", l2.ways, 1, 1024, "L2 associativity"),
+        MEMENTO_KEY("layout.heap_base", layout.heapBase, 4096, 1ull << 47,
+                    "base address of the conventional mmap heap"),
+        MEMENTO_KEY("layout.memento_region_start", layout.mementoRegionStart,
+                    4096, 1ull << 47,
+                    "Memento Region Start (MRS) register value"),
+        MEMENTO_KEY("layout.per_class_region_bytes", layout.perClassRegionBytes,
+                    4096, 1ull << 40,
+                    "Memento region bytes reserved per size class"),
+        MEMENTO_KEY("llc.latency", llc.latency, kNoMin, 1e6,
+                    "LLC hit latency (cycles)"),
+        MEMENTO_KEY("llc.size", llc.sizeBytes, kLineSize, 1ull << 40,
+                    "LLC capacity (bytes)"),
+        MEMENTO_KEY("llc.ways", llc.ways, 1, 1024, "LLC associativity"),
+        MEMENTO_KEY("memento.bypass", memento.bypassEnabled, kNoMin, kNoMax,
+                    "enable the main-memory bypass mechanism"),
+        MEMENTO_KEY("memento.eager_prefetch", memento.eagerArenaPrefetch,
+                    kNoMin, kNoMax,
+                    "prefetch the next arena on last-object alloc"),
+        MEMENTO_KEY("memento.enabled", memento.enabled, kNoMin, kNoMax,
+                    "enable the Memento hardware"),
+        MEMENTO_KEY("memento.hot_latency", memento.hotLatency, kNoMin, 1e6,
+                    "HOT hit latency (cycles)"),
+        MEMENTO_KEY("memento.mallacc", memento.mallaccMode, kNoMin, kNoMax,
+                    "idealized Mallacc comparator instead of Memento"),
+        MEMENTO_KEY("memento.objects_per_arena", memento.objectsPerArena, 1,
+                    256, "objects per arena (one header bitmap bit each)"),
+        MEMENTO_KEY("memento.pool_refill", memento.pagePoolRefill, 1, 1 << 20,
+                    "pages granted per page-pool refill"),
+        MEMENTO_KEY("sweep.cache_dir", sweep.cacheDir, kNoMin, kNoMax,
+                    "result-store directory for crash-safe resumable sweeps"),
+        MEMENTO_KEY("sweep.keep_going", sweep.keepGoing, kNoMin, kNoMax,
+                    "record per-cell failures and keep sweeping"),
+        MEMENTO_KEY("tlb.l1_entries", l1Tlb.entries, 1, 1 << 24,
+                    "L1 TLB entry count"),
+        MEMENTO_KEY("tlb.l1_ways", l1Tlb.ways, 1, 1024,
+                    "L1 TLB associativity"),
+        MEMENTO_KEY("tlb.l2_entries", l2Tlb.entries, 1, 1 << 24,
+                    "L2 TLB entry count"),
+        MEMENTO_KEY("tlb.l2_ways", l2Tlb.ways, 1, 1024,
+                    "L2 TLB associativity"),
+        MEMENTO_KEY("tuning.go_gc_trigger", tuning.goGcTriggerBytes, 1024,
+                    1ull << 40, "Go GC trigger heap size (bytes)"),
+        MEMENTO_KEY("tuning.jemalloc_chunk", tuning.jemallocChunkBytes, 4096,
+                    1ull << 40, "jemalloc chunk size (bytes)"),
+        MEMENTO_KEY("tuning.pymalloc_arena", tuning.pymallocArenaBytes, 4096,
+                    1ull << 40, "pymalloc arena size (bytes)"),
     };
     return table;
 }
 
-#undef MEMENTO_SET
+#undef MEMENTO_KEY
 
 /** Integer grammar: decimal with k/m/g suffix, or 0x hexadecimal. */
 bool

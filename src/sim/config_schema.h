@@ -4,11 +4,14 @@
  * surface.
  *
  * Every key the parser accepts is one table entry: name, value type,
- * inclusive numeric range, one-line description, and a setter into
- * MachineConfig. sim/config_file.cc applies options through the table,
- * and the sa/ config linter validates files against the same table, so
- * the accepted key set, the value grammar, and the range checks can
- * never drift apart.
+ * inclusive numeric range, one-line description, the canonical text it
+ * feeds, and a setter and a renderer for the one MachineConfig field it
+ * names. The entry names that field once; its value type is deduced
+ * from the field's C++ type. sim/config_file.cc applies options through
+ * the table, sim/config_canon.cc renders the cache-key and fleet-digest
+ * texts from it, and the sa/ config linter validates files against it,
+ * so the accepted key set, the value grammar, the range checks and the
+ * canonical texts can never drift apart.
  *
  * Integer values accept decimal with an optional k/m/g binary suffix
  * ("256k" = 262144) or a 0x-prefixed hexadecimal literal (address keys
@@ -47,6 +50,13 @@ enum class ConfigParseStatus : std::uint8_t {
     OutOfRange, ///< Parses, but violates the declared range.
 };
 
+/** Which canonical text (sim/config_canon.h) a key's value goes into. */
+enum class ConfigScope : std::uint8_t {
+    Cell,   ///< Can change a run's result: part of the cell key.
+    Fleet,  ///< fleet.*: the fleet digest's input, not the cell key.
+    Policy, ///< sweep.*, inject.store_*: how a sweep runs; in neither.
+};
+
 /** One schema entry. */
 struct ConfigKeyInfo
 {
@@ -57,8 +67,16 @@ struct ConfigKeyInfo
     double maxValue;
     /** One-line description used by lint output and docs. */
     const char *doc;
+    /** The canonical text the value is rendered into. */
+    ConfigScope scope;
     /** Store @p value into the MachineConfig field the key names. */
     void (*apply)(MachineConfig &cfg, const ConfigValue &value);
+    /**
+     * Append the field's canonical rendering to @p out: integers in
+     * decimal, doubles with %.17g (exact binary round-trip), booleans as
+     * 1/0, strings verbatim.
+     */
+    void (*render)(const MachineConfig &cfg, std::string &out);
 };
 
 /** The full schema, sorted by key name. */

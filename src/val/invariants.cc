@@ -151,7 +151,7 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
             continue;
         const std::string &who = m.processAt(p).name();
 
-        for (unsigned cls = 0; cls < geo.numClasses(); ++cls) {
+        for (unsigned cls = 0; cls < kNumSmallClasses; ++cls) {
             const Addr base = geo.classBase(cls);
             const Addr limit = geo.classBase(cls + 1);
             const Addr bump = space->bump[cls];
@@ -232,7 +232,7 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
                                     : " on the avail list but full"));
             }
         };
-        for (unsigned cls = 0; cls < geo.numClasses(); ++cls) {
+        for (unsigned cls = 0; cls < kNumSmallClasses; ++cls) {
             check_list(cls, space->availList[cls], false, "avail");
             check_list(cls, space->fullList[cls], true, "full");
         }
@@ -262,7 +262,7 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
     Hot *hot = m.hot();
     MementoSpace *current = m.mementoSpace();
     if (hot && current) {
-        for (unsigned cls = 0; cls < geo.numClasses(); ++cls) {
+        for (unsigned cls = 0; cls < kNumSmallClasses; ++cls) {
             const HotEntry &e = hot->entry(cls);
             if (!e.valid)
                 continue;

@@ -432,7 +432,7 @@ TEST(Dram, BankQueuingPenalty)
     // queues behind the first.
     Cycles a = dram.access(0x0, false, 0);
     Cycles b = dram.access(0x0, false, 0);
-    EXPECT_EQ(b, cfg.hitLatency + cfg.bankBusyPenalty);
+    EXPECT_EQ(b, cfg.hitLatency + Dram::kBankBusyPenalty);
     (void)a;
 }
 

@@ -225,8 +225,8 @@ TEST(FleetCostModel, MementoReclaimIsArenaGranular)
     const auto cycles_of = [](const MachineConfig &cfg,
                               std::uint64_t units) {
         const InstCount instr =
-            cfg.kernel.munmapBaseInstructions +
-            cfg.kernel.munmapPerPageInstructions * units;
+            VirtualMemory::kMunmapBaseInstructions +
+            VirtualMemory::kMunmapPerPageInstructions * units;
         return static_cast<Cycles>(
             static_cast<double>(instr) / cfg.core.baseIpc + 0.5);
     };

@@ -45,7 +45,7 @@ TEST_F(GeometryTest, RegionBounds)
 
 TEST_F(GeometryTest, ArenaSpansArePageMultiples)
 {
-    for (unsigned cls = 0; cls < geo.numClasses(); ++cls) {
+    for (unsigned cls = 0; cls < kNumSmallClasses; ++cls) {
         EXPECT_EQ(geo.arenaSpan(cls) % kPageSize, 0u);
         EXPECT_GE(geo.arenaSpan(cls),
                   ArenaGeometry::kHeaderBytes +

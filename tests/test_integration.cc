@@ -34,8 +34,7 @@ TEST(ProcessTest, RegistersInitializedFromLayout)
     EXPECT_EQ(proc.pid(), 7);
     EXPECT_EQ(proc.name(), "test");
     EXPECT_EQ(proc.mementoRegs().mrs, cfg.layout.mementoRegionStart);
-    EXPECT_EQ(proc.mementoRegs().mre,
-              cfg.layout.mementoRegionEnd(cfg.memento.numSizeClasses));
+    EXPECT_EQ(proc.mementoRegs().mre, cfg.layout.mementoRegionEnd());
     EXPECT_EQ(proc.mementoRegs().mptr, 0u); // Set when a space binds.
 }
 

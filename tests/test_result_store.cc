@@ -19,10 +19,12 @@
 
 #include <unistd.h>
 
+#include "fleet/fleet.h"
 #include "machine/result_store.h"
 #include "sim/atomic_io.h"
 #include "sim/config.h"
 #include "sim/config_canon.h"
+#include "sim/config_schema.h"
 #include "sim/error.h"
 #include "sim/json.h"
 #include "test_util.h"
@@ -433,48 +435,89 @@ TEST(ResultStore, RevalidateSampleIsDeterministicInTheKey)
 // ---- The canonical-config tripwire ----------------------------------
 
 /**
- * If this assertion fires, a field was added to (or removed from)
- * MachineConfig. Decide whether it changes run results:
- *
- *  - result-affecting  -> serialize it in canonicalConfigText()
- *  - execution policy  -> leave it out, like sweep.* / inject.store_*
- *
- * and then update the expected size here. Skipping this check silently
- * aliases cache cells across configs that compute different results.
+ * If this assertion fires, a member was added to (or removed from)
+ * MachineConfig. A value a user can set gets one schema entry
+ * (sim/config_schema.cc), whose scope puts it in the cell key, the
+ * fleet digest, or neither; the loop below then covers it. A model
+ * parameter no key sets is a named constant next to its reader
+ * instead, covered by the code version. Then update the expected size
+ * here. A member without a schema entry is in neither canonical text,
+ * so it would silently alias cache cells that compute different
+ * results.
  */
 TEST(CanonCoversConfig, SizeofTripwire)
 {
-    EXPECT_EQ(sizeof(MachineConfig), 704u)
-        << "MachineConfig changed: audit canonicalConfigText() before "
+    EXPECT_EQ(sizeof(MachineConfig), 568u)
+        << "MachineConfig changed: give the member a schema entry before "
            "bumping this constant (see the comment above this test)";
+}
+
+/** A value of @p info's type that renders unlike @p current. */
+ConfigValue
+otherValue(const ConfigKeyInfo &info, const std::string &current)
+{
+    ConfigValue v;
+    switch (info.type) {
+      case ConfigType::U64:
+      case ConfigType::U32:
+        v.u64 = static_cast<std::uint64_t>(info.minValue);
+        if (std::to_string(v.u64) == current)
+            ++v.u64;
+        break;
+      case ConfigType::F64:
+        v.f64 = info.minValue;
+        if (v.f64 == std::stod(current))
+            v.f64 += 1;
+        break;
+      case ConfigType::Bool:
+        v.boolean = current != "1";
+        break;
+      case ConfigType::String:
+        v.str = current + "-other";
+        break;
+    }
+    return v;
 }
 
 TEST(CanonCoversConfig, EveryResultAffectingSectionIsSerialized)
 {
-    // Spot-check one field per config section: flipping it must change
-    // the canonical text (complete-over-results, per config_canon.h).
+    // Move each schema entry off its value: the cell-key text must
+    // change exactly for the Cell entries, the fleet text exactly for
+    // the fleet.* entries, and no other entry's rendering may move (each
+    // entry owns its own field).
     const MachineConfig base = test::smallConfig();
-    const std::string canon = canonicalConfigText(base);
-
-    auto changed = [&](auto mutate) {
-        MachineConfig cfg = base;
-        mutate(cfg);
-        return canonicalConfigText(cfg) != canon;
+    const std::string cell = canonicalConfigText(base);
+    const std::string fleet = fleetCanonicalText(base);
+    const auto rendered = [](const MachineConfig &cfg,
+                             const ConfigKeyInfo &info) {
+        std::string text;
+        info.render(cfg, text);
+        return text;
     };
 
-    EXPECT_TRUE(changed([](MachineConfig &c) { c.core.issueWidth++; }));
-    EXPECT_TRUE(changed([](MachineConfig &c) { c.l1d.sizeBytes *= 2; }));
-    EXPECT_TRUE(changed([](MachineConfig &c) { c.l1Tlb.entries *= 2; }));
-    EXPECT_TRUE(changed([](MachineConfig &c) { c.dram.banks++; }));
-    EXPECT_TRUE(
-        changed([](MachineConfig &c) { c.kernel.mmapInstructions++; }));
-    EXPECT_TRUE(changed([](MachineConfig &c) { c.memento.enabled = true; }));
-    EXPECT_TRUE(
-        changed([](MachineConfig &c) { c.tuning.pymallocArenaBytes *= 2; }));
-    EXPECT_TRUE(changed([](MachineConfig &c) { c.layout.heapBase += 4096; }));
-    EXPECT_TRUE(changed([](MachineConfig &c) { c.check.maxOps = 99; }));
-    EXPECT_TRUE(
-        changed([](MachineConfig &c) { c.inject.traceCorruptAt = 99; }));
+    std::size_t fleet_keys = 0, policy_keys = 0;
+    for (const ConfigKeyInfo &info : configSchema()) {
+        SCOPED_TRACE(info.name);
+        fleet_keys += info.scope == ConfigScope::Fleet;
+        policy_keys += info.scope == ConfigScope::Policy;
+        MachineConfig cfg = base;
+        info.apply(cfg, otherValue(info, rendered(base, info)));
+        ASSERT_NE(rendered(cfg, info), rendered(base, info));
+        EXPECT_EQ(canonicalConfigText(cfg) != cell,
+                  info.scope == ConfigScope::Cell);
+        EXPECT_EQ(fleetCanonicalText(cfg) != fleet,
+                  info.scope == ConfigScope::Fleet);
+        for (const ConfigKeyInfo &other : configSchema()) {
+            if (&other != &info) {
+                EXPECT_EQ(rendered(cfg, other), rendered(base, other))
+                    << other.name;
+            }
+        }
+    }
+    // sweep.cache_dir, sweep.keep_going and the two inject.store_* keys
+    // steer the sweep; the fleet digest covers the 11 fleet.* keys.
+    EXPECT_EQ(policy_keys, 4u);
+    EXPECT_EQ(fleet_keys, 11u);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/hw_page_allocator.h"
+#include "mem/tlb.h"
 #include "sim/config.h"
 #include "sim/cycles.h"
 #include "sim/rng.h"
@@ -175,11 +177,13 @@ TEST(Config, Table3Defaults)
     EXPECT_EQ(cfg.llc.ways, 16u);
     EXPECT_EQ(cfg.l1Tlb.entries, 64u);
     EXPECT_EQ(cfg.l2Tlb.entries, 2048u);
-    EXPECT_EQ(cfg.memento.numSizeClasses, 64u);
-    EXPECT_EQ(cfg.memento.maxSmallSize, 512u);
+    EXPECT_EQ(kL1TlbLatency, 1u);
+    EXPECT_EQ(kL2TlbLatency, 7u);
+    EXPECT_EQ(kNumSmallClasses, 64u);
+    EXPECT_EQ(kMaxSmallSize, 512u);
     EXPECT_EQ(cfg.memento.objectsPerArena, 256u);
     EXPECT_EQ(cfg.memento.hotLatency, 2u);
-    EXPECT_EQ(cfg.memento.aacLatency, 1u);
+    EXPECT_EQ(HwPageAllocator::kAacLatency, 1u);
 
     MachineConfig mcfg = mementoConfig();
     EXPECT_TRUE(mcfg.memento.enabled);
@@ -196,7 +200,7 @@ TEST(Config, CycleTimeConversions)
 TEST(Config, MementoRegionLayout)
 {
     MachineConfig cfg = defaultConfig();
-    const Addr end = cfg.layout.mementoRegionEnd(64);
+    const Addr end = cfg.layout.mementoRegionEnd();
     EXPECT_EQ(end - cfg.layout.mementoRegionStart,
               64ull * cfg.layout.perClassRegionBytes);
 }

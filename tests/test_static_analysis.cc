@@ -19,6 +19,7 @@
 #include "sa/config_lint.h"
 #include "sa/diag.h"
 #include "sa/trace_check.h"
+#include "sim/config_schema.h"
 #include "wl/trace.h"
 
 namespace memento {
@@ -331,6 +332,10 @@ TEST(ConfigLint, OutOfRangeValue)
     expectOnly(r, "config-out-of-range", DiagSeverity::Error, 1);
     EXPECT_NE(r.diags()[0].message.find("out of range"),
               std::string::npos);
+    // The arena header's bitmap has 256 bits; more objects per arena
+    // would panic at machine construction.
+    expectOnly(lint("memento.objects_per_arena = 300\n"),
+               "config-out-of-range", DiagSeverity::Error, 1);
 }
 
 TEST(ConfigLint, HeapBaseInsideMementoRegion)
@@ -349,12 +354,40 @@ TEST(ConfigLint, DisjointLayoutIsClean)
     EXPECT_TRUE(r.empty()) << renderText(r);
 }
 
+TEST(ConfigLint, PymallocArenaOffThePoolSize)
+{
+    const DiagReport r = lint("# tuning\ntuning.pymalloc_arena = 6000\n");
+    expectOnly(r, "config-bad-value", DiagSeverity::Error, 2);
+    EXPECT_NE(renderText(r).find("4096 B pool size"), std::string::npos)
+        << renderText(r);
+    EXPECT_TRUE(lint("tuning.pymalloc_arena = 512k\n").empty());
+}
+
+TEST(ConfigLint, JemallocChunkOffTheSlabSize)
+{
+    const DiagReport r = lint("tuning.jemalloc_chunk = 20480\n");
+    expectOnly(r, "config-bad-value", DiagSeverity::Error, 1);
+    EXPECT_NE(renderText(r).find("16384 B slab size"), std::string::npos)
+        << renderText(r);
+    EXPECT_TRUE(lint("tuning.jemalloc_chunk = 32k\n").empty());
+}
+
 TEST(ConfigLint, MementoHardwareKeyWhileDisabled)
 {
     expectOnly(lint("memento.bypass = true\n"),
                "config-bypass-no-memento", DiagSeverity::Warning, 1);
     EXPECT_TRUE(
         lint("memento.enabled = true\nmemento.bypass = true\n").empty());
+    // Every memento.* key but the enable bit itself configures gated
+    // hardware ("1" parses, in range, for each of them).
+    for (const ConfigKeyInfo &info : configSchema()) {
+        const std::string key = info.name;
+        if (!key.starts_with("memento.") || key == "memento.enabled")
+            continue;
+        SCOPED_TRACE(key);
+        expectOnly(lint(key + " = 1\n"), "config-bypass-no-memento",
+                   DiagSeverity::Warning, 1);
+    }
 }
 
 TEST(ConfigLint, CheckIntervalBeyondWatchdog)

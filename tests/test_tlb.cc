@@ -18,7 +18,7 @@ class TlbTest : public ::testing::Test
 {
   protected:
     StatRegistry stats;
-    Tlb tlb{"t", TlbConfig{16, 4, 1}, stats};
+    Tlb tlb{"t", TlbConfig{16, 4}, stats};
 };
 
 TEST_F(TlbTest, MissThenHit)
@@ -104,7 +104,7 @@ TEST(TlbGeometry, NonDivisibleEntriesRoundDown)
 {
     StatRegistry stats;
     // Table 3's 2048-entry 12-way TLB: sets round down to 170.
-    Tlb tlb("t", TlbConfig{2048, 12, 7}, stats);
+    Tlb tlb("t", TlbConfig{2048, 12}, stats);
     // Capacity still works for a burst of insert/lookup pairs.
     for (Addr p = 0; p < 100; ++p) {
         tlb.insert(p << kPageShift, (p + 5) << kPageShift);
@@ -117,7 +117,7 @@ TEST(TlbGeometry, SweepConfigurations)
     for (unsigned entries : {8u, 64u, 256u}) {
         for (unsigned ways : {1u, 2u, 4u}) {
             StatRegistry stats;
-            Tlb tlb("t", TlbConfig{entries, ways, 1}, stats);
+            Tlb tlb("t", TlbConfig{entries, ways}, stats);
             // Inserting up to one set of pages per set keeps them all.
             const unsigned sets = entries / ways;
             for (unsigned w = 0; w < ways; ++w) {
@@ -320,9 +320,9 @@ TEST_P(TlbDifferential, MatchesReferenceVictimOrder)
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, TlbDifferential,
-                         ::testing::Values(TlbConfig{16, 1, 1},
-                                           TlbConfig{64, 4, 1},
-                                           TlbConfig{2048, 12, 7}));
+                         ::testing::Values(TlbConfig{16, 1},
+                                           TlbConfig{64, 4},
+                                           TlbConfig{2048, 12}));
 
 } // namespace
 } // namespace memento

@@ -89,8 +89,8 @@ smallConfig()
     cfg.l1i = CacheConfig{4 << 10, 4, 2};
     cfg.l2 = CacheConfig{16 << 10, 4, 14};
     cfg.llc = CacheConfig{64 << 10, 8, 40};
-    cfg.l1Tlb = TlbConfig{16, 4, 1};
-    cfg.l2Tlb = TlbConfig{64, 4, 7};
+    cfg.l1Tlb = TlbConfig{16, 4};
+    cfg.l2Tlb = TlbConfig{64, 4};
     cfg.dram.sizeBytes = 512ull << 20;
     return cfg;
 }
