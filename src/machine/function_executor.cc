@@ -20,7 +20,7 @@ FunctionExecutor::chargeRpc(const WorkloadSpec &spec)
 }
 
 void
-FunctionExecutor::execute(const WorkloadSpec &spec, const TraceOp &op)
+FunctionExecutor::execute(const WorkloadSpec &spec, TraceOp op)
 {
     Allocator &alloc = machine_.allocator();
     const Addr static_base = machine_.staticBase();
@@ -185,12 +185,10 @@ FunctionExecutor::run(const WorkloadSpec &spec, const Trace &trace,
     }
 
     for (std::size_t i = 0; i < limit; ++i) {
-        TraceOp op = trace[i];
-        if (faulted && cfg.inject.traceCorruptAt == i + 1) {
-            // A corrupt record frees an object that never existed.
-            op.kind = OpKind::Free;
-            op.objId = kCorruptObjId;
-        }
+        // A corrupt record frees an object that never existed.
+        const TraceOp op = faulted && cfg.inject.traceCorruptAt == i + 1
+                               ? kCorruptOp
+                               : trace[i];
         try {
             sim_error_if(check.maxOps != 0 && i >= check.maxOps,
                          ErrorCategory::Timeout, "watchdog: op budget (",

@@ -91,7 +91,7 @@ class FunctionExecutor
     static constexpr std::uint64_t kDenseIdLimit = 1ull << 22;
 
     void chargeRpc(const WorkloadSpec &spec);
-    void execute(const WorkloadSpec &spec, const TraceOp &op);
+    void execute(const WorkloadSpec &spec, TraceOp op);
     /** inject.arena_bit_flip_at: corrupt one arena allocation bitmap. */
     void flipArenaBit();
 

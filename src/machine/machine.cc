@@ -18,6 +18,7 @@ Machine::Machine(const MachineConfig &cfg)
       appLoads_(stats_.counter("machine.app_loads")),
       appStores_(stats_.counter("machine.app_stores"))
 {
+    checkGeometry(cfg_);
     hier_ = std::make_unique<CacheHierarchy>(cfg_, stats_);
     l1Tlb_ = std::make_unique<Tlb>("l1tlb", cfg_.l1Tlb, stats_);
     l2Tlb_ = std::make_unique<Tlb>("l2tlb", cfg_.l2Tlb, stats_);

@@ -200,12 +200,10 @@ Machine::translate(Addr vaddr)
 
     // L2 TLB.
     chargeCycles(kL2TlbLatency);
-    if (auto paddr = l2Tlb_->translate(vaddr)) {
-        // Refill the L1 at the same granularity the mapping has.
-        ProcContext &p = procs_[current_];
-        const bool is_huge = p.process->vm().lookupHuge(vaddr).has_value();
-        l1Tlb_->insert(vaddr, *paddr - (vaddr & ((1ull << (is_huge ? kHugePageShift : kPageShift)) - 1)),
-                       is_huge ? kHugePageShift : kPageShift);
+    unsigned shift = kPageShift;
+    if (auto paddr = l2Tlb_->translate(vaddr, &shift)) {
+        // Refill the L1 at the granularity of the L2 entry that hit.
+        l1Tlb_->insert(vaddr, *paddr, shift);
         return *paddr;
     }
 

@@ -4,9 +4,27 @@
 
 namespace memento {
 
+namespace {
+
+/**
+ * Set count of a TLB level. A 2048-entry 12-way TLB (Table 3) is not
+ * evenly divisible; the count rounds down as real designs do (capacity
+ * 2040 here). Checked before any member is computed from it: config
+ * validation (checkGeometry) rejects a zero count first.
+ */
+std::uint64_t
+tlbSets(const std::string &name, const TlbConfig &cfg)
+{
+    panic_if(cfg.ways == 0 || cfg.entries < cfg.ways, "tlb ", name,
+             ": too few entries");
+    return cfg.entries / cfg.ways;
+}
+
+} // namespace
+
 Tlb::Tlb(const std::string &name, const TlbConfig &cfg, StatRegistry &stats)
     : name_(name),
-      numSets_(cfg.entries / cfg.ways),
+      numSets_(tlbSets(name, cfg)),
       setMask_(isPowerOfTwo(numSets_) ? numSets_ - 1 : 0),
       modConstant_(fastModConstant(numSets_)),
       ways_(cfg.ways),
@@ -15,9 +33,6 @@ Tlb::Tlb(const std::string &name, const TlbConfig &cfg, StatRegistry &stats)
       hits_(stats.counter(name + ".hits")),
       misses_(stats.counter(name + ".misses"))
 {
-    // A 2048-entry 12-way TLB (Table 3) is not evenly divisible; round
-    // the set count down as real designs do (capacity 2040 here).
-    panic_if(cfg.entries < cfg.ways, "tlb ", name, ": too few entries");
     flushAll();
 }
 

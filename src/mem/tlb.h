@@ -44,8 +44,12 @@ class Tlb
      */
     void insert(Addr vaddr, Addr paddr, unsigned shift = kPageShift);
 
-    /** Translate @p vaddr fully (base + offset) on a hit. */
-    std::optional<Addr> translate(Addr vaddr);
+    /**
+     * Translate @p vaddr fully (base + offset) on a hit. When @p shift
+     * is given, a hit also stores the entry's granularity there
+     * (kPageShift or kHugePageShift).
+     */
+    std::optional<Addr> translate(Addr vaddr, unsigned *shift = nullptr);
 
     /** Drop the translation for the page of @p vaddr (shootdown). */
     void invalidatePage(Addr vaddr);
@@ -162,12 +166,15 @@ Tlb::lookup(Addr vaddr)
 }
 
 inline std::optional<Addr>
-Tlb::translate(Addr vaddr)
+Tlb::translate(Addr vaddr, unsigned *shift)
 {
     if (Entry *e = find(vaddr)) {
         e->lruStamp = ++lruClock_;
         ++hits_;
-        return e->pbase + (vaddr & ((1ull << shiftOf(*e)) - 1));
+        const unsigned s = shiftOf(*e);
+        if (shift != nullptr)
+            *shift = s;
+        return e->pbase + (vaddr & ((1ull << s) - 1));
     }
     ++misses_;
     return std::nullopt;

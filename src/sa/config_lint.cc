@@ -169,6 +169,12 @@ lintConfigStream(std::istream &is, const std::string &subject,
                 PyMalloc::kPoolBytes, "pool size");
     multiple_of("tuning.jemalloc_chunk", cfg.tuning.jemallocChunkBytes,
                 JeMalloc::kSlabBytes, "slab size");
+    // Machine construction rejects these the same way (checkGeometry).
+    for (const GeometryProblem &p : geometryProblems(cfg)) {
+        report.add("config-bad-value", subject,
+                   std::max(line_of(p.sizeKey), line_of(p.waysKey)),
+                   p.message);
+    }
 
     if (!cfg.memento.enabled) {
         for (const auto &[key, at] : assignments) {

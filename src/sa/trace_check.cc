@@ -275,11 +275,8 @@ applyTraceFaultPlan(const Trace &trace, const FaultPlan &plan,
     // visible when it lands inside the surviving prefix.
     if (plan.traceTruncateAt != 0 && plan.traceTruncateAt < out.size())
         out.resize(plan.traceTruncateAt);
-    if (plan.traceCorruptAt != 0 && plan.traceCorruptAt <= out.size()) {
-        TraceOp &op = out[plan.traceCorruptAt - 1];
-        op.kind = OpKind::Free;
-        op.objId = kCorruptObjId;
-    }
+    if (plan.traceCorruptAt != 0 && plan.traceCorruptAt <= out.size())
+        out.set(plan.traceCorruptAt - 1, kCorruptOp);
     return out;
 }
 

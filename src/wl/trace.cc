@@ -80,14 +80,21 @@ readTraceOps(std::istream &is)
         std::string name, value, obj_id, offset;
         TraceOp op;
         ls >> name >> value >> obj_id >> offset;
-        if (ls.fail() || !opFromName(name, op.kind) ||
-            !fieldFromText(value, op.value) ||
-            !fieldFromText(obj_id, op.objId) ||
-            !fieldFromText(offset, op.offset)) {
-            throw SimError(ErrorCategory::Trace,
-                           detail::formatMsg("trace parse error at line ",
-                                             line_no),
-                           line_no);
+        const bool parsed = !ls.fail() && opFromName(name, op.kind) &&
+                            fieldFromText(value, op.value) &&
+                            fieldFromText(obj_id, op.objId) &&
+                            fieldFromText(offset, op.offset);
+        // Nothing is dropped silently: a Trace stores only the fields
+        // the op's kind uses.
+        if (!parsed || !unusedFieldsAreZero(op)) {
+            throw SimError(
+                ErrorCategory::Trace,
+                detail::formatMsg("trace parse error at line ", line_no,
+                                  parsed ? ": '" + name +
+                                               "' sets a field it does "
+                                               "not use"
+                                         : std::string()),
+                line_no);
         }
         trace.push_back(op);
     }

@@ -37,9 +37,9 @@ TraceGenerator::generate() const
 {
     Rng rng(spec_.seed * 0x9e3779b97f4a7c15ull + 0xD1B54A32D192ED03ull);
     Trace trace;
-    // Reserve the stream's upper bound so it never regrows: a regrowth
-    // copy leaves the old buffer behind as a hole in the heap, and a
-    // sweep's peak memory is mostly traces. Per event: compute, static
+    // Reserve the stream's upper bound (in both of the trace's arrays)
+    // so it never regrows: a regrowth copy leaves the old buffer behind
+    // as a hole in the heap, and a sweep's peak memory is mostly traces. Per event: compute, static
     // accesses, malloc, init stores, reuse loads and at most one free
     // (plus FunctionEnd once); per burst: malloc, store and free per
     // object, then one compute.

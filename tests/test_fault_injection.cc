@@ -11,6 +11,7 @@
 
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "machine/experiment.h"
 #include "sa/trace_check.h"
@@ -328,4 +329,21 @@ TEST(FaultInjectionTest, JemallocChunkOffTheSlabSizeIsAConfigFailure)
 }
 
 } // namespace
+TEST(FaultInjectionTest, CacheAndTlbGeometryWithoutASetIsAConfigFailure)
+{
+    for (const auto &[key, value] :
+         {std::pair<std::string, std::string>{"tlb.l1_ways", "1024"},
+          {"tlb.l2_entries", "2"},
+          {"l1d.size", "100"},
+          {"llc.size", "3m"}}) {
+        SCOPED_TRACE(key);
+        const RunResult res = runWithTuning(Language::Cpp, key, value);
+        ASSERT_TRUE(res.failed());
+        EXPECT_EQ(res.error->category, ErrorCategory::Config);
+        EXPECT_NE(res.error->message.find(key), std::string::npos)
+            << res.error->message;
+    }
+    EXPECT_FALSE(runWithTuning(Language::Cpp, "tlb.l1_ways", "16").failed());
+}
+
 } // namespace memento

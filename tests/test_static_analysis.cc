@@ -372,6 +372,22 @@ TEST(ConfigLint, JemallocChunkOffTheSlabSize)
     EXPECT_TRUE(lint("tuning.jemalloc_chunk = 32k\n").empty());
 }
 
+TEST(ConfigLint, CacheAndTlbGeometryWithoutASet)
+{
+    // Reported at the later of the level's two keys.
+    DiagReport r = lint("tlb.l1_ways = 1024\n");
+    expectOnly(r, "config-bad-value", DiagSeverity::Error, 1);
+    EXPECT_NE(renderText(r).find("the TLB has no set"), std::string::npos)
+        << renderText(r);
+    r = lint("l1d.size = 100\n");
+    expectOnly(r, "config-bad-value", DiagSeverity::Error, 1);
+    EXPECT_NE(renderText(r).find("gives 0 set(s)"), std::string::npos)
+        << renderText(r);
+    expectOnly(lint("l2.ways = 4\n# 3 sets\nl2.size = 768\n"),
+               "config-bad-value", DiagSeverity::Error, 3);
+    EXPECT_TRUE(lint("tlb.l1_ways = 64\nl1d.size = 512\n").empty());
+}
+
 TEST(ConfigLint, MementoHardwareKeyWhileDisabled)
 {
     expectOnly(lint("memento.bypass = true\n"),

@@ -100,6 +100,20 @@ TEST_F(TlbTest, MixedGranularitiesCoexist)
     EXPECT_TRUE(tlb.translate(0x5000).has_value());
 }
 
+TEST_F(TlbTest, TranslateReportsTheHitEntrysGranularity)
+{
+    tlb.insert(0x5000, 0x9000);
+    tlb.insert(0x4000'0000, 0x1200'0000, kHugePageShift);
+    unsigned shift = 0;
+    ASSERT_TRUE(tlb.translate(0x5123, &shift).has_value());
+    EXPECT_EQ(shift, kPageShift);
+    ASSERT_TRUE(tlb.translate(0x4010'0000, &shift).has_value());
+    EXPECT_EQ(shift, kHugePageShift);
+    shift = 0;
+    EXPECT_FALSE(tlb.translate(0x7000, &shift).has_value());
+    EXPECT_EQ(shift, 0u); // Untouched on a miss.
+}
+
 TEST(TlbGeometry, NonDivisibleEntriesRoundDown)
 {
     StatRegistry stats;

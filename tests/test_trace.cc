@@ -9,6 +9,7 @@
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "sim/error.h"
 #include "sim/size_class.h"
@@ -96,6 +97,79 @@ TEST(TraceIo, MalformedLineThrows)
                       std::string::npos);
         }
     }
+}
+
+TEST(TraceIo, UnusedFieldIsAParseError)
+{
+    // A Trace stores only the fields an op's kind uses, so a nonzero
+    // unused field is rejected at its line instead of dropped.
+    const struct
+    {
+        const char *text;
+        std::uint64_t line;
+    } cases[] = {
+        {"M 64 1 0\nF 8 1 0\nE 0 0 0\n", 2},
+        {"C 10 3 0\nE 0 0 0\n", 1},
+        {"M 64 1 4\nE 0 0 0\n", 1},
+        {"M 64 1 0\nL 1 1 8\nE 0 0 0\n", 2},
+        {"# c\nl 0 2 64\nE 0 0 0\n", 2},
+        {"C 10 0 0\nE 0 0 1\n", 2},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        std::stringstream ss(c.text);
+        try {
+            readTrace(ss);
+            ADD_FAILURE() << "expected SimError";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Trace);
+            EXPECT_EQ(e.opIndex(), c.line);
+            EXPECT_NE(std::string(e.what()).find(
+                          "line " + std::to_string(c.line) + ":"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(TraceStore, EveryKindKeepsItsFieldsAtFullWidth)
+{
+    // Each kind with UINT32_MAX in every field it uses, through every
+    // way into and out of a Trace.
+    const std::uint32_t max = UINT32_MAX;
+    const std::vector<TraceOp> ops = {
+        {OpKind::Compute, max, 0, 0},     {OpKind::Load, 0, max, max},
+        {OpKind::Store, 0, max, max},     {OpKind::Malloc, max, max, 0},
+        {OpKind::Free, 0, max, 0},        {OpKind::StaticLoad, 0, 0, max},
+        {OpKind::StaticStore, 0, 0, max}, {OpKind::FunctionEnd, 0, 0, 0},
+    };
+    Trace pushed;
+    Trace overwritten;
+    for (const TraceOp &op : ops) {
+        ASSERT_TRUE(unusedFieldsAreZero(op));
+        pushed.push_back(op);
+        overwritten.push_back({OpKind::Compute, 1, 0, 0});
+    }
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        EXPECT_EQ(pushed[i], ops[i]) << i;
+        overwritten.set(i, ops[i]);
+    }
+    EXPECT_EQ(overwritten, pushed);
+    EXPECT_EQ(pushed.back(), ops.back());
+
+    std::stringstream ss;
+    writeTrace(pushed, ss);
+    EXPECT_EQ(readTrace(ss), pushed);
+}
+
+TEST(TraceStore, UnusedFieldPanicsOnStore)
+{
+    Trace trace;
+    EXPECT_DEATH(trace.push_back({OpKind::Free, 8, 1, 0}),
+                 "sets a field it does not use");
+    trace.push_back({OpKind::Malloc, 8, 1, 0});
+    EXPECT_DEATH(trace.set(0, {OpKind::FunctionEnd, 0, 0, 4}),
+                 "sets a field it does not use");
 }
 
 TEST(TraceIo, TruncatedTraceThrows)
