@@ -144,9 +144,8 @@ allCommands()
          1},
         {"lint-config", "<file>", "validate a config file",
          {"--json", "--allow", "--werror"}, 1},
-        {"lint-src", "[paths...]",
-         "determinism & thread-safety lint over C++ sources",
-         {"--jobs", "--json", "--allow", "--werror"}, 0, true},
+        {"lint-src", "[paths...]", "determinism lint over C++ sources",
+         {"--json", "--allow", "--werror"}, 0, true},
         {"rules", "", "dump the registered diagnostic rule table",
          {"--json"}, 0},
         {"fleet", "",

@@ -11,7 +11,6 @@ std::string_view
 severityName(DiagSeverity severity)
 {
     switch (severity) {
-      case DiagSeverity::Note: return "note";
       case DiagSeverity::Warning: return "warning";
       case DiagSeverity::Error: return "error";
     }
@@ -76,7 +75,7 @@ allDiagRules()
         {"config-fleet-keepalive-no-budget", DiagSeverity::Warning,
          "fleet.keep_alive_ms keeps instances warm with no "
          "fleet.memory_budget_pages, so node RSS grows unbounded"},
-        // Source linter (determinism & thread-safety over src/ itself).
+        // Source linter (determinism over the repo's own sources).
         {"src-unordered-iteration", DiagSeverity::Warning,
          "Iteration over std::unordered_{map,set}: hash order is "
          "implementation-defined, so whatever the loop feeds (stdout, "
@@ -94,20 +93,12 @@ allDiagRules()
         {"src-naked-cout", DiagSeverity::Warning,
          "Process-stream write outside the serialized logging layer; "
          "parallel workers interleave lines"},
-        {"src-mutex-unannotated", DiagSeverity::Warning,
-         "Data member of a mutex-holding class without MEMENTO_GUARDED_BY "
-         "or MEMENTO_READONLY_AFTER_INIT (sim/thread_annotations.h)"},
         {"src-fatal-in-library", DiagSeverity::Warning,
          "fatal()/abort()/exit() in model-layer code that should raise "
          "recoverable SimError so --keep-going sweeps survive"},
         {"src-float-accumulation-in-digest", DiagSeverity::Warning,
          "Floating-point value fed to the FNV-1a digest; FP rounding and "
          "summation order vary across platforms"},
-        {"src-include-cycle", DiagSeverity::Error,
-         "#include \"...\" cycle among the scanned files"},
-        {"src-todo-without-issue", DiagSeverity::Note,
-         "Work-marker comment without an issue reference (#NNN or "
-         "ISSUE-NNN), so the debt is untrackable"},
     };
     return rules;
 }
@@ -178,18 +169,6 @@ DiagReport::warnings(const DiagPolicy &policy) const
     return n;
 }
 
-std::size_t
-DiagReport::notes(const DiagPolicy &policy) const
-{
-    std::size_t n = 0;
-    for (const Diag &d : diags_) {
-        if (!policy.suppressed(d.ruleId) &&
-            policy.effective(d.severity) == DiagSeverity::Note)
-            ++n;
-    }
-    return n;
-}
-
 bool
 DiagReport::clean(const DiagPolicy &policy) const
 {
@@ -232,8 +211,6 @@ DiagReport::printJson(std::ostream &os, const DiagPolicy &policy) const
     w.endArray();
     w.member("errors", static_cast<std::uint64_t>(errors(policy)));
     w.member("warnings", static_cast<std::uint64_t>(warnings(policy)));
-    // Additive member (schema_version stays 1): advisory note count.
-    w.member("notes", static_cast<std::uint64_t>(notes(policy)));
     w.endObject();
 }
 

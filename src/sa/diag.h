@@ -37,9 +37,9 @@
 namespace memento {
 
 /** Severity of a rule (fixed per rule; --werror promotes at render). */
-enum class DiagSeverity : std::uint8_t { Note, Warning, Error };
+enum class DiagSeverity : std::uint8_t { Warning, Error };
 
-/** Display name: "note", "warning", "error". */
+/** Display name: "warning", "error". */
 std::string_view severityName(DiagSeverity severity);
 
 /** One registered analysis rule. */
@@ -105,8 +105,6 @@ class DiagReport
     /** Finding counts under @p policy (suppression + promotion). */
     std::size_t errors(const DiagPolicy &policy = {}) const;
     std::size_t warnings(const DiagPolicy &policy = {}) const;
-    /** Notes are never promoted by --werror (advisory by design). */
-    std::size_t notes(const DiagPolicy &policy = {}) const;
 
     /** True when @p policy leaves no errors (the exit-0 criterion). */
     bool clean(const DiagPolicy &policy = {}) const;
@@ -118,8 +116,7 @@ class DiagReport
      * The report as a versioned JSON document: the sim/json.h envelope
      * ("schema_version", "kind": "diagnostics"), a "findings" array of
      * objects with stable key order (rule, severity, subject,
-     * location, message), and "errors"/"warnings"/"notes" totals.
-     * Suppressed
+     * location, message), and "errors"/"warnings" totals. Suppressed
      * findings are omitted and promoted severities are rendered.
      */
     void printJson(std::ostream &os, const DiagPolicy &policy = {}) const;

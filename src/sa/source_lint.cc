@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 
-#include "machine/sweep.h"
 #include "sim/logging.h"
 
 namespace memento {
@@ -38,9 +37,9 @@ struct CommentTok
 
 /**
  * Comment/string-aware scan of one translation unit. Preprocessor
- * lines are consumed whole (recording `#include "..."` targets);
- * comments are kept on the side for the annotation rules; everything
- * else becomes a flat token stream with line numbers.
+ * lines are consumed whole; comments are kept on the side for the
+ * inline `lint-src: allow(...)` suppressions; everything else becomes
+ * a flat token stream with line numbers.
  */
 class Lexer
 {
@@ -49,7 +48,6 @@ class Lexer
 
     std::vector<Tok> toks;
     std::vector<CommentTok> comments;
-    std::vector<IncludeEdge> includes;
 
   private:
     bool
@@ -199,12 +197,10 @@ class Lexer
     }
 
     /** A preprocessor directive, consumed to its (continuation-aware)
-     * end of line. Records quoted include targets. */
+     * end of line. */
     void
     lexPreproc()
     {
-        const unsigned start = line_;
-        std::size_t begin = pos_;
         while (pos_ < src_.size()) {
             if (cur() == '\\' && peek() == '\n') {
                 advance();
@@ -214,19 +210,6 @@ class Lexer
             if (cur() == '\n')
                 break;
             advance();
-        }
-        const std::string_view dir = src_.substr(begin, pos_ - begin);
-        const std::size_t inc = dir.find("include");
-        if (inc != std::string_view::npos) {
-            const std::size_t open = dir.find('"', inc);
-            if (open != std::string_view::npos) {
-                const std::size_t close = dir.find('"', open + 1);
-                if (close != std::string_view::npos)
-                    includes.push_back(
-                        {std::string(
-                             dir.substr(open + 1, close - open - 1)),
-                         start});
-            }
         }
     }
 
@@ -340,8 +323,8 @@ scopeFor(const std::string &subject)
     // (CLI parsing, workload lookup, schema errors) legitimately
     // terminate through fatal(). Unknown paths (e.g. the lint corpus)
     // count as library code.
-    if (hasAnySegment(subject, {"sim", "cli", "wl", "an", "sa", "bench",
-                                "fleet", "val", "tools", "examples"}) &&
+    if (hasAnySegment(subject, {"sim", "cli", "wl", "an", "sa", "fleet",
+                                "val", "tools", "examples"}) &&
         !hasAnySegment(subject, {"hw", "mem", "os", "rt", "machine"}))
         s.fatality = false;
     return s;
@@ -375,12 +358,15 @@ parseInlineAllows(const std::vector<CommentTok> &comments)
     return allows;
 }
 
-/** What kind of container a name was declared as, across files. */
+/** What kind of container a name was declared as. */
 struct ContainerSeen
 {
     bool unordered = false;
     bool ordered = false;
 };
+
+/** Container declarations by name, in one file or across all files. */
+using DeclIndex = std::map<std::string, ContainerSeen>;
 
 bool
 isOrderedContainerName(const std::string &t)
@@ -424,11 +410,10 @@ skipTemplateArgs(const std::vector<Tok> &toks, std::size_t i)
 /**
  * Record container-typed declarations: `<container><<args>> [&*const]*
  * name`. Collects the declared name into @p seen with the container's
- * ordering class, for the cross-file unordered-iteration index.
+ * ordering class, for the unordered-iteration rule.
  */
 void
-scanContainerDeclsInto(const std::vector<Tok> &toks,
-                       std::map<std::string, ContainerSeen> &seen)
+scanContainerDeclsInto(const std::vector<Tok> &toks, DeclIndex &seen)
 {
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
         if (toks[i].kind != TokKind::Ident)
@@ -455,6 +440,30 @@ scanContainerDeclsInto(const std::vector<Tok> &toks,
     }
 }
 
+/**
+ * The names src-unordered-iteration treats as unordered containers in
+ * a file that declares @p local. A name the file declares is classified
+ * by the file's own declarations; the cross-file @p index only resolves
+ * the names it does not declare, such as a member its header declares.
+ * A name with both ordered and unordered declarations in the deciding
+ * set is ambiguous and never fires: lexical scoping is out of budget
+ * for a lint pass, and missing a finding beats inventing one.
+ */
+std::set<std::string>
+unorderedNames(const DeclIndex &local, const DeclIndex &index)
+{
+    std::set<std::string> names;
+    for (const auto &[name, seen] : local) {
+        if (seen.unordered && !seen.ordered)
+            names.insert(name);
+    }
+    for (const auto &[name, seen] : index) {
+        if (local.count(name) == 0 && seen.unordered && !seen.ordered)
+            names.insert(name);
+    }
+    return names;
+}
+
 /** The per-file rule driver. */
 class FileLinter
 {
@@ -471,8 +480,6 @@ class FileLinter
         checkPointerKeys();
         checkIdentifierRules();
         checkDigestFloats();
-        checkMutexAnnotations();
-        checkComments(lex.comments);
     }
 
   private:
@@ -802,227 +809,6 @@ class FileLinter
         }
     }
 
-    // ---- src-mutex-unannotated ----
-
-    struct MemberDecl
-    {
-        std::string name;
-        unsigned line = 0;
-        bool annotated = false;
-        bool syncPrimitive = false; ///< mutex / once_flag / cv / atomic.
-        bool isMutex = false;
-    };
-
-    /**
-     * Parse one class body starting at the `{` token index @p i;
-     * returns one past the matching `}`. Member declarations are
-     * recognized by this repo's trailing-underscore convention; a
-     * nested class recurses so its members are checked against its own
-     * mutexes, not the enclosing class's.
-     */
-    std::size_t
-    parseClassBody(std::size_t i)
-    {
-        std::vector<MemberDecl> members;
-        ++i; // past '{'
-        std::vector<const Tok *> stmt;
-        bool has_mutex = false;
-
-        const auto flush = [&]() {
-            if (!stmt.empty())
-                classifyMember(stmt, members, has_mutex);
-            stmt.clear();
-        };
-
-        while (i < toks_.size() && !isPunct(i, "}")) {
-            // Nested class/struct definition.
-            if ((isIdent(i, "class") || isIdent(i, "struct")) &&
-                i + 1 < toks_.size() &&
-                toks_[i + 1].kind == TokKind::Ident) {
-                std::size_t j = i + 1;
-                while (j < toks_.size() && !isPunct(j, "{") &&
-                       !isPunct(j, ";"))
-                    ++j;
-                if (isPunct(j, "{")) {
-                    stmt.clear();
-                    i = parseClassBody(j);
-                    if (isPunct(i, ";"))
-                        ++i;
-                    continue;
-                }
-            }
-            // Access specifiers reset the statement.
-            if ((isIdent(i, "public") || isIdent(i, "private") ||
-                 isIdent(i, "protected")) &&
-                isPunct(i + 1, ":")) {
-                stmt.clear();
-                i += 2;
-                continue;
-            }
-            // A brace at member level is a function body or an
-            // initializer: consume it whole.
-            if (isPunct(i, "{")) {
-                int depth = 0;
-                for (; i < toks_.size(); ++i) {
-                    if (isPunct(i, "{"))
-                        ++depth;
-                    else if (isPunct(i, "}") && --depth == 0) {
-                        ++i;
-                        break;
-                    }
-                }
-                stmt.push_back(nullptr); // Marks "had a braced part".
-                continue;
-            }
-            if (isPunct(i, ";")) {
-                flush();
-                ++i;
-                continue;
-            }
-            stmt.push_back(&toks_[i]);
-            ++i;
-        }
-        flush();
-
-        if (has_mutex) {
-            for (const MemberDecl &m : members) {
-                if (m.annotated || m.syncPrimitive)
-                    continue;
-                finding("src-mutex-unannotated", m.line,
-                        detail::formatMsg(
-                            "member '", m.name,
-                            "' of a mutex-holding class carries no "
-                            "MEMENTO_GUARDED_BY / "
-                            "MEMENTO_READONLY_AFTER_INIT annotation "
-                            "(sim/thread_annotations.h); name the "
-                            "synchronization that protects it"));
-            }
-        }
-        return i < toks_.size() ? i + 1 : i;
-    }
-
-    void
-    classifyMember(const std::vector<const Tok *> &stmt,
-                   std::vector<MemberDecl> &members, bool &has_mutex)
-    {
-        // Skip type aliases, friends, and static members.
-        if (stmt.front() != nullptr &&
-            (stmt.front()->text == "using" ||
-             stmt.front()->text == "typedef" ||
-             stmt.front()->text == "friend" ||
-             stmt.front()->text == "static" ||
-             stmt.front()->text == "template" ||
-             stmt.front()->text == "enum"))
-            return;
-
-        MemberDecl m;
-        int tmpl_depth = 0;
-        bool saw_paren_at_top = false;
-        const Tok *last_ident_before_init = nullptr;
-        bool in_init = false;
-        for (const Tok *t : stmt) {
-            if (t == nullptr)
-                continue; // Braced segment (already consumed).
-            if (t->kind == TokKind::Punct) {
-                if (t->text == "<")
-                    ++tmpl_depth;
-                else if (t->text == ">")
-                    tmpl_depth = std::max(0, tmpl_depth - 1);
-                else if (t->text == "(" && tmpl_depth == 0 && !in_init)
-                    saw_paren_at_top = true;
-                else if (t->text == "=")
-                    in_init = true;
-                continue;
-            }
-            if (t->kind != TokKind::Ident)
-                continue;
-            if (t->text == "mutex" || t->text == "shared_mutex") {
-                m.syncPrimitive = true;
-                m.isMutex = true;
-            } else if (t->text == "once_flag" ||
-                       t->text == "condition_variable" ||
-                       t->text == "atomic" || t->text == "atomic_flag") {
-                m.syncPrimitive = true;
-            } else if (t->text == "MEMENTO_GUARDED_BY" ||
-                       t->text == "MEMENTO_READONLY_AFTER_INIT") {
-                m.annotated = true;
-            }
-            if (!in_init) {
-                last_ident_before_init = t;
-            }
-        }
-        // Data members follow the repo convention `name_`; anything
-        // else at member level (function declarations, constructors)
-        // is not a data member. The annotation macro trails the name,
-        // so exclude macro identifiers from name position.
-        const Tok *name = last_ident_before_init;
-        if (name == nullptr || name->text.empty() ||
-            name->text.back() != '_' || name->text.front() == '_')
-            return;
-        if (saw_paren_at_top && !m.annotated)
-            return; // Function declaration.
-        m.name = name->text;
-        m.line = name->line;
-        if (m.isMutex)
-            has_mutex = true;
-        members.push_back(std::move(m));
-    }
-
-    void
-    checkMutexAnnotations()
-    {
-        for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-            if (!isIdent(i, "class") && !isIdent(i, "struct"))
-                continue;
-            if (i > 0 && (isIdent(i - 1, "enum") || isIdent(i - 1, "friend")))
-                continue;
-            if (toks_[i + 1].kind != TokKind::Ident)
-                continue;
-            // Definition (not a forward declaration): a `{` before the
-            // next `;`.
-            std::size_t j = i + 1;
-            while (j < toks_.size() && !isPunct(j, "{") && !isPunct(j, ";"))
-                ++j;
-            if (!isPunct(j, "{"))
-                continue;
-            i = parseClassBody(j) - 1;
-        }
-    }
-
-    // ---- src-todo-without-issue ----
-
-    void
-    checkComments(const std::vector<CommentTok> &comments)
-    {
-        for (const CommentTok &c : comments) {
-            std::size_t at = std::string::npos;
-            for (std::string_view marker : {"TODO", "FIXME", "XXX"}) {
-                const std::size_t hit = c.text.find(marker);
-                if (hit < at)
-                    at = hit;
-            }
-            if (at == std::string::npos)
-                continue;
-            // An issue reference legitimizes the marker: `(#123)`,
-            // `#123`, or `ISSUE-42` anywhere in the same comment.
-            bool referenced = c.text.find("ISSUE") != std::string::npos;
-            for (std::size_t h = c.text.find('#');
-                 !referenced && h != std::string::npos;
-                 h = c.text.find('#', h + 1)) {
-                if (h + 1 < c.text.size() &&
-                    std::isdigit(static_cast<unsigned char>(
-                        c.text[h + 1])))
-                    referenced = true;
-            }
-            if (!referenced) {
-                finding("src-todo-without-issue", c.line,
-                        "work marker without an issue reference; "
-                        "anchor it as `(#NNN)` or `ISSUE-NNN` so the "
-                        "debt is trackable");
-            }
-        }
-    }
-
     const std::vector<Tok> &toks_;
     const std::string &subject_;
     DiagReport &report_;
@@ -1043,167 +829,20 @@ readFileOrFatal(const std::string &path)
     return buf.str();
 }
 
-} // namespace
-
-// =====================================================================
-// Public API
-// =====================================================================
-
-void
-lintSourceText(std::string_view text, const std::string &subject,
-               DiagReport &report, SourceScan *scan)
-{
-    const Lexer lex(text);
-    if (scan != nullptr)
-        scan->includes = lex.includes;
-
-    std::map<std::string, ContainerSeen> seen;
-    scanContainerDeclsInto(lex.toks, seen);
-    std::set<std::string> unordered;
-    for (const auto &[name, kinds] : seen) {
-        if (kinds.unordered && !kinds.ordered)
-            unordered.insert(name);
-    }
-    FileLinter(lex, subject, report, unordered);
-}
-
-void
-lintSourceFile(const std::string &path, const std::string &key,
-               DiagReport &report, SourceScan *scan)
-{
-    if (scan != nullptr)
-        scan->key = key;
-    lintSourceText(readFileOrFatal(path), path, report, scan);
-}
-
-void
-findIncludeCycles(const std::vector<SourceScan> &scans, DiagReport &report)
-{
-    // Adjacency restricted to scanned keys, neighbors sorted so the
-    // traversal (and therefore the report) is deterministic.
-    std::map<std::string, std::vector<std::pair<std::string, unsigned>>>
-        graph;
-    for (const SourceScan &s : scans)
-        graph[s.key]; // Ensure every node exists.
-    for (const SourceScan &s : scans) {
-        for (const IncludeEdge &e : s.includes) {
-            if (graph.count(e.target) != 0)
-                graph[s.key].emplace_back(e.target, e.line);
-        }
-    }
-    for (auto &[key, edges] : graph)
-        std::sort(edges.begin(), edges.end());
-
-    // Iterative Tarjan SCC over the sorted node order.
-    struct NodeState
-    {
-        int index = -1;
-        int lowlink = 0;
-        bool onStack = false;
-    };
-    std::map<std::string, NodeState> state;
-    std::vector<std::string> stack;
-    std::vector<std::vector<std::string>> cycles;
-    int next_index = 0;
-
-    struct Frame
-    {
-        std::string node;
-        std::size_t edge = 0;
-    };
-    for (const auto &[root, unused_] : graph) {
-        (void)unused_;
-        if (state[root].index != -1)
-            continue;
-        std::vector<Frame> dfs;
-        dfs.push_back({root, 0});
-        state[root].index = state[root].lowlink = next_index++;
-        state[root].onStack = true;
-        stack.push_back(root);
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            const auto &edges = graph[f.node];
-            if (f.edge < edges.size()) {
-                const std::string &next = edges[f.edge++].first;
-                NodeState &ns = state[next];
-                if (ns.index == -1) {
-                    ns.index = ns.lowlink = next_index++;
-                    ns.onStack = true;
-                    stack.push_back(next);
-                    dfs.push_back({next, 0});
-                } else if (ns.onStack) {
-                    state[f.node].lowlink =
-                        std::min(state[f.node].lowlink, ns.index);
-                }
-                continue;
-            }
-            // Node finished: pop an SCC if this is its root.
-            NodeState &fs = state[f.node];
-            if (fs.lowlink == fs.index) {
-                std::vector<std::string> scc;
-                while (true) {
-                    const std::string top = stack.back();
-                    stack.pop_back();
-                    state[top].onStack = false;
-                    scc.push_back(top);
-                    if (top == f.node)
-                        break;
-                }
-                bool self_loop = false;
-                for (const auto &[to, line] : graph[f.node]) {
-                    (void)line;
-                    self_loop = self_loop || to == f.node;
-                }
-                if (scc.size() > 1 || self_loop)
-                    cycles.push_back(std::move(scc));
-            }
-            const std::string done = f.node;
-            dfs.pop_back();
-            if (!dfs.empty()) {
-                NodeState &parent = state[dfs.back().node];
-                parent.lowlink =
-                    std::min(parent.lowlink, state[done].lowlink);
-            }
-        }
-    }
-
-    // One finding per cycle, anchored at its smallest member's edge
-    // into the cycle, members listed sorted.
-    for (std::vector<std::string> &scc : cycles)
-        std::sort(scc.begin(), scc.end());
-    std::sort(cycles.begin(), cycles.end());
-    for (const std::vector<std::string> &scc : cycles) {
-        const std::string &anchor = scc.front();
-        std::uint64_t line = Diag::kNoLocation;
-        for (const auto &[to, at] : graph[anchor]) {
-            if (std::find(scc.begin(), scc.end(), to) != scc.end()) {
-                line = at;
-                break;
-            }
-        }
-        std::ostringstream members;
-        for (std::size_t i = 0; i < scc.size(); ++i)
-            members << (i == 0 ? "" : " <-> ") << scc[i];
-        report.add("src-include-cycle", anchor, line,
-                   detail::formatMsg(
-                       "include cycle among ", scc.size(),
-                       " file(s): ", members.str(),
-                       "; break the cycle with a forward declaration "
-                       "or an interface split"));
-    }
-}
-
-std::vector<std::pair<std::string, std::string>>
+/**
+ * The .h/.cc files under each of @p paths (a file argument is taken
+ * verbatim), each once, in sorted path order.
+ */
+std::vector<std::string>
 collectSourceFiles(const std::vector<std::string> &paths)
 {
     namespace fs = std::filesystem;
-    std::vector<std::pair<std::string, std::string>> files;
+    std::vector<std::string> files;
     for (const std::string &arg : paths) {
         std::error_code ec;
         const fs::path root(arg);
         if (fs::is_regular_file(root, ec)) {
-            files.emplace_back(root.generic_string(),
-                               root.filename().generic_string());
+            files.push_back(root.lexically_normal().generic_string());
             continue;
         }
         fatal_if(!fs::is_directory(root, ec),
@@ -1215,9 +854,7 @@ collectSourceFiles(const std::vector<std::string> &paths)
             const std::string ext = it->path().extension().string();
             if (ext != ".h" && ext != ".cc")
                 continue;
-            files.emplace_back(
-                it->path().generic_string(),
-                it->path().lexically_relative(root).generic_string());
+            files.push_back(it->path().lexically_normal().generic_string());
         }
         fatal_if(static_cast<bool>(ec), "lint-src: cannot walk ", arg,
                  ": ", ec.message());
@@ -1227,54 +864,43 @@ collectSourceFiles(const std::vector<std::string> &paths)
     return files;
 }
 
-std::size_t
-lintSourcePaths(const std::vector<std::string> &paths, unsigned jobs,
-                DiagReport &report)
+} // namespace
+
+// =====================================================================
+// Public API
+// =====================================================================
+
+void
+lintSourceText(std::string_view text, const std::string &subject,
+               DiagReport &report)
 {
-    const auto files = collectSourceFiles(paths);
+    const Lexer lex(text);
+    DeclIndex local;
+    scanContainerDeclsInto(lex.toks, local);
+    FileLinter(lex, subject, report, unorderedNames(local, {}));
+}
 
-    // Phase 1: tokenize every file and index container declarations,
-    // so a .cc iterating a member its header declared still resolves
-    // the container's ordering class. A name is treated as unordered
-    // only when *no* scanned declaration of it is ordered — an
-    // ambiguous name never fires (lexical scoping is out of budget
-    // for a lint pass; missing a finding beats inventing one).
-    std::vector<std::string> texts(files.size());
-    std::vector<std::map<std::string, ContainerSeen>> decls(files.size());
-    parallelFor(files.size(), jobs, [&](std::size_t i) {
-        texts[i] = readFileOrFatal(files[i].first);
-        const Lexer lex(texts[i]);
-        scanContainerDeclsInto(lex.toks, decls[i]);
-    });
-    std::map<std::string, ContainerSeen> merged;
-    for (const auto &d : decls) {
-        for (const auto &[name, kinds] : d) {
-            ContainerSeen &entry = merged[name];
-            entry.unordered = entry.unordered || kinds.unordered;
-            entry.ordered = entry.ordered || kinds.ordered;
-        }
+std::size_t
+lintSourcePaths(const std::vector<std::string> &paths, DiagReport &report)
+{
+    const std::vector<std::string> files = collectSourceFiles(paths);
+    std::vector<std::string> texts;
+    for (const std::string &path : files)
+        texts.push_back(readFileOrFatal(path));
+
+    // Tokenize every file before linting any: the declaration index
+    // spans all of them, so a .cc iterating a member its header
+    // declares still resolves the container's ordering class.
+    std::vector<Lexer> lexed(texts.begin(), texts.end());
+    std::vector<DeclIndex> local(files.size());
+    DeclIndex index;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        scanContainerDeclsInto(lexed[i].toks, local[i]);
+        scanContainerDeclsInto(lexed[i].toks, index);
     }
-    std::set<std::string> unordered;
-    for (const auto &[name, kinds] : merged) {
-        if (kinds.unordered && !kinds.ordered)
-            unordered.insert(name);
-    }
-
-    // Phase 2: lint each file against the merged index; slots merge in
-    // sorted path order, so output is byte-identical at any --jobs.
-    std::vector<DiagReport> slots(files.size());
-    std::vector<SourceScan> scans(files.size());
-    parallelFor(files.size(), jobs, [&](std::size_t i) {
-        scans[i].key = files[i].second;
-        const Lexer lex(texts[i]);
-        scans[i].includes = lex.includes;
-        FileLinter(lex, files[i].first, slots[i], unordered);
-    });
-    for (const DiagReport &slot : slots)
-        report.append(slot);
-
-    // Phase 3: cross-file include-cycle pass (deterministic order).
-    findIncludeCycles(scans, report);
+    for (std::size_t i = 0; i < files.size(); ++i)
+        FileLinter(lexed[i], files[i], report,
+                   unorderedNames(local[i], index));
     return files.size();
 }
 

@@ -64,8 +64,11 @@ class ShadowHeap
                                " op(s) without a FunctionEnd terminator"));
         if (!live_.empty()) {
             // Earliest-allocated leaked object, for a stable exemplar.
+            // allocOp is unique per live object, so the minimum does
+            // not depend on the hash order of the walk.
             const auto first = std::min_element(
-                live_.begin(), live_.end(),
+                live_.begin(), // lint-src: allow(src-unordered-iteration)
+                live_.end(),
                 [](const auto &a, const auto &b) {
                     return a.second.allocOp < b.second.allocOp;
                 });

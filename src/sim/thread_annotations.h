@@ -11,15 +11,11 @@
  *     std::mutex mu_;
  *     StoreStats stats_ MEMENTO_GUARDED_BY(mu_);
  *
- * Two enforcement layers read these annotations:
- *  - `memento_sim lint-src` (sa/source_lint.h) requires every data
- *    member of a mutex-holding class to carry MEMENTO_GUARDED_BY,
- *    MEMENTO_READONLY_AFTER_INIT, or be a std::atomic / sync primitive
- *    (rule src-mutex-unannotated);
- *  - when building with clang and -DMEMENTO_THREAD_ANNOTATIONS (plus
- *    -Wthread-safety), MEMENTO_GUARDED_BY expands to the real
- *    `guarded_by` attribute so the compiler's thread-safety analysis
- *    checks lock discipline too.
+ * When building with clang and -DMEMENTO_THREAD_ANNOTATIONS (plus
+ * -Wthread-safety), MEMENTO_GUARDED_BY expands to the real `guarded_by`
+ * attribute so the compiler's thread-safety analysis checks lock
+ * discipline; otherwise the annotations are documentation, and the
+ * ThreadSanitizer CI job is the dynamic check.
  *
  * Classes that are deliberately *not* synchronized because exactly one
  * thread ever owns an instance (a Machine's StatRegistry, the per-run

@@ -1,26 +1,32 @@
 /**
  * @file
- * Tests for the determinism & thread-safety source linter
- * (sa/source_lint.h, `memento_sim lint-src`).
+ * Tests for the determinism source linter (sa/source_lint.h,
+ * `memento_sim lint-src`).
  *
  * Four layers under test:
  *   1. The tests/sa_corpus/ regression corpus: every rule fires on its
  *      minimal true positive (bad.cc) and stays silent on the content-
- *      level near-miss (ok.cc), driven by one TEST_P over the catalog.
+ *      level near-miss (ok.cc), driven by one TEST_P over the catalog,
+ *      and linting the whole corpus at once reports each rule exactly
+ *      once, at its own bad.cc.
  *   2. Tokenizer discipline: trigger tokens inside string literals, raw
  *      strings, and comments must never produce findings, and inline
  *      `lint-src: allow(...)` comments suppress exactly their line.
- *   3. The full pipeline: lintSourcePaths() renders byte-identical
- *      reports at --jobs 1/2/4 (the same contract as `check all`).
- *   4. DiagPolicy edges on the new rules: --werror never promotes
- *      Note, --allow removes findings from every count, and the text
- *      and JSON renderings agree on error/warning/note totals.
+ *   3. Path scopes and the pipeline: tools/ keeps the ordering rules,
+ *      a file's own container declarations decide its names, files
+ *      lint in sorted path order, and a file reached through two paths
+ *      lints once.
+ *   4. DiagPolicy edges on the rules: --allow removes findings from
+ *      every count, and the text and JSON renderings agree on
+ *      error/warning totals.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -69,17 +75,14 @@ renderText(const DiagReport &report, const DiagPolicy &policy = {})
 // Corpus: one true positive + one near-miss per rule.
 // ---------------------------------------------------------------------
 
-// src-include-cycle is cross-file and has its own test below.
-const char *const kPerFileRules[] = {
+const char *const kRules[] = {
     "src-unordered-iteration",
     "src-pointer-key-order",
     "src-unseeded-random",
     "src-wallclock-in-sim",
     "src-naked-cout",
-    "src-mutex-unannotated",
     "src-fatal-in-library",
     "src-float-accumulation-in-digest",
-    "src-todo-without-issue",
 };
 
 class SourceLintCorpus : public ::testing::TestWithParam<const char *>
@@ -89,23 +92,21 @@ class SourceLintCorpus : public ::testing::TestWithParam<const char *>
 TEST_P(SourceLintCorpus, BadSnippetFiresTheRule)
 {
     const std::string rule = GetParam();
-    const std::string path = kCorpusDir + "/" + rule + "/bad.cc";
     DiagReport report;
-    lintSourceFile(path, path, report);
+    lintSourcePaths({kCorpusDir + "/" + rule + "/bad.cc"}, report);
     EXPECT_GE(countRule(report, rule), 1u) << renderText(report);
 }
 
 TEST_P(SourceLintCorpus, NearMissStaysSilent)
 {
     const std::string rule = GetParam();
-    const std::string path = kCorpusDir + "/" + rule + "/ok.cc";
     DiagReport report;
-    lintSourceFile(path, path, report);
+    lintSourcePaths({kCorpusDir + "/" + rule + "/ok.cc"}, report);
     EXPECT_EQ(countRule(report, rule), 0u) << renderText(report);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rules, SourceLintCorpus,
-                         ::testing::ValuesIn(kPerFileRules),
+                         ::testing::ValuesIn(kRules),
                          [](const auto &info) {
                              std::string name = info.param;
                              std::replace(name.begin(), name.end(), '-',
@@ -113,25 +114,33 @@ INSTANTIATE_TEST_SUITE_P(Rules, SourceLintCorpus,
                              return name;
                          });
 
-TEST(SourceLintCorpus, IncludeCycleFiresOnceAnchoredAtSmallestMember)
+TEST(SourceLintCorpus, WholeCorpusReportsEachRuleOnceAtItsBadFile)
 {
+    // Linted together, the near-misses' declarations must not hide the
+    // true positives: ok.cc of src-unordered-iteration declares the
+    // same name as an ordered std::map.
     DiagReport report;
-    lintSourcePaths({kCorpusDir + "/src-include-cycle"}, 1, report);
-    ASSERT_EQ(countRule(report, "src-include-cycle"), 1u)
+    lintSourcePaths({kCorpusDir}, report);
+    ASSERT_EQ(report.diags().size(), std::size(kRules))
         << renderText(report);
-    const auto it = std::find_if(
-        report.diags().begin(), report.diags().end(),
-        [](const Diag &d) { return d.ruleId == "src-include-cycle"; });
-    EXPECT_EQ(it->subject, "bad_a.h");
-    // The acyclic ok_a.h -> ok_b.h chain must not contribute.
-    EXPECT_EQ(renderText(report).find("ok_"), std::string::npos);
+    for (const char *rule : kRules) {
+        const auto it = std::find_if(
+            report.diags().begin(), report.diags().end(),
+            [&](const Diag &d) { return d.ruleId == rule; });
+        ASSERT_NE(it, report.diags().end()) << rule;
+        EXPECT_EQ(it->subject,
+                  kCorpusDir + "/" + std::string(rule) + "/bad.cc");
+    }
 }
 
 TEST(SourceLintCorpus, EverySrcRuleIsRegistered)
 {
-    for (const char *rule : kPerFileRules)
+    for (const char *rule : kRules)
         EXPECT_NE(findDiagRule(rule), nullptr) << rule;
-    EXPECT_NE(findDiagRule("src-include-cycle"), nullptr);
+    const std::size_t src_rules = static_cast<std::size_t>(std::count_if(
+        allDiagRules().begin(), allDiagRules().end(),
+        [](const DiagRule &r) { return r.id.substr(0, 4) == "src-"; }));
+    EXPECT_EQ(src_rules, std::size(kRules));
 }
 
 // ---------------------------------------------------------------------
@@ -231,70 +240,143 @@ TEST(SourceLintScope, WallclockUnderBenchIsFlagged)
               0u);
 }
 
-// ---------------------------------------------------------------------
-// Pipeline: byte-identical reports at any --jobs level.
-// ---------------------------------------------------------------------
-
-TEST(SourceLintPipeline, ReportIsByteIdenticalAcrossJobLevels)
+TEST(SourceLintScope, FatalUnderBenchIsFlagged)
 {
-    std::vector<std::string> renders;
-    std::size_t files = 0;
-    for (unsigned jobs : {1u, 2u, 4u}) {
-        DiagReport report;
-        const std::size_t n = lintSourcePaths({kCorpusDir}, jobs, report);
-        if (files == 0)
-            files = n;
-        EXPECT_EQ(n, files) << "file count drifts with --jobs " << jobs;
-        renders.push_back(renderText(report));
-    }
-    EXPECT_FALSE(renders[0].empty()); // The corpus is full of positives.
-    EXPECT_EQ(renders[0], renders[1]);
-    EXPECT_EQ(renders[0], renders[2]);
+    // No bench/ directory exists, so the segment exempts nothing; the
+    // CLI layer still may terminate through fatal().
+    const char *bail = "void f() { fatal(\"bad input\"); }\n";
+    EXPECT_EQ(countRule(lintSnippet(bail, "bench/fig08_speedup.cc"),
+                        "src-fatal-in-library"),
+              1u);
+    EXPECT_EQ(countRule(lintSnippet(bail, "src/rt/pymalloc.cc"),
+                        "src-fatal-in-library"),
+              1u);
+    EXPECT_EQ(countRule(lintSnippet(bail, "src/cli/options.cc"),
+                        "src-fatal-in-library"),
+              0u);
 }
 
-TEST(SourceLintPipeline, CollectSourceFilesIsSortedAndKeyed)
+TEST(SourceLintScope, ToolsIsExemptFromStreamClockAndFatal)
 {
-    const auto files =
-        collectSourceFiles({kCorpusDir + "/src-include-cycle"});
-    ASSERT_EQ(files.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(files.begin(), files.end()));
-    // Keys are relative to the argument root, how includes are spelled.
-    EXPECT_EQ(files[0].second, "bad_a.h");
-    EXPECT_EQ(files[3].second, "ok_b.h");
+    const char *front_end =
+        "void f() { std::cout << 1; }\n"
+        "auto t = std::chrono::system_clock::now();\n"
+        "void g() { fatal(\"bad input\"); }\n";
+    const DiagReport tools = lintSnippet(front_end, "tools/memento_sim.cc");
+    EXPECT_TRUE(tools.empty()) << renderText(tools);
+    const DiagReport library = lintSnippet(front_end);
+    EXPECT_EQ(countRule(library, "src-naked-cout"), 1u);
+    EXPECT_EQ(countRule(library, "src-wallclock-in-sim"), 1u);
+    EXPECT_EQ(countRule(library, "src-fatal-in-library"), 1u);
+}
+
+TEST(SourceLintScope, ToolsKeepsTheOrderingRules)
+{
+    const DiagReport report = lintSnippet(
+        "std::unordered_map<int, int> m;\n"
+        "void f() {\n"
+        "    for (const auto &kv : m)\n"
+        "        (void)kv;\n"
+        "}\n"
+        "struct Obj;\n"
+        "std::map<Obj *, int> by_ptr;\n"
+        "int g() { return rand(); }\n",
+        "tools/memento_sim.cc");
+    EXPECT_EQ(countRule(report, "src-unordered-iteration"), 1u)
+        << renderText(report);
+    EXPECT_EQ(countRule(report, "src-pointer-key-order"), 1u)
+        << renderText(report);
+    EXPECT_EQ(countRule(report, "src-unseeded-random"), 1u)
+        << renderText(report);
 }
 
 // ---------------------------------------------------------------------
-// DiagPolicy edges on the new rules.
+// Pipeline: declaration precedence and file collection.
 // ---------------------------------------------------------------------
 
-TEST(SourceLintPolicy, WerrorPromotesWarningsButNeverNotes)
+void
+writeFile(const std::string &path, std::string_view text)
 {
-    // One warning (naked cout) + one note (untracked TODO).
-    const DiagReport report =
-        lintSnippet("void f() { std::cout << 1; }\n"
-                    "// TODO: tighten this bound\n");
-    ASSERT_EQ(report.warnings(), 1u);
-    ASSERT_EQ(report.notes(), 1u);
-    ASSERT_EQ(report.errors(), 0u);
-
-    DiagPolicy werror;
-    werror.werror = true;
-    EXPECT_EQ(report.errors(werror), 1u);   // the warning, promoted
-    EXPECT_EQ(report.warnings(werror), 0u);
-    EXPECT_EQ(report.notes(werror), 1u);    // notes stay advisory
-    EXPECT_FALSE(report.clean(werror));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out) << path;
+    out << text;
 }
 
-TEST(SourceLintPolicy, NoteOnlyReportStaysCleanUnderWerror)
+TEST(SourceLintPipeline, OwnDeclarationsDecideBeforeTheCrossFileIndex)
 {
-    const DiagReport report =
-        lintSnippet("// FIXME: no issue reference here\nint x;\n");
-    ASSERT_EQ(report.notes(), 1u);
-    DiagPolicy werror;
-    werror.werror = true;
-    EXPECT_TRUE(report.clean(werror));
-    EXPECT_NE(renderText(report, werror).find("note:"), std::string::npos);
+    // pool.cc iterates slots_, which only its header declares (as
+    // unordered). trace.cc declares its own unordered live_, which
+    // index.h declares as an ordered std::map: the file's own
+    // declaration decides.
+    const std::string dir = ::testing::TempDir() + "source_lint_decls";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    writeFile(dir + "/pool.h", "std::unordered_map<int, int> slots_;\n");
+    writeFile(dir + "/pool.cc", "void f() {\n"
+                                "    for (const auto &kv : slots_)\n"
+                                "        (void)kv;\n"
+                                "}\n");
+    writeFile(dir + "/index.h", "std::map<int, int> live_;\n");
+    writeFile(dir + "/trace.cc", "std::unordered_map<int, int> live_;\n"
+                                 "void g() {\n"
+                                 "    for (const auto &kv : live_)\n"
+                                 "        (void)kv;\n"
+                                 "}\n");
+    DiagReport report;
+    EXPECT_EQ(lintSourcePaths({dir}, report), 4u);
+    ASSERT_EQ(report.diags().size(), 2u) << renderText(report);
+    EXPECT_EQ(report.diags()[0].subject, dir + "/pool.cc");
+    EXPECT_EQ(report.diags()[0].location, 2u);
+    EXPECT_EQ(report.diags()[1].subject, dir + "/trace.cc");
+    EXPECT_EQ(report.diags()[1].location, 3u);
 }
+
+TEST(SourceLintPipeline, FileReachedThroughTwoPathsLintsOnce)
+{
+    DiagReport once;
+    const std::size_t files = lintSourcePaths({kCorpusDir}, once);
+    DiagReport twice;
+    EXPECT_EQ(
+        lintSourcePaths({kCorpusDir + "/src-naked-cout", kCorpusDir}, twice),
+        files);
+    EXPECT_EQ(countRule(twice, "src-naked-cout"), 1u) << renderText(twice);
+}
+
+TEST(SourceLintPipeline, ReportFollowsSortedPathOrderNotArgumentOrder)
+{
+    const std::string cout_dir = kCorpusDir + "/src-naked-cout";
+    const std::string rand_dir = kCorpusDir + "/src-unseeded-random";
+    DiagReport forward;
+    DiagReport backward;
+    EXPECT_EQ(lintSourcePaths({cout_dir, rand_dir}, forward), 4u);
+    EXPECT_EQ(lintSourcePaths({rand_dir, cout_dir}, backward), 4u);
+    ASSERT_EQ(forward.diags().size(), 2u) << renderText(forward);
+    EXPECT_EQ(forward.diags()[0].subject, cout_dir + "/bad.cc");
+    EXPECT_EQ(forward.diags()[1].subject, rand_dir + "/bad.cc");
+    EXPECT_EQ(renderText(backward), renderText(forward));
+}
+
+TEST(SourceLintPipeline, OnlyHeadersAndSourcesAreCollected)
+{
+    const std::string dir = ::testing::TempDir() + "source_lint_exts";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/nested");
+    const char *stream = "void f() { std::cout << 1; }\n";
+    writeFile(dir + "/a.h", stream);
+    writeFile(dir + "/nested/b.cc", stream);
+    writeFile(dir + "/notes.txt", stream);
+    writeFile(dir + "/gen.py", stream);
+    writeFile(dir + "/c.cpp", stream);
+    DiagReport report;
+    EXPECT_EQ(lintSourcePaths({dir}, report), 2u);
+    ASSERT_EQ(report.diags().size(), 2u) << renderText(report);
+    EXPECT_EQ(report.diags()[0].subject, dir + "/a.h");
+    EXPECT_EQ(report.diags()[1].subject, dir + "/nested/b.cc");
+}
+
+// ---------------------------------------------------------------------
+// DiagPolicy edges on the rules.
+// ---------------------------------------------------------------------
 
 TEST(SourceLintPolicy, AllowRemovesFindingsFromEveryRendering)
 {
@@ -312,14 +394,12 @@ TEST(SourceLintPolicy, AllowRemovesFindingsFromEveryRendering)
 TEST(SourceLintPolicy, TextAndJsonAgreeOnCounts)
 {
     // One of each severity: unseeded rand (error), naked cout
-    // (warning), untracked TODO (note).
+    // (warning).
     const DiagReport report =
         lintSnippet("void f() { std::cout << 1; }\n"
-                    "int g() { return rand(); }\n"
-                    "// TODO: someday\n");
+                    "int g() { return rand(); }\n");
     ASSERT_EQ(report.errors(), 1u);
     ASSERT_EQ(report.warnings(), 1u);
-    ASSERT_EQ(report.notes(), 1u);
 
     const std::string text = renderText(report);
     const auto countWord = [&](std::string_view needle) {
@@ -331,13 +411,11 @@ TEST(SourceLintPolicy, TextAndJsonAgreeOnCounts)
     };
     EXPECT_EQ(countWord(" error: "), report.errors());
     EXPECT_EQ(countWord(" warning: "), report.warnings());
-    EXPECT_EQ(countWord(" note: "), report.notes());
 
     std::ostringstream json;
     report.printJson(json, {});
     EXPECT_NE(json.str().find("\"errors\": 1"), std::string::npos);
     EXPECT_NE(json.str().find("\"warnings\": 1"), std::string::npos);
-    EXPECT_NE(json.str().find("\"notes\": 1"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -357,12 +435,12 @@ TEST(SourceLintCli, CommaSeparatedAllowListParses)
     const CliOptions opts = parseCommandOptions(
         command("lint-src"),
         {"lint-src", "src", "--allow",
-         "src-naked-cout,src-todo-without-issue", "--allow",
+         "src-naked-cout,src-wallclock-in-sim", "--allow",
          "src-unordered-iteration"},
         1);
     EXPECT_EQ(opts.diagPolicy.allowed.size(), 3u);
     EXPECT_TRUE(opts.diagPolicy.suppressed("src-naked-cout"));
-    EXPECT_TRUE(opts.diagPolicy.suppressed("src-todo-without-issue"));
+    EXPECT_TRUE(opts.diagPolicy.suppressed("src-wallclock-in-sim"));
     EXPECT_TRUE(opts.diagPolicy.suppressed("src-unordered-iteration"));
 }
 
@@ -370,11 +448,10 @@ TEST(SourceLintCli, VariadicPathsCollectInCliOrder)
 {
     const CliOptions opts = parseCommandOptions(
         command("lint-src"),
-        {"lint-src", "src/sa", "tools", "--jobs", "2", "--werror"}, 1);
+        {"lint-src", "src/sa", "tools", "--werror"}, 1);
     ASSERT_EQ(opts.paths.size(), 2u);
     EXPECT_EQ(opts.paths[0], "src/sa");
     EXPECT_EQ(opts.paths[1], "tools");
-    EXPECT_EQ(opts.jobs, 2u);
     EXPECT_TRUE(opts.diagPolicy.werror);
 }
 
@@ -404,6 +481,14 @@ TEST(SourceLintCliDeath, EmptyAllowEntryIsFatal)
                                      "src-naked-cout,,src-wallclock-in-sim"},
                                     1),
                 ::testing::ExitedWithCode(1), "--allow");
+}
+
+TEST(SourceLintCliDeath, JobsFlagIsRejected)
+{
+    // lint-src runs serially; --jobs is not one of its flags.
+    EXPECT_EXIT(parseCommandOptions(command("lint-src"),
+                                    {"lint-src", "src", "--jobs", "4"}, 1),
+                ::testing::ExitedWithCode(1), "does not accept --jobs");
 }
 
 TEST(SourceLintCliDeath, BarePathOnNonVariadicCommandIsFatal)

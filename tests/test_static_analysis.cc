@@ -484,8 +484,7 @@ TEST(DiagRender, GoldenJson)
               "    }\n"
               "  ],\n"
               "  \"errors\": 1,\n"
-              "  \"warnings\": 0,\n"
-              "  \"notes\": 0\n"
+              "  \"warnings\": 0\n"
               "}");
 }
 

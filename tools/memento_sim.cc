@@ -29,15 +29,13 @@
  *       schema. Exits non-zero when any error remains.
  *
  *   memento_sim lint-src [paths...] [options]
- *       Determinism & thread-safety lint over the repo's own C++
- *       sources (default path: src). A comment/string-aware tokenizer
- *       drives repo-specific rules — unordered-container iteration,
- *       unseeded randomness, wall-clock reads in simulation code,
- *       unguarded members of mutex-holding classes, include cycles —
- *       reported through the same diagnostic engine as check and
- *       lint-config, so --allow/--werror/--json work unchanged. Files
- *       fan out over parallelFor and merge in sorted path order:
- *       byte-identical output at any --jobs level.
+ *       Determinism lint over the repo's own C++ sources (default
+ *       paths: src tools). A comment/string-aware tokenizer drives
+ *       repo-specific rules — unordered-container iteration, unseeded
+ *       randomness, wall-clock reads in simulation code, fatal() in
+ *       model code — reported through the same diagnostic engine as
+ *       check and lint-config, so --allow/--werror/--json work
+ *       unchanged. Files lint serially in sorted path order.
  *
  *   memento_sim rules [--json]
  *       Dump the registered diagnostic rule table (id, severity,
@@ -471,11 +469,7 @@ finishAnalysis(const DiagReport &report, const CliOptions &opts,
         report.printText(std::cout, opts.diagPolicy);
         std::cout << what << ": " << report.errors(opts.diagPolicy)
                   << " error(s), " << report.warnings(opts.diagPolicy)
-                  << " warning(s)";
-        if (report.notes(opts.diagPolicy) != 0)
-            std::cout << ", " << report.notes(opts.diagPolicy)
-                      << " note(s)";
-        std::cout << "\n";
+                  << " warning(s)\n";
     }
     return report.clean(opts.diagPolicy) ? 0 : 1;
 }
@@ -535,11 +529,11 @@ cmdLintConfig(const std::string &path, const CliOptions &opts)
 int
 cmdLintSrc(const CliOptions &opts)
 {
-    std::vector<std::string> paths = opts.paths;
-    if (paths.empty())
-        paths.push_back("src");
+    const std::vector<std::string> paths =
+        opts.paths.empty() ? std::vector<std::string>{"src", "tools"}
+                           : opts.paths;
     DiagReport report;
-    const std::size_t files = lintSourcePaths(paths, opts.jobs, report);
+    const std::size_t files = lintSourcePaths(paths, report);
     return finishAnalysis(report, opts,
                           "linted " + std::to_string(files) + " file(s)");
 }
