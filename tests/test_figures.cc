@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the figure registry (an/figures.h): the registry's ids,
- * cell deduplication across entries, and that a deduplicated cell
- * reports exactly what a direct Experiment::runOne gives.
+ * that a data entry's row k-th run is the run of its k-th config, cell
+ * deduplication across entries, and that a deduplicated cell reports
+ * exactly what a direct Experiment::runOne gives.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "an/figures.h"
+#include "an/report.h"
 #include "machine/experiment.h"
 #include "machine/sweep.h"
 #include "sim/error.h"
@@ -23,11 +25,11 @@
 namespace memento {
 namespace {
 
-/** html shrunk so each run takes milliseconds. */
+/** Workload @p id shrunk so each run takes milliseconds. */
 WorkloadSpec
-tinySpec()
+tinySpec(const std::string &id = "html")
 {
-    WorkloadSpec s = workloadById("html");
+    WorkloadSpec s = workloadById(id);
     s.numAllocs = 2000;
     s.staticWsBytes = 64 << 10;
     s.rpcBytes = 4 << 10;
@@ -42,50 +44,71 @@ noBypassConfig()
     return cfg;
 }
 
-/** Every RunResult the test renders were handed, in render order. */
-std::vector<RunResult> &
+/** Every row the test entries' footers were handed, in render order. */
+std::vector<FigureRow> &
 rendered()
 {
-    static std::vector<RunResult> runs;
-    return runs;
+    static std::vector<FigureRow> rows;
+    return rows;
 }
 
 void
-capture(const FigureInput &in, std::ostream &os)
+capture(const std::vector<FigureRow> &rows, std::ostream &)
 {
-    for (const RunResult &r : in.runs) {
-        rendered().push_back(r);
-        os << r.workload << ' ' << r.cycles << '\n';
-    }
+    rendered().insert(rendered().end(), rows.begin(), rows.end());
+}
+
+std::string
+cyclesCell(const FigureRow &row)
+{
+    return std::to_string(row.runs[0].cycles);
+}
+
+std::vector<MachineConfig>
+threeConfigs()
+{
+    return {test::smallConfig(), test::smallMementoConfig(),
+            noBypassConfig()};
+}
+
+// A 2-row x 3-config table.
+std::vector<FigureRow>
+rowsGrid()
+{
+    return {{tinySpec("html"), threeConfigs(), {}},
+            {tinySpec("aes"), threeConfigs(), {}}};
 }
 
 // Two entries that share the Memento cell.
-std::vector<SweepTask>
-cellsA()
+std::vector<FigureRow>
+rowsA()
 {
-    return {{tinySpec(), test::smallConfig(), {}, nullptr, {}},
-            {tinySpec(), test::smallMementoConfig(), {}, nullptr, {}}};
+    return {{tinySpec(),
+             {test::smallConfig(), test::smallMementoConfig()},
+             {}}};
 }
 
-std::vector<SweepTask>
-cellsB()
+std::vector<FigureRow>
+rowsB()
 {
-    return {{tinySpec(), test::smallMementoConfig(), {}, nullptr, {}},
-            {tinySpec(), noBypassConfig(), {}, nullptr, {}}};
+    return {{tinySpec(), {test::smallMementoConfig(), noBypassConfig()}, {}}};
 }
 
-std::vector<SweepTask>
-cellsFaulted()
+std::vector<FigureRow>
+rowsFaulted()
 {
     MachineConfig cfg = test::smallMementoConfig();
     cfg.inject.traceCorruptAt = 120;
     cfg.inject.workload = "html";
-    return {{tinySpec(), cfg, {}, nullptr, {}}};
+    return {{tinySpec(), {cfg}, {}}};
 }
 
-const Figure kFigA{"a", cellsA, false, capture};
-const Figure kFigB{"b", cellsB, false, capture};
-const Figure kFigFaulted{"faulted", cellsFaulted, false, capture};
+const Figure kGrid{.id = "grid", .title = "Grid", .rows = rowsGrid,
+                   .footer = capture, .columns = {{"cycles", cyclesCell}}};
+const Figure kFigA{.id = "a", .title = "A", .rows = rowsA, .footer = capture};
+const Figure kFigB{.id = "b", .title = "B", .rows = rowsB, .footer = capture};
+const Figure kFigFaulted{.id = "faulted", .title = "Faulted",
+                         .rows = rowsFaulted, .footer = capture};
 
 TEST(Figures, RegistryIdsAreTheFormerBinaries)
 {
@@ -102,13 +125,55 @@ TEST(Figures, RegistryIdsAreTheFormerBinaries)
         EXPECT_TRUE(ids.insert(std::string(fig.id)).second)
             << "duplicate id " << fig.id;
         EXPECT_EQ(findFigure(fig.id), &fig);
-        // Exactly one of render / runCustom drives each entry.
-        EXPECT_NE(fig.render == nullptr, fig.runCustom == nullptr)
-            << fig.id;
+        // A code entry renders itself; a data entry is rows and columns.
+        if (fig.render == nullptr) {
+            EXPECT_NE(fig.rows, nullptr) << fig.id;
+            EXPECT_FALSE(fig.columns.empty()) << fig.id;
+        } else {
+            EXPECT_TRUE(fig.columns.empty()) << fig.id;
+            EXPECT_EQ(fig.footer, nullptr) << fig.id;
+        }
     }
     EXPECT_EQ(ids, expected);
     EXPECT_EQ(allFigures().size(), 21u);
     EXPECT_EQ(findFigure("bench"), nullptr);
+}
+
+TEST(Figures, RowRunsAreTheRunsOfItsConfigs)
+{
+    const std::vector<FigureRow> grid = rowsGrid();
+    for (unsigned jobs : {1u, 3u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        rendered().clear();
+        SweepOptions so;
+        so.jobs = jobs;
+        SweepEngine engine(so);
+        std::ostringstream os;
+        runFigures({&kGrid}, engine, os);
+
+        ASSERT_EQ(rendered().size(), grid.size());
+        // The generic renderer: title, then Workload and the columns.
+        TextTable table({"Workload", "cycles"});
+        std::ostringstream want;
+        want << "=== Grid ===\n\n";
+        for (const FigureRow &row : rendered())
+            table.row({row.spec.id, cyclesCell(row)});
+        table.print(want);
+        EXPECT_EQ(os.str(), want.str());
+
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            const FigureRow &row = rendered()[i];
+            EXPECT_EQ(row.spec.id, grid[i].spec.id);
+            const Trace trace = TraceGenerator(grid[i].spec).generate();
+            ASSERT_EQ(row.runs.size(), grid[i].configs.size());
+            for (std::size_t k = 0; k < row.runs.size(); ++k) {
+                EXPECT_EQ(row.runs[k],
+                          Experiment::runOne(grid[i].spec, trace,
+                                             grid[i].configs[k]))
+                    << "row " << i << " config " << k;
+            }
+        }
+    }
 }
 
 TEST(Figures, SharedCellReachesTheEngineOnce)
@@ -128,9 +193,12 @@ TEST(Figures, SharedCellReachesTheEngineOnce)
         // once and both entries see its result.
         EXPECT_EQ(starts, 3u);
         EXPECT_EQ(engine.traceCache().generations(), 1u);
-        ASSERT_EQ(rendered().size(), 4u);
-        EXPECT_EQ(rendered()[1], rendered()[2]);
-        EXPECT_NE(rendered()[0].cycles, rendered()[1].cycles);
+        ASSERT_EQ(rendered().size(), 2u);
+        ASSERT_EQ(rendered()[0].runs.size(), 2u);
+        ASSERT_EQ(rendered()[1].runs.size(), 2u);
+        EXPECT_EQ(rendered()[0].runs[1], rendered()[1].runs[0]);
+        EXPECT_NE(rendered()[0].runs[0].cycles,
+                  rendered()[0].runs[1].cycles);
     }
 }
 
@@ -151,11 +219,11 @@ TEST(Figures, DedupedCellEqualsRunOne)
         Experiment::runOne(spec, trace, test::smallMementoConfig());
     const RunResult no_bypass =
         Experiment::runOne(spec, trace, noBypassConfig());
-    ASSERT_EQ(rendered().size(), 4u);
-    EXPECT_EQ(rendered()[0], base);
-    EXPECT_EQ(rendered()[1], memento);
-    EXPECT_EQ(rendered()[2], memento);
-    EXPECT_EQ(rendered()[3], no_bypass);
+    ASSERT_EQ(rendered().size(), 2u);
+    EXPECT_EQ(rendered()[0].runs,
+              (std::vector<RunResult>{base, memento}));
+    EXPECT_EQ(rendered()[1].runs,
+              (std::vector<RunResult>{memento, no_bypass}));
 }
 
 TEST(Figures, FailedCellThrowsWithItsCategory)
