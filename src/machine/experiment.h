@@ -131,6 +131,8 @@ struct RunResult
     std::uint64_t pageFaults() const { return delta(procStat("faults")); }
     std::uint64_t mmapCalls() const { return delta(procStat("mmap_calls")); }
     std::uint64_t poolRefills() const { return delta("hwpage.pool_refills"); }
+    /** Arenas the hardware page allocator handed to the object allocator. */
+    std::uint64_t arenaGrants() const { return delta("hwpage.arena_grants"); }
     std::uint64_t hotAllocHits() const { return delta("hot.alloc_hits"); }
     std::uint64_t hotAllocMisses() const { return delta("hot.alloc_misses"); }
     std::uint64_t hotFreeHits() const { return delta("hot.free_hits"); }
