@@ -831,18 +831,27 @@ readFileOrFatal(const std::string &path)
 
 /**
  * The .h/.cc files under each of @p paths (a file argument is taken
- * verbatim), each once, in sorted path order.
+ * verbatim), in sorted path order. A file reached through two
+ * spellings (relative and absolute, say) is listed once, under the
+ * lexically normal form of its first spelling.
  */
 std::vector<std::string>
 collectSourceFiles(const std::vector<std::string> &paths)
 {
     namespace fs = std::filesystem;
     std::vector<std::string> files;
+    std::set<std::string> seen;
+    auto add = [&](const fs::path &file) {
+        std::error_code ec;
+        const fs::path key = fs::weakly_canonical(file, ec);
+        if (seen.insert((ec ? file : key).generic_string()).second)
+            files.push_back(file.lexically_normal().generic_string());
+    };
     for (const std::string &arg : paths) {
         std::error_code ec;
         const fs::path root(arg);
         if (fs::is_regular_file(root, ec)) {
-            files.push_back(root.lexically_normal().generic_string());
+            add(root);
             continue;
         }
         fatal_if(!fs::is_directory(root, ec),
@@ -854,13 +863,12 @@ collectSourceFiles(const std::vector<std::string> &paths)
             const std::string ext = it->path().extension().string();
             if (ext != ".h" && ext != ".cc")
                 continue;
-            files.push_back(it->path().lexically_normal().generic_string());
+            add(it->path());
         }
         fatal_if(static_cast<bool>(ec), "lint-src: cannot walk ", arg,
                  ": ", ec.message());
     }
     std::sort(files.begin(), files.end());
-    files.erase(std::unique(files.begin(), files.end()), files.end());
     return files;
 }
 

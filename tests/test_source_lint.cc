@@ -340,6 +340,23 @@ TEST(SourceLintPipeline, FileReachedThroughTwoPathsLintsOnce)
         lintSourcePaths({kCorpusDir + "/src-naked-cout", kCorpusDir}, twice),
         files);
     EXPECT_EQ(countRule(twice, "src-naked-cout"), 1u) << renderText(twice);
+
+    // Other spellings of the same directory: relative to the working
+    // directory, and an absolute path through a symlink. Each file is
+    // linted once, reported under its first spelling.
+    namespace fs = std::filesystem;
+    const std::string link = ::testing::TempDir() + "source_lint_corpus";
+    fs::remove(link);
+    fs::create_directory_symlink(kCorpusDir, link);
+    DiagReport spelled;
+    EXPECT_EQ(lintSourcePaths({kCorpusDir, fs::relative(kCorpusDir).string(),
+                               link},
+                              spelled),
+              files);
+    EXPECT_EQ(countRule(spelled, "src-naked-cout"), 1u)
+        << renderText(spelled);
+    for (const Diag &d : spelled.diags())
+        EXPECT_EQ(d.subject.rfind(kCorpusDir + "/", 0), 0u) << d.subject;
 }
 
 TEST(SourceLintPipeline, ReportFollowsSortedPathOrderNotArgumentOrder)
