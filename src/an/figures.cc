@@ -738,6 +738,14 @@ footerFragmentation(const Rows &rows, std::ostream &os)
        << " (paper: within ±2%)\n";
 }
 
+/** Baseline and Memento, both cold: the only two runs the table reads. */
+Rows
+coldstartRows()
+{
+    return rowsOf(workloadsByDomain(Domain::Function),
+                  {defaultConfig(), mementoConfig()});
+}
+
 void
 footerColdstart(const Rows &rows, std::ostream &os)
 {
@@ -1109,7 +1117,7 @@ allFigures()
                      {"Memento", percentCell<inactive<1>, 2>},
                      {"Delta", percentCell<inactiveDelta, 2>}}},
         {.id = "sens_coldstart", .title = "Cold-start sensitivity",
-         .rows = compareFunctionRows,
+         .rows = coldstartRows,
          .opts = {.coldStart = true},
          .footer = footerColdstart,
          .columns = {kGroup, {"Cold speedup", fixedCell<speedup<>, 3>}}},

@@ -44,7 +44,7 @@ enum class OpKind : std::uint8_t {
  * the op's kind does not use is 0 (see unusedFieldsAreZero()). The
  * three operands are 32 bits wide, and the text format carries the
  * same limit (see kTraceFieldMax). A Trace does not store this struct;
- * it stores each op in 9 bytes (see Trace).
+ * it stores each op in one 32-bit word (see Trace).
  */
 struct TraceOp
 {
@@ -88,7 +88,7 @@ inline constexpr unsigned kOffsetKinds =
     opKindBit(OpKind::Load) | opKindBit(OpKind::Store) |
     opKindBit(OpKind::StaticLoad) | opKindBit(OpKind::StaticStore);
 static_assert((kValueKinds & kOffsetKinds) == 0,
-              "value and offset share a Trace payload half");
+              "value and offset share a Trace payload field");
 
 /**
  * True when @p op has a valid kind and every field its kind does not
@@ -106,12 +106,23 @@ unusedFieldsAreZero(const TraceOp &op)
 }
 
 /**
- * A full operation stream, stored as 9 bytes per op: a sweep keeps
- * every workload's stream resident, so the op width sets the
- * simulator's peak memory. Each op is its kind byte plus one 64-bit
- * payload holding the (at most two) fields the kind uses at full
- * width: `objId` in the high half, and `value` or `offset` (no kind
- * uses both) in the low half. Reads decode a TraceOp by value.
+ * A full operation stream, stored as one 32-bit word per op: a sweep
+ * keeps every workload's stream resident, so the op width sets the
+ * simulator's peak memory. A word is the op's kind in its top 3 bits
+ * and a 29-bit payload holding the fields the kind uses:
+ *
+ *   Compute                   value
+ *   Load, Store               objId (18 bits), offset (11 bits)
+ *   Malloc                    objId (18 bits), value (11 bits)
+ *   Free                      objId
+ *   StaticLoad, StaticStore   offset
+ *   FunctionEnd               0, or an escape (below)
+ *
+ * An op whose fields do not fit (an access at offset >= 2 KiB, a
+ * malloc of >= 2 KiB; about 0.13% of the paper traces' ops) is stored
+ * whole in a side table, and its word is an escape: kind FunctionEnd
+ * with payload p != 0 stands for side table entry p - 1. Reads decode
+ * a TraceOp by value.
  */
 class Trace
 {
@@ -152,90 +163,168 @@ class Trace
             push_back(op);
     }
 
-    std::size_t size() const { return kinds_.size(); }
-    bool empty() const { return kinds_.empty(); }
-    void
-    reserve(std::size_t n)
-    {
-        kinds_.reserve(n);
-        payloads_.reserve(n);
-    }
+    std::size_t size() const { return words_.size(); }
+    bool empty() const { return words_.empty(); }
+    void reserve(std::size_t n) { words_.reserve(n); }
     /** Shrink, or grow with `Compute 0` ops (a default TraceOp). */
     void
     resize(std::size_t n)
     {
-        kinds_.resize(n, OpKind::Compute);
-        payloads_.resize(n, 0);
+        while (size() > n)
+            pop_back();
+        words_.resize(n, 0);
     }
 
     /** Append @p op; panics when a field its kind does not use is set. */
     void
     push_back(const TraceOp &op)
     {
-        const std::uint64_t payload = encode(op);
-        kinds_.push_back(op.kind);
-        payloads_.push_back(payload);
+        std::uint32_t word;
+        if (!encode(op, word))
+            word = escape(op);
+        words_.push_back(word);
     }
+    /** Drop the last op, and its side table entry if it is the last. */
     void
     pop_back()
     {
-        kinds_.pop_back();
-        payloads_.pop_back();
+        if (!side_.empty() && words_.back() == kEscapeBase + side_.size())
+            side_.pop_back();
+        words_.pop_back();
     }
-    /** Replace op @p i (fault injection); checked like push_back(). */
+    /**
+     * Replace op @p i (fault injection); checked like push_back(). An
+     * escaped op's side table entry is reused when @p op escapes too,
+     * and left unreferenced when it fits its word.
+     */
     void
     set(std::size_t i, const TraceOp &op)
     {
-        payloads_[i] = encode(op);
-        kinds_[i] = op.kind;
+        std::uint32_t word;
+        if (encode(op, word))
+            words_[i] = word;
+        else if (words_[i] > kEscapeBase)
+            side_[words_[i] - kEscapeBase - 1] = op;
+        else
+            words_[i] = escape(op);
     }
 
     TraceOp
     operator[](std::size_t i) const
     {
-        return decode(kinds_[i], payloads_[i]);
+        const std::uint32_t word = words_[i];
+        if (word > kEscapeBase) [[unlikely]]
+            return side_[word - kEscapeBase - 1];
+        const unsigned k = word >> kPayloadBits;
+        const Layout &layout = kLayouts[k];
+        const std::uint32_t payload = word & kPayloadMask;
+        return {static_cast<OpKind>(k), payload & layout.valueMask,
+                (payload >> layout.objIdShift) & layout.objIdMask,
+                payload & layout.offsetMask};
     }
     TraceOp back() const { return (*this)[size() - 1]; }
     const_iterator begin() const { return {*this, 0}; }
     const_iterator end() const { return {*this, size()}; }
 
-    bool operator==(const Trace &) const = default;
+    /**
+     * Equal when the decoded ops are, whatever side table entries a
+     * set() history left unreferenced.
+     */
+    bool
+    operator==(const Trace &other) const
+    {
+        if (size() != other.size())
+            return false;
+        for (std::size_t i = 0; i < size(); ++i) {
+            if ((*this)[i] != other[i])
+                return false;
+        }
+        return true;
+    }
 
-    /** Stored bytes per op: the kind byte plus the payload. */
-    static constexpr std::size_t kBytesPerOp =
-        sizeof(OpKind) + sizeof(std::uint64_t);
+    /** Bytes the ops occupy: the words plus the side table. */
+    std::size_t
+    storedBytes() const
+    {
+        return words_.size() * kBytesPerOp + side_.size() * sizeof(TraceOp);
+    }
+
+    /** Stored bytes per op that fits its word. */
+    static constexpr std::size_t kBytesPerOp = sizeof(std::uint32_t);
 
   private:
-    static std::uint64_t
-    encode(const TraceOp &op)
+    static constexpr unsigned kPayloadBits = 29;
+    static constexpr std::uint32_t kPayloadMask = (1u << kPayloadBits) - 1;
+    /** A real FunctionEnd; every larger word is an escape. */
+    static constexpr std::uint32_t kEscapeBase =
+        static_cast<std::uint32_t>(OpKind::FunctionEnd) << kPayloadBits;
+
+    /**
+     * Where a kind's fields sit in its payload: objId at objIdShift
+     * under objIdMask, value and offset in the low bits under their
+     * masks (a field the kind does not use has mask 0).
+     */
+    struct Layout
+    {
+        std::uint32_t objIdShift;
+        std::uint32_t objIdMask;
+        std::uint32_t valueMask;
+        std::uint32_t offsetMask;
+    };
+    /** Widths of an objId and the field beside it in one payload. */
+    static constexpr unsigned kLowBits = 11;
+    static constexpr std::uint32_t kLowMask = (1u << kLowBits) - 1;
+    static constexpr std::uint32_t kObjIdMask = kPayloadMask >> kLowBits;
+    /** Indexed by OpKind, in declaration order. */
+    static constexpr Layout kLayouts[] = {
+        {0, 0, kPayloadMask, 0},               // Compute
+        {kLowBits, kObjIdMask, 0, kLowMask},   // Load
+        {kLowBits, kObjIdMask, 0, kLowMask},   // Store
+        {kLowBits, kObjIdMask, kLowMask, 0},   // Malloc
+        {0, kPayloadMask, 0, 0},               // Free
+        {0, 0, 0, kPayloadMask},               // StaticLoad
+        {0, 0, 0, kPayloadMask},               // StaticStore
+        {0, 0, 0, 0},                          // FunctionEnd
+    };
+
+    /**
+     * Encode @p op into @p word; false when a field is too wide for
+     * its word. Panics when a field its kind does not use is set.
+     */
+    static bool
+    encode(const TraceOp &op, std::uint32_t &word)
     {
         panic_if(!unusedFieldsAreZero(op), "trace: op kind ",
                  static_cast<unsigned>(op.kind),
                  " sets a field it does not use (value ", op.value,
                  ", objId ", op.objId, ", offset ", op.offset, ")");
-        return (std::uint64_t{op.objId} << 32) | op.value | op.offset;
+        const unsigned k = static_cast<unsigned>(op.kind);
+        const Layout &layout = kLayouts[k];
+        if ((op.objId & ~layout.objIdMask) != 0 ||
+            (op.value & ~layout.valueMask) != 0 ||
+            (op.offset & ~layout.offsetMask) != 0)
+            return false;
+        // No kind uses both value and offset: they share the low bits.
+        word = (k << kPayloadBits) | (op.objId << layout.objIdShift) |
+               op.value | op.offset;
+        return true;
     }
 
-    /**
-     * The low half is `value` for the kinds that use it and `offset`
-     * otherwise (0 for kinds that use neither), so one mask splits it
-     * without a branch.
-     */
-    static TraceOp
-    decode(OpKind kind, std::uint64_t payload)
+    /** Store @p op in the side table; returns its escape word. */
+    std::uint32_t
+    escape(const TraceOp &op)
     {
-        const auto low = static_cast<std::uint32_t>(payload);
-        const std::uint32_t value_mask =
-            0u - ((kValueKinds >> static_cast<unsigned>(kind)) & 1u);
-        return {kind, low & value_mask,
-                static_cast<std::uint32_t>(payload >> 32),
-                low & ~value_mask};
+        panic_if(side_.size() >= kPayloadMask,
+                 "trace: side table full at ", side_.size(), " ops");
+        side_.push_back(op);
+        return kEscapeBase + static_cast<std::uint32_t>(side_.size());
     }
 
-    std::vector<OpKind> kinds_;
-    std::vector<std::uint64_t> payloads_;
+    std::vector<std::uint32_t> words_;
+    /** Ops too wide for their word, referenced by escape words. */
+    std::vector<TraceOp> side_;
 };
-static_assert(Trace::kBytesPerOp == 9, "a stored op must stay 9 bytes");
+static_assert(Trace::kBytesPerOp == 4, "a stored op must stay one word");
 
 /** Write @p trace to @p os in the text format. */
 void writeTrace(const Trace &trace, std::ostream &os);

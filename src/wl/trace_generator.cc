@@ -37,12 +37,13 @@ TraceGenerator::generate() const
 {
     Rng rng(spec_.seed * 0x9e3779b97f4a7c15ull + 0xD1B54A32D192ED03ull);
     Trace trace;
-    // Reserve the stream's upper bound (in both of the trace's arrays)
-    // so it never regrows: a regrowth copy leaves the old buffer behind
-    // as a hole in the heap, and a sweep's peak memory is mostly traces. Per event: compute, static
-    // accesses, malloc, init stores, reuse loads and at most one free
-    // (plus FunctionEnd once); per burst: malloc, store and free per
-    // object, then one compute.
+    // Reserve the stream's upper bound in the trace's word array so it
+    // never regrows: a regrowth copy leaves the old buffer behind as a
+    // hole in the heap, and a sweep's peak memory is mostly traces.
+    // (The side table of the rare wide ops grows on its own.) Per
+    // event: compute, static accesses, malloc, init stores, reuse
+    // loads and at most one free (plus FunctionEnd once); per burst:
+    // malloc, store and free per object, then one compute.
     std::uint64_t max_ops = 1 + spec_.numAllocs *
                                     (3 + spec_.staticAccesses +
                                      spec_.touchStores + spec_.touchLoads);

@@ -162,6 +162,162 @@ TEST(TraceStore, EveryKindKeepsItsFieldsAtFullWidth)
     EXPECT_EQ(readTrace(ss), pushed);
 }
 
+// Bytes a one-op trace stores: one word, plus a side table entry when
+// the op is too wide for its word.
+constexpr std::size_t kCompactBytes = Trace::kBytesPerOp;
+constexpr std::size_t kEscapedBytes = Trace::kBytesPerOp + sizeof(TraceOp);
+
+TEST(TraceStore, EveryKindRoundTripsAtTheEdgeOfItsWord)
+{
+    // Each field at the widest its word holds, one past it, and at
+    // kTraceFieldMax; the wider ones must go to the side table whole.
+    const std::uint32_t id = (1u << 18) - 1;  // Widest word objId.
+    const std::uint32_t low = (1u << 11) - 1; // Beside an objId.
+    const std::uint32_t wide = (1u << 29) - 1; // A whole payload.
+    const std::uint32_t max = kTraceFieldMax;
+    const std::vector<std::pair<TraceOp, bool>> cases = {
+        {{OpKind::Compute, wide, 0, 0}, false},
+        {{OpKind::Compute, wide + 1, 0, 0}, true},
+        {{OpKind::Compute, max, 0, 0}, true},
+        {{OpKind::Load, 0, id, low}, false},
+        {{OpKind::Load, 0, id + 1, 0}, true},
+        {{OpKind::Load, 0, 0, low + 1}, true},
+        {{OpKind::Load, 0, max, max}, true},
+        {{OpKind::Store, 0, id, low}, false},
+        {{OpKind::Store, 0, id + 1, low}, true},
+        {{OpKind::Store, 0, id, low + 1}, true},
+        {{OpKind::Store, 0, max, 0}, true},
+        {{OpKind::Malloc, low, id, 0}, false},
+        {{OpKind::Malloc, 0, id + 1, 0}, true},
+        {{OpKind::Malloc, low + 1, 1, 0}, true},
+        {{OpKind::Malloc, max, max, 0}, true},
+        {{OpKind::Free, 0, id + 1, 0}, false},
+        {{OpKind::Free, 0, wide, 0}, false},
+        {{OpKind::Free, 0, wide + 1, 0}, true},
+        {{OpKind::Free, 0, max, 0}, true},
+        {kCorruptOp, true},
+        {{OpKind::StaticLoad, 0, 0, wide}, false},
+        {{OpKind::StaticLoad, 0, 0, wide + 1}, true},
+        {{OpKind::StaticLoad, 0, 0, max}, true},
+        {{OpKind::StaticStore, 0, 0, wide}, false},
+        {{OpKind::StaticStore, 0, 0, wide + 1}, true},
+        {{OpKind::StaticStore, 0, 0, max}, true},
+        {{OpKind::FunctionEnd, 0, 0, 0}, false},
+    };
+    Trace all;
+    for (const auto &[op, escapes] : cases) {
+        ASSERT_TRUE(unusedFieldsAreZero(op));
+        Trace one = {op};
+        EXPECT_EQ(one[0], op);
+        EXPECT_EQ(one.storedBytes(), escapes ? kEscapedBytes : kCompactBytes)
+            << static_cast<unsigned>(op.kind) << ' ' << op.value << ' '
+            << op.objId << ' ' << op.offset;
+        all.push_back(op);
+    }
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        EXPECT_EQ(all[i], cases[i].first) << i;
+
+    std::stringstream ss;
+    writeTrace(all, ss);
+    EXPECT_EQ(readTrace(ss), all);
+}
+
+TEST(TraceStore, SetMovesAnOpBetweenItsWordAndTheSideTable)
+{
+    const TraceOp narrow{OpKind::Load, 0, 7, 64};
+    const TraceOp wide{OpKind::Load, 0, 7, 4096};
+    const TraceOp wider{OpKind::Malloc, 1u << 20, 9, 0};
+    Trace trace = {narrow};
+    trace.set(0, wide);
+    EXPECT_EQ(trace[0], wide);
+    EXPECT_EQ(trace.storedBytes(), kEscapedBytes);
+    // An escaped op overwritten by another wide one reuses its entry.
+    trace.set(0, wider);
+    EXPECT_EQ(trace[0], wider);
+    EXPECT_EQ(trace.storedBytes(), kEscapedBytes);
+    trace.set(0, narrow);
+    EXPECT_EQ(trace[0], narrow);
+    EXPECT_EQ(trace, Trace{narrow});
+    trace.set(0, kCorruptOp);
+    EXPECT_EQ(trace[0], kCorruptOp);
+    EXPECT_EQ(trace.back(), kCorruptOp);
+}
+
+TEST(TraceStore, PopAndResizeAcrossAnEscapedTail)
+{
+    const TraceOp narrow{OpKind::Malloc, 64, 1, 0};
+    const TraceOp wide1{OpKind::Malloc, 8192, 2, 0};
+    const TraceOp wide2{OpKind::Store, 0, 2, 4096};
+    const TraceOp end{OpKind::FunctionEnd, 0, 0, 0};
+    Trace trace = {narrow, wide1, wide2, end};
+    EXPECT_EQ(trace.storedBytes(), 4 * kCompactBytes + 2 * sizeof(TraceOp));
+
+    trace.pop_back(); // A real FunctionEnd: the side table stays.
+    EXPECT_EQ(trace.size(), 3u);
+    EXPECT_EQ(trace.back(), wide2);
+    EXPECT_EQ(trace.storedBytes(), 3 * kCompactBytes + 2 * sizeof(TraceOp));
+    trace.pop_back();
+    EXPECT_EQ(trace.back(), wide1);
+    EXPECT_EQ(trace.storedBytes(), kCompactBytes + kEscapedBytes);
+
+    trace.resize(1);
+    EXPECT_EQ(trace, Trace{narrow});
+    EXPECT_EQ(trace.storedBytes(), kCompactBytes);
+    trace.resize(3);
+    EXPECT_EQ(trace, (Trace{narrow, TraceOp{}, TraceOp{}}));
+
+    // Escapes appended after the shrink index the side table afresh.
+    trace.push_back(wide2);
+    trace.push_back(end);
+    EXPECT_EQ(trace, (Trace{narrow, TraceOp{}, TraceOp{}, wide2, end}));
+    trace.resize(0);
+    EXPECT_TRUE(trace.empty());
+    EXPECT_EQ(trace.storedBytes(), 0u);
+}
+
+TEST(TraceStore, EqualityComparesDecodedOps)
+{
+    const TraceOp narrow{OpKind::Free, 0, 3, 0};
+    const TraceOp wide{OpKind::StaticLoad, 0, 0, 1u << 30};
+    const Trace plain = {narrow, narrow};
+    // Same ops, but an escape overwritten by a compact op leaves an
+    // unreferenced side table entry behind.
+    Trace rewritten = {wide, narrow};
+    rewritten.set(0, narrow);
+    EXPECT_EQ(rewritten, plain);
+    EXPECT_GT(rewritten.storedBytes(), plain.storedBytes());
+
+    // Two escapes in different side table order.
+    Trace forward = {wide, kCorruptOp};
+    Trace reversed = {kCorruptOp, wide};
+    reversed.set(0, wide);
+    reversed.set(1, kCorruptOp);
+    EXPECT_EQ(forward, reversed);
+
+    Trace differs = plain;
+    differs.set(1, wide);
+    EXPECT_NE(differs, plain);
+    EXPECT_NE(plain, Trace{narrow});
+}
+
+TEST(TraceStore, PaperTracesStoreAboutFourBytesPerOp)
+{
+    // A sweep holds every paper trace at once, so its peak memory is
+    // set by the bytes per op: a word each, plus the rare wide op's
+    // side table entry. At seed 1, 0.13% of all ops escape (4.021
+    // bytes per op); dna escapes the most, 0.44% (4.070).
+    double bytes = 0.0, ops = 0.0;
+    for (const WorkloadSpec &spec : allWorkloads()) {
+        const Trace trace = TraceGenerator(spec).generate();
+        const auto size = static_cast<double>(trace.size());
+        const auto stored = static_cast<double>(trace.storedBytes());
+        EXPECT_LE(stored, 4.1 * size) << spec.id;
+        bytes += stored;
+        ops += size;
+    }
+    EXPECT_LE(bytes, 4.025 * ops);
+}
+
 TEST(TraceStore, UnusedFieldPanicsOnStore)
 {
     Trace trace;
