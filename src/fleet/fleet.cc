@@ -97,7 +97,7 @@ fleetOfferedLoad(const MachineConfig &cfg,
 
 Cycles
 nearestRank(std::vector<Cycles> &values, std::uint64_t num,
-            std::uint64_t den)
+            std::uint64_t den, std::size_t &from)
 {
     if (values.empty())
         return 0;
@@ -105,8 +105,12 @@ nearestRank(std::vector<Cycles> &values, std::uint64_t num,
     std::uint64_t rank = (num * n + den - 1) / den; // ceil(num/den * n)
     if (rank == 0)
         rank = 1;
+    panic_if(rank - 1 < from, "nearestRank: rank ", rank,
+             " below an earlier selection at index ", from);
     const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-    std::nth_element(values.begin(), nth, values.end());
+    std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from),
+                     nth, values.end());
+    from = rank - 1;
     return *nth;
 }
 
@@ -336,9 +340,11 @@ simulateFleet(const std::vector<Arrival> &arrivals,
             static_cast<std::uint64_t>(instances.size()) *
             (m.makespanCycles - prev_t);
 
-    m.p50Cycles = nearestRank(latencies, 50, 100);
-    m.p99Cycles = nearestRank(latencies, 99, 100);
-    m.p999Cycles = nearestRank(latencies, 999, 1000);
+    // Each selection runs only on the suffix the previous one left.
+    std::size_t from = 0;
+    m.p50Cycles = nearestRank(latencies, 50, 100, from);
+    m.p99Cycles = nearestRank(latencies, 99, 100, from);
+    m.p999Cycles = nearestRank(latencies, 999, 1000, from);
 
     // Fold the counters and the final node state, so the digest pins
     // the complete outcome, not just the per-arrival trajectory.

@@ -160,10 +160,14 @@ double fleetOfferedLoad(const MachineConfig &cfg,
 /**
  * Nearest-rank percentile @p num / @p den of @p values: the
  * ceil(num/den * n)-th smallest (at least the first), 0 when empty.
- * Selects with std::nth_element, so @p values is reordered.
+ * Selects with std::nth_element over values[from..], so @p values is
+ * reordered, and sets @p from to the selected index. Start with
+ * from = 0; passing the updated @p from to the next call, at a rank no
+ * lower, selects from the suffix the previous call left, which holds
+ * every value not below its pick.
  */
 Cycles nearestRank(std::vector<Cycles> &values, std::uint64_t num,
-                   std::uint64_t den);
+                   std::uint64_t den, std::size_t &from);
 
 /** Container set-up cost of a cold start (kernel_cost.h budget). */
 Cycles fleetColdSetupCost(const MachineConfig &cfg);

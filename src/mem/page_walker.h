@@ -12,12 +12,33 @@
 #ifndef MEMENTO_MEM_PAGE_WALKER_H
 #define MEMENTO_MEM_PAGE_WALKER_H
 
-#include <vector>
+#include <array>
 
 #include "mem/cache_hierarchy.h"
 #include "sim/types.h"
 
 namespace memento {
+
+/**
+ * The PTE addresses one walk touched, root to leaf, held inline: a
+ * walk visits at most one entry per radix level.
+ */
+class VisitedPtes
+{
+  public:
+    /** Most levels a walked table may have. */
+    static constexpr unsigned kMaxLevels = 4;
+
+    void push_back(Addr pte) { ptes_[size_++] = pte; }
+    std::size_t size() const { return size_; }
+    Addr operator[](std::size_t i) const { return ptes_[i]; }
+    const Addr *begin() const { return ptes_.data(); }
+    const Addr *end() const { return ptes_.data() + size_; }
+
+  private:
+    std::array<Addr, kMaxLevels> ptes_{};
+    unsigned size_ = 0;
+};
 
 /** Result of walking a table for one virtual address. */
 struct WalkResult
@@ -27,7 +48,7 @@ struct WalkResult
     /** Physical page base on success. */
     Addr ppage = 0;
     /** Physical addresses of the PTE entries touched, root to leaf. */
-    std::vector<Addr> visitedPtes;
+    VisitedPtes visitedPtes;
 };
 
 /** Interface over any radix page table the walker can traverse. */

@@ -1,5 +1,6 @@
 #include "os/buddy_allocator.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/logging.h"
@@ -11,6 +12,7 @@ BuddyAllocator::BuddyAllocator(Addr base, std::uint64_t size_bytes,
     : base_(base),
       totalPages_(size_bytes / kPageSize),
       freeLists_(kMaxOrder + 1),
+      frontier_(base),
       allocCalls_(stats.counter("buddy.alloc_calls")),
       freeCalls_(stats.counter("buddy.free_calls")),
       splits_(stats.counter("buddy.splits")),
@@ -18,14 +20,16 @@ BuddyAllocator::BuddyAllocator(Addr base, std::uint64_t size_bytes,
       peakPages_(stats.counter("buddy.peak_pages"))
 {
     panic_if(base % kPageSize != 0, "buddy: unaligned base");
+    panic_if(base == kNullAddr, "buddy: a block at 0 reads as exhaustion");
     const std::uint64_t max_block_pages = 1ull << kMaxOrder;
     panic_if(totalPages_ == 0 || totalPages_ % max_block_pages != 0,
              "buddy: size must be a multiple of the max block size");
+}
 
-    for (std::uint64_t page = 0; page < totalPages_;
-         page += max_block_pages) {
-        freeLists_[kMaxOrder].insert(base_ + page * kPageSize);
-    }
+Addr
+BuddyAllocator::end() const
+{
+    return base_ + totalPages_ * kPageSize;
 }
 
 Addr
@@ -43,13 +47,19 @@ BuddyAllocator::allocate(unsigned order)
 
     // Find the smallest available order >= requested.
     unsigned avail = order;
-    while (avail <= kMaxOrder && freeLists_[avail].empty())
+    while (avail < kMaxOrder && freeLists_[avail].empty())
         ++avail;
-    if (avail > kMaxOrder)
-        return kNullAddr;
 
-    Addr block = *freeLists_[avail].begin();
-    freeLists_[avail].erase(freeLists_[avail].begin());
+    Addr block;
+    if (!freeLists_[avail].empty()) {
+        block = *freeLists_[avail].begin();
+        freeLists_[avail].erase(freeLists_[avail].begin());
+    } else if (frontier_ != end()) {
+        block = frontier_; // A never-split max-order block.
+        frontier_ += kPageSize << kMaxOrder;
+    } else {
+        return kNullAddr;
+    }
 
     // Split down to the requested order, returning upper halves.
     while (avail > order) {
@@ -59,7 +69,7 @@ BuddyAllocator::allocate(unsigned order)
         freeLists_[avail].insert(upper);
     }
 
-    liveBlocks_[block] = order;
+    liveBlocks_.insert(block, static_cast<std::uint8_t>(order));
     allocatedPages_ += 1ull << order;
     peakPages_.raiseTo(allocatedPages_);
     return block;
@@ -69,11 +79,9 @@ void
 BuddyAllocator::free(Addr addr, unsigned order)
 {
     ++freeCalls_;
-    auto it = liveBlocks_.find(addr);
-    panic_if(it == liveBlocks_.end(), "buddy: free of unallocated block 0x",
-             std::hex, addr);
-    panic_if(it->second != order, "buddy: free order mismatch");
-    liveBlocks_.erase(it);
+    const std::optional<std::uint8_t> live = liveBlocks_.take(addr);
+    panic_if(!live, "buddy: free of unallocated block 0x", std::hex, addr);
+    panic_if(*live != order, "buddy: free order mismatch");
     allocatedPages_ -= 1ull << order;
 
     // Coalesce with free buddies while possible.
@@ -102,13 +110,28 @@ bool
 BuddyAllocator::checkIntegrity(std::vector<std::string> &violations) const
 {
     const std::size_t before = violations.size();
-    std::uint64_t free_pages = 0;
+    if ((frontier_ - base_) % (kPageSize << kMaxOrder) != 0 ||
+        frontier_ > end()) {
+        std::ostringstream os;
+        os << "buddy: frontier 0x" << std::hex << frontier_
+           << " is not a max-order block boundary in range";
+        violations.push_back(os.str());
+    }
+    // Every never-split block above the frontier is free.
+    std::uint64_t free_pages =
+        frontier_ < end() ? (end() - frontier_) / kPageSize : 0;
     for (unsigned order = 0; order <= kMaxOrder; ++order) {
         for (Addr block : freeLists_[order]) {
             if ((block - base_) % (kPageSize << order) != 0) {
                 std::ostringstream os;
                 os << "buddy: misaligned order-" << order
                    << " free block 0x" << std::hex << block;
+                violations.push_back(os.str());
+            }
+            if (block >= frontier_) {
+                std::ostringstream os;
+                os << "buddy: order-" << order << " free block 0x"
+                   << std::hex << block << " lies above the frontier";
                 violations.push_back(os.str());
             }
             // A free block must not intersect a live allocation.
@@ -122,8 +145,17 @@ BuddyAllocator::checkIntegrity(std::vector<std::string> &violations) const
         }
     }
     std::uint64_t live_pages = 0;
-    for (const auto &[addr, order] : liveBlocks_)
+    Addr highest_live = kNullAddr;
+    liveBlocks_.forEach([&](Addr addr, std::uint8_t order) {
         live_pages += 1ull << order;
+        highest_live = std::max(highest_live, addr);
+    });
+    if (!liveBlocks_.empty() && highest_live >= frontier_) {
+        std::ostringstream os;
+        os << "buddy: live block 0x" << std::hex << highest_live
+           << " lies above the frontier";
+        violations.push_back(os.str());
+    }
     if (live_pages != allocatedPages_) {
         std::ostringstream os;
         os << "buddy: live-block pages (" << live_pages
@@ -143,12 +175,18 @@ BuddyAllocator::checkIntegrity(std::vector<std::string> &violations) const
 bool
 BuddyAllocator::ownsLivePage(Addr paddr) const
 {
-    auto it = liveBlocks_.upper_bound(paddr);
-    if (it == liveBlocks_.begin())
+    if (paddr < base_ || paddr >= end())
         return false;
-    --it;
-    const std::uint64_t block_bytes = kPageSize << it->second;
-    return paddr >= it->first && paddr < it->first + block_bytes;
+    // A live block of order k holding paddr starts at paddr rounded
+    // down to 2^k pages.
+    for (unsigned order = 0; order <= kMaxOrder; ++order) {
+        const Addr block =
+            base_ + ((paddr - base_) & ~((kPageSize << order) - 1));
+        const std::uint8_t *live = liveBlocks_.find(block);
+        if (live && *live == order)
+            return true;
+    }
+    return false;
 }
 
 } // namespace memento

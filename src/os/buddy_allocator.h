@@ -13,11 +13,11 @@
 #define MEMENTO_OS_BUDDY_ALLOCATOR_H
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "sim/addr_map.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -86,14 +86,24 @@ class BuddyAllocator
 
     Addr buddyOf(Addr addr, unsigned order) const;
 
+    /** One past the last managed byte. */
+    Addr end() const;
+
     Addr base_;
     std::uint64_t totalPages_;
     std::uint64_t allocatedPages_ = 0;
 
-    /** Free blocks per order, keyed by physical base. */
+    /**
+     * Free blocks per order, keyed by physical base. The max-order
+     * blocks from frontier_ up to the end of the range have never been
+     * split; they are free without an entry, and every listed block
+     * lies below frontier_, so the lowest free max-order block is the
+     * list's first or, when the list is empty, the frontier.
+     */
     std::vector<std::set<Addr>> freeLists_;
+    Addr frontier_;
     /** Order of each outstanding allocation, for validation on free. */
-    std::map<Addr, unsigned> liveBlocks_;
+    AddrMap<std::uint8_t> liveBlocks_;
 
     Counter allocCalls_;
     Counter freeCalls_;

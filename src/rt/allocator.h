@@ -25,10 +25,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "mem/env.h"
 #include "rt/glibc_large.h"
+#include "sim/addr_map.h"
 #include "sim/logging.h"
 #include "sim/size_class.h"
 #include "sim/types.h"
@@ -168,20 +168,18 @@ class SoftwareAllocator : public Allocator
     smallMalloc(std::uint64_t size, Env &env) final
     {
         const Addr ptr = allocObject(size, env);
-        live_[ptr] = static_cast<std::uint32_t>(size);
+        live_.insert(ptr, static_cast<std::uint16_t>(size));
         return ptr;
     }
 
     std::uint64_t
     smallFree(Addr ptr, Env &env) final
     {
-        const auto it = live_.find(ptr);
-        if (it == live_.end())
+        const std::optional<std::uint16_t> bytes = live_.take(ptr);
+        if (!bytes)
             return 0;
-        const std::uint64_t bytes = it->second;
-        live_.erase(it);
         freeObject(ptr, env);
-        return bytes;
+        return *bytes;
     }
 
     void
@@ -194,10 +192,11 @@ class SoftwareAllocator : public Allocator
     bool
     smallIsLive(Addr ptr) const final
     {
-        return live_.count(ptr) != 0;
+        return live_.contains(ptr);
     }
 
-    std::unordered_map<Addr, std::uint32_t> live_;
+    static_assert(kMaxSmallSize <= UINT16_MAX);
+    AddrMap<std::uint16_t> live_;
 };
 
 } // namespace memento

@@ -14,11 +14,12 @@
 #define MEMENTO_RT_GLIBC_LARGE_H
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "mem/env.h"
 #include "os/virtual_memory.h"
+#include "sim/addr_map.h"
 #include "sim/stats.h"
 
 namespace memento {
@@ -46,7 +47,7 @@ class GlibcLargeAlloc
     void free(Addr ptr, Env &env);
 
     /** True when @p ptr was allocated here and is live. */
-    bool owns(Addr ptr) const { return live_.count(ptr) != 0; }
+    bool owns(Addr ptr) const { return live_.contains(ptr); }
 
     /** Live bytes (requested). */
     std::uint64_t liveBytes() const { return liveBytes_; }
@@ -66,10 +67,16 @@ class GlibcLargeAlloc
     VirtualMemory &vm_;
     const std::string prefix_; ///< Counter prefix; names panics too.
 
-    /** Free chunks in the top region, keyed by base (first fit). */
-    std::map<Addr, std::uint64_t> freeChunks_;
+    struct FreeChunk
+    {
+        Addr base = 0;
+        std::uint64_t size = 0;
+    };
+
+    /** Free chunks in the top region, ascending by base (first fit). */
+    std::vector<FreeChunk> freeChunks_;
     /** Live allocations: user pointer -> chunk. */
-    std::map<Addr, Chunk> live_;
+    AddrMap<Chunk> live_;
     std::uint64_t liveBytes_ = 0;
     Addr topBase_ = 0;   ///< Current top region (grown on demand).
     std::uint64_t topUsed_ = 0;

@@ -1,5 +1,8 @@
 #include "rt/pymalloc.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "sim/error.h"
 #include "sim/logging.h"
 
@@ -8,7 +11,7 @@ namespace memento {
 PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
     : SoftwareAllocator(vm, stats, "pymalloc"),
       params_(params),
-      usedPools_(kNumSmallClasses),
+      usedPools_(kNumSmallClasses, kNoPool),
       smallMallocs_(stats.counter("pymalloc.small_mallocs")),
       smallFrees_(stats.counter("pymalloc.small_frees")),
       arenaMmaps_(stats.counter("pymalloc.arena_mmaps")),
@@ -24,7 +27,7 @@ PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
     arenaObjRegion_ = vm_.mmap(64 * kPageSize, nullptr);
 }
 
-Addr
+std::uint32_t
 PyMalloc::acquirePool(unsigned cls, Env &env)
 {
     ++poolAcquires_;
@@ -39,18 +42,26 @@ PyMalloc::acquirePool(unsigned cls, Env &env)
             --arena.freeCount;
             env.accessVirtual(arena.objAddr, AccessType::Write);
 
-            Pool pool;
+            std::uint32_t idx;
+            if (!idlePools_.empty()) {
+                idx = idlePools_.back();
+                idlePools_.pop_back();
+            } else {
+                idx = static_cast<std::uint32_t>(pools_.size());
+                pools_.emplace_back();
+            }
+            arena.poolIndex[(pool_base - base) / kPoolBytes] = idx;
+            Pool &pool = pools_[idx];
             pool.base = pool_base;
-            pool.arenaBase = base;
             pool.szclass = cls;
             pool.capacity = static_cast<unsigned>(
                 (kPoolBytes - kPoolHeaderBytes) / sizeClassBytes(cls));
+            pool.used = 0;
             pool.bump = pool_base + kPoolHeaderBytes;
             // Initialize the pool header in place.
             env.chargeInstructions(25);
             env.accessVirtual(pool_base, AccessType::Write);
-            pools_[pool_base] = pool;
-            return pool_base;
+            return idx;
         }
     }
 
@@ -75,31 +86,56 @@ PyMalloc::acquirePool(unsigned cls, Env &env)
     arena.freeCount = arena.totalPools;
     // Pools are handed out low-to-high; keep LIFO order so the first
     // pop is the lowest address (matches the real bump behaviour).
+    arena.freePools.reserve(arena.totalPools);
     for (unsigned i = arena.totalPools; i > 0; --i)
         arena.freePools.push_back(arena_base + (i - 1) * kPoolBytes);
+    arena.poolIndex.assign(arena.totalPools, kNoPool);
     env.accessVirtual(arena.objAddr, AccessType::Write);
-    arenas_[arena_base] = arena;
+    arenas_.emplace(arena_base, std::move(arena));
 
     return acquirePool(cls, env);
 }
 
-PyMalloc::Pool &
+void
+PyMalloc::linkUsed(std::uint32_t idx)
+{
+    Pool &pool = pools_[idx];
+    std::uint32_t &head = usedPools_[pool.szclass];
+    pool.prev = kNoPool;
+    pool.next = head;
+    if (head != kNoPool)
+        pools_[head].prev = idx;
+    head = idx;
+    pool.inUsedList = true;
+}
+
+void
+PyMalloc::unlinkUsed(std::uint32_t idx)
+{
+    Pool &pool = pools_[idx];
+    if (pool.prev != kNoPool)
+        pools_[pool.prev].next = pool.next;
+    else
+        usedPools_[pool.szclass] = pool.next;
+    if (pool.next != kNoPool)
+        pools_[pool.next].prev = pool.prev;
+    pool.inUsedList = false;
+}
+
+std::uint32_t
 PyMalloc::poolForClass(unsigned cls, Env &env)
 {
-    auto &list = usedPools_[cls];
-    if (!list.empty())
-        return *list.front();
-    Addr pool_base = acquirePool(cls, env);
-    Pool &pool = pools_.at(pool_base);
-    list.push_front(&pool);
-    pool.usedPos = list.begin();
-    pool.inUsedList = true;
-    return pool;
+    if (usedPools_[cls] != kNoPool)
+        return usedPools_[cls];
+    const std::uint32_t idx = acquirePool(cls, env);
+    linkUsed(idx);
+    return idx;
 }
 
 Addr
-PyMalloc::carveBlock(Pool &pool, Env &env)
+PyMalloc::carveBlock(std::uint32_t idx, Env &env)
 {
+    Pool &pool = pools_[idx];
     // Read the pool header, take the freeblock head or bump.
     env.accessVirtual(pool.base, AccessType::Read);
     Addr block;
@@ -116,10 +152,8 @@ PyMalloc::carveBlock(Pool &pool, Env &env)
     env.accessVirtual(pool.base, AccessType::Write);
 
     // Pool exhausted: unlink from the used list.
-    if (!pool.hasFree() && pool.inUsedList) {
-        usedPools_[pool.szclass].erase(pool.usedPos);
-        pool.inUsedList = false;
-    }
+    if (!pool.hasFree() && pool.inUsedList)
+        unlinkUsed(idx);
     return block;
 }
 
@@ -131,8 +165,7 @@ PyMalloc::allocObject(std::uint64_t size, Env &env)
     env.chargeInstructions(30); // PyObject_Malloc fast-path budget.
 
     const unsigned cls = sizeClassIndex(size);
-    Pool &pool = poolForClass(cls, env);
-    return carveBlock(pool, env);
+    return carveBlock(poolForClass(cls, env), env);
 }
 
 void
@@ -144,9 +177,15 @@ PyMalloc::freeObject(Addr ptr, Env &env)
 
     // Pool header from address arithmetic (step 5 of Fig. 1).
     const Addr pool_base = ptr & ~(kPoolBytes - 1);
-    auto pool_it = pools_.find(pool_base);
-    panic_if(pool_it == pools_.end(), "pymalloc: free outside any pool");
-    Pool &pool = pool_it->second;
+    auto arena_it = arenas_.upper_bound(pool_base);
+    panic_if(arena_it == arenas_.begin(), "pymalloc: free outside any pool");
+    Arena &arena = std::prev(arena_it)->second;
+    const std::uint64_t pool_no = (pool_base - arena.base) / kPoolBytes;
+    panic_if(pool_no >= arena.totalPools ||
+                 arena.poolIndex[pool_no] == kNoPool,
+             "pymalloc: free outside any pool");
+    const std::uint32_t idx = arena.poolIndex[pool_no];
+    Pool &pool = pools_[idx];
 
     env.accessVirtual(pool.base, AccessType::Read);
     // Link the block onto the freeblock chain (a write into the block).
@@ -157,10 +196,7 @@ PyMalloc::freeObject(Addr ptr, Env &env)
 
     if (!pool.inUsedList) {
         // Pool was full and regained space: back to the used list head.
-        auto &list = usedPools_[pool.szclass];
-        list.push_front(&pool);
-        pool.usedPos = list.begin();
-        pool.inUsedList = true;
+        linkUsed(idx);
         env.chargeInstructions(12);
     }
 
@@ -168,12 +204,14 @@ PyMalloc::freeObject(Addr ptr, Env &env)
         // Entirely free: return the pool to its arena.
         env.chargeInstructions(30);
         if (pool.inUsedList)
-            usedPools_[pool.szclass].erase(pool.usedPos);
-        Arena &arena = arenas_.at(pool.arenaBase);
+            unlinkUsed(idx);
         arena.freePools.push_back(pool.base);
         ++arena.freeCount;
         env.accessVirtual(arena.objAddr, AccessType::Write);
-        pools_.erase(pool_it);
+        arena.poolIndex[pool_no] = kNoPool;
+        pool.base = kNullAddr;
+        pool.freeBlocks.clear();
+        idlePools_.push_back(idx);
 
         if (arena.freeCount == arena.totalPools)
             releaseArena(arena, env);
@@ -203,8 +241,8 @@ PyMalloc::teardown(Env &env)
         arenas_.erase(arenas_.begin());
     }
     pools_.clear();
-    for (auto &list : usedPools_)
-        list.clear();
+    idlePools_.clear();
+    std::fill(usedPools_.begin(), usedPools_.end(), kNoPool);
     freeArenaObjSlots_.clear();
     arenaObjCursor_ = 0;
 }
@@ -214,9 +252,9 @@ PyMalloc::inactiveSlotFraction() const
 {
     std::uint64_t total = 0;
     std::uint64_t used = 0;
-    for (const auto &[base, pool] : pools_) {
-        if (pool.used == 0)
-            continue; // Fully free pool: free memory, not slack.
+    for (const Pool &pool : pools_) {
+        if (pool.base == kNullAddr || pool.used == 0)
+            continue; // No pool, or a fully free one: free memory, not slack.
         total += pool.capacity;
         used += pool.used;
     }

@@ -15,7 +15,6 @@
 #define MEMENTO_RT_PYMALLOC_H
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <vector>
 
@@ -59,19 +58,26 @@ class PyMalloc : public SoftwareAllocator
     static_assert(kPoolBytes == kPageSize,
                   "pymalloc: pool size must equal the page size");
 
+    /** A pools_ index that names no pool. */
+    static constexpr std::uint32_t kNoPool = UINT32_MAX;
+
     struct Pool
     {
-        Addr base = 0;
-        Addr arenaBase = 0;
+        /** kNullAddr while this record backs no pool. */
+        Addr base = kNullAddr;
         unsigned szclass = 0;
         unsigned capacity = 0;
         unsigned used = 0;
         /** Next never-carved block (bump). */
         Addr bump = 0;
-        /** LIFO of freed block addresses (freeblock chain). */
+        /**
+         * LIFO of freed block addresses (freeblock chain). A recycled
+         * record keeps its capacity.
+         */
         std::vector<Addr> freeBlocks;
-        /** Position in usedPools_[szclass] when linked there. */
-        std::list<Pool *>::iterator usedPos;
+        /** Neighbours in usedPools_[szclass] while linked there. */
+        std::uint32_t prev = kNoPool;
+        std::uint32_t next = kNoPool;
         bool inUsedList = false;
 
         bool
@@ -88,6 +94,8 @@ class PyMalloc : public SoftwareAllocator
         /** Address of this arena's arena_object metadata slot. */
         Addr objAddr = 0;
         std::vector<Addr> freePools; ///< LIFO of uncarved/empty pools.
+        /** pools_ index of each carved pool, by position in the arena. */
+        std::vector<std::uint32_t> poolIndex;
         unsigned totalPools = 0;
         unsigned freeCount = 0;
     };
@@ -96,24 +104,32 @@ class PyMalloc : public SoftwareAllocator
     void freeObject(Addr ptr, Env &env) override;
     void teardown(Env &env) override;
 
-    /** Get a pool with free space for @p cls, acquiring one if needed. */
-    Pool &poolForClass(unsigned cls, Env &env);
-    /** Carve a block from @p pool (it must have space). */
-    Addr carveBlock(Pool &pool, Env &env);
+    /** The pool with free space for @p cls, acquiring one if needed. */
+    std::uint32_t poolForClass(unsigned cls, Env &env);
+    /** Carve a block from pools_[@p idx] (it must have space). */
+    Addr carveBlock(std::uint32_t idx, Env &env);
     /** Take a free pool from an arena (mmap'ing a new arena if none). */
-    Addr acquirePool(unsigned cls, Env &env);
+    std::uint32_t acquirePool(unsigned cls, Env &env);
     void releaseArena(Arena &arena, Env &env);
+    /** Link pools_[@p idx] at the head of its class's used list. */
+    void linkUsed(std::uint32_t idx);
+    /** Unlink pools_[@p idx] from its class's used list. */
+    void unlinkUsed(std::uint32_t idx);
 
     Params params_;
 
     /**
-     * Pools with free blocks per class; front = most recently used.
-     * Holds Pool pointers (map nodes are stable) so the malloc fast
-     * path reaches its pool without a pools_ lookup; a pool unlinks
-     * itself before its pools_ node is erased.
+     * Pool records, indexed by the arenas' poolIndex. A released
+     * pool's record goes to idlePools_ for reuse, so the host heap is
+     * touched only when more pools are carved at once than ever before.
      */
-    std::vector<std::list<Pool *>> usedPools_;
-    std::map<Addr, Pool> pools_;   ///< Keyed by pool base.
+    std::vector<Pool> pools_;
+    std::vector<std::uint32_t> idlePools_;
+    /**
+     * Head of each class's list of pools with free blocks, linked
+     * through Pool::prev/next; the head is the most recently used.
+     */
+    std::vector<std::uint32_t> usedPools_;
     std::map<Addr, Arena> arenas_; ///< Keyed by arena base.
     /** Arena-object table region (arena metadata lives here). */
     Addr arenaObjRegion_ = 0;

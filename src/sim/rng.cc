@@ -52,13 +52,16 @@ std::uint64_t
 Rng::nextBelow(std::uint64_t bound)
 {
     panic_if(bound == 0, "nextBelow(0)");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
+    // Rejection sampling to avoid modulo bias: draws below
+    // (2^64 - bound) % bound are redrawn. That threshold is below
+    // bound, so a draw at or above bound is accepted without it.
+    std::uint64_t r = next();
+    if (r < bound) {
+        const std::uint64_t threshold = -bound % bound;
+        while (r < threshold)
+            r = next();
     }
+    return r % bound;
 }
 
 std::uint64_t
@@ -108,7 +111,11 @@ Rng::nextGeometric(double p)
     // Inverse CDF; clamp to avoid log(0).
     if (u <= 0.0)
         u = 0x1.0p-53;
-    return static_cast<std::uint64_t>(std::log(u) / std::log(1.0 - p));
+    if (p != geomP_) {
+        geomP_ = p;
+        geomLog1mP_ = std::log(1.0 - p);
+    }
+    return static_cast<std::uint64_t>(std::log(u) / geomLog1mP_);
 }
 
 } // namespace memento

@@ -49,6 +49,9 @@ class Rng
 
   private:
     std::array<std::uint64_t, 4> state_;
+    /** log(1 - p) of the last nextGeometric p (p = 0 is never valid). */
+    double geomP_ = 0.0;
+    double geomLog1mP_ = 0.0;
 };
 
 } // namespace memento

@@ -513,14 +513,23 @@ TEST(FleetPercentile, SelectionMatchesSortedNearestRank)
         cases.push_back(std::vector<Cycles>(n, 42));
     }
     for (const std::vector<Cycles> &values : cases) {
+        // Chained as simulateFleet selects: p99 on the suffix p50 left,
+        // p999 on the suffix p99 left, all in one vector.
+        std::vector<Cycles> chained = values;
+        std::size_t chained_from = 0;
         for (const auto &[num, den] :
              {std::pair<std::uint64_t, std::uint64_t>{50, 100},
               {99, 100},
               {999, 1000}}) {
             std::vector<Cycles> scratch = values;
-            EXPECT_EQ(nearestRank(scratch, num, den),
+            std::size_t from = 0;
+            EXPECT_EQ(nearestRank(scratch, num, den, from),
                       sorted_rank(values, num, den))
                 << "n " << values.size() << " at " << num << "/" << den;
+            EXPECT_EQ(nearestRank(chained, num, den, chained_from),
+                      sorted_rank(values, num, den))
+                << "chained, n " << values.size() << " at " << num << "/"
+                << den;
         }
     }
 }

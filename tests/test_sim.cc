@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <unordered_map>
+#include <vector>
+
 #include "hw/hw_page_allocator.h"
 #include "mem/tlb.h"
+#include "sim/addr_map.h"
 #include "sim/config.h"
 #include "sim/cycles.h"
 #include "sim/rng.h"
@@ -164,6 +170,114 @@ TEST(Rng, GeometricMeanRoughlyCorrect)
     const double mean = sum / n;
     // Expected mean (1-p)/p = 3.
     EXPECT_NEAR(mean, 3.0, 0.15);
+}
+
+TEST(Rng, NextBelowDrawsAsTheTwoDivideReference)
+{
+    // The reference computes the rejection threshold before every draw.
+    const auto reference = [](Rng &rng, std::uint64_t bound,
+                              std::uint64_t &rejected) {
+        const std::uint64_t threshold = -bound % bound;
+        for (;;) {
+            const std::uint64_t r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+            ++rejected;
+        }
+    };
+    Rng picker(5);
+    std::vector<std::uint64_t> bounds = {1,
+                                         2,
+                                         3,
+                                         64,
+                                         (1ull << 63) + 1,
+                                         ~0ull - 1,
+                                         ~0ull};
+    for (int i = 0; i < 32; ++i)
+        bounds.push_back(1 + (picker.next() >> (picker.next() % 64)));
+    for (const std::uint64_t bound : bounds) {
+        Rng fast(bound), ref(bound);
+        std::uint64_t rejected = 0;
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(fast.nextBelow(bound), reference(ref, bound, rejected))
+                << "bound " << bound << " draw " << i;
+        // Both consumed the same raw draws.
+        EXPECT_EQ(fast.next(), ref.next()) << "bound " << bound;
+        // About half of all draws fall below 2^63 - 1 and are redrawn.
+        if (bound == (1ull << 63) + 1) {
+            EXPECT_GT(rejected, 5000u);
+        }
+    }
+}
+
+TEST(Rng, GeometricWithAlternatingPMatchesTheUncachedFormula)
+{
+    const auto reference = [](Rng &rng, double p) -> std::uint64_t {
+        if (p >= 1.0)
+            return 0;
+        double u = rng.nextDouble();
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        return static_cast<std::uint64_t>(std::log(u) / std::log(1.0 - p));
+    };
+    const double ps[] = {0.2, 0.2, 1.0 / 400.0, 1.0 / 6.0, 1.0,
+                         0.2, 1.0 / 6.0, 1e-9, 0.999, 0.2};
+    Rng fast(17), ref(17);
+    for (int i = 0; i < 50000; ++i) {
+        const double p = ps[(i + i / 10) % 10];
+        ASSERT_EQ(fast.nextGeometric(p), reference(ref, p))
+            << "draw " << i << " p " << p;
+    }
+    EXPECT_EQ(fast.next(), ref.next());
+}
+
+TEST(AddrMap, MatchesAHashMapUnderRandomTraffic)
+{
+    // Keys in a few dense 8-byte-aligned runs, so chains collide and
+    // take() has to shift entries back across them.
+    AddrMap<std::uint64_t> map;
+    std::unordered_map<Addr, std::uint64_t> ref;
+    std::vector<Addr> keys;
+    Rng rng(8);
+    for (int i = 0; i < 200000; ++i) {
+        const bool grow = rng.nextBool(i < 100000 ? 0.7 : 0.3);
+        if (keys.empty() || grow) {
+            const Addr key = (0x7000'0000ull << rng.nextBelow(3)) +
+                             8 * rng.nextBelow(1u << 17);
+            const std::uint64_t value = rng.next();
+            if (ref.emplace(key, value).second)
+                keys.push_back(key);
+            else
+                ref[key] = value;
+            map.insert(key, value);
+        } else {
+            const std::size_t pick = rng.nextBelow(keys.size());
+            const Addr key = keys[pick];
+            keys[pick] = keys.back();
+            keys.pop_back();
+            ASSERT_EQ(map.take(key), ref.at(key)) << "op " << i;
+            ref.erase(key);
+            ASSERT_FALSE(map.contains(key));
+            ASSERT_FALSE(map.take(key).has_value());
+        }
+        ASSERT_EQ(map.size(), ref.size());
+    }
+    for (const auto &[key, value] : ref) {
+        ASSERT_NE(map.find(key), nullptr);
+        ASSERT_EQ(*map.find(key), value);
+        ASSERT_FALSE(map.contains(key + 4));
+    }
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(map.sortedKeys(), keys);
+    map.clear();
+    EXPECT_TRUE(map.empty());
+    EXPECT_FALSE(map.contains(keys.front()));
+}
+
+TEST(AddrMap, NullKeyPanics)
+{
+    AddrMap<int> map;
+    EXPECT_DEATH(map.insert(kNullAddr, 1), "panic: ");
 }
 
 TEST(Config, Table3Defaults)
