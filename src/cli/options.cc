@@ -188,10 +188,6 @@ parseCommandOptions(const CommandSpec &command,
     CliOptions opts;
     for (std::size_t i = from; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (arg == "--help" || arg == "-h") {
-            opts.helpRequested = true;
-            return opts;
-        }
         if (command.variadicPaths && arg.rfind("-", 0) != 0) {
             opts.paths.push_back(arg);
             continue;

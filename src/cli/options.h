@@ -17,9 +17,9 @@
  * `--revalidate`.
  *
  * Parse errors raise the usual fatal() path (user error, exit 1).
- * `--help` anywhere in a command's options sets
- * CliOptions::helpRequested instead of parsing further; the caller
- * renders the command's help page and exits 0.
+ * The parser knows no `--help`: memento_sim scans a command's
+ * arguments for it before parsing, renders the command's help page,
+ * and exits 0.
  */
 
 #ifndef MEMENTO_CLI_OPTIONS_H
@@ -50,8 +50,6 @@ struct CliOptions
     bool noCache = false;
     /** --revalidate: recompute a sample of cache hits and compare. */
     bool revalidate = false;
-    /** --help was seen; render help and exit 0 without running. */
-    bool helpRequested = false;
     unsigned jobs = 0; ///< Sweep worker threads; 0 = hw concurrency.
     std::string traceFile;
     DiagPolicy diagPolicy; ///< --allow / --werror (analysis commands).

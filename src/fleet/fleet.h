@@ -16,7 +16,7 @@
  *
  *  1. Profile stage (parallel): each distinct workload in the mix is
  *     run once through Experiment via the SweepEngine — the same
- *     work-stealing pool, result-store caching, and slot-merge
+ *     thread pool, result-store caching, and slot-merge
  *     machinery as `run all`, so profiles are byte-identical at any
  *     --jobs level and resume from a --cache store for free. A profile
  *     is the invocation's service time (cycles), its resident-set size

@@ -1,9 +1,11 @@
 #include "machine/result_store.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <charconv>
 #include <filesystem>
-#include <sstream>
+#include <span>
 
 #include <unistd.h>
 #include <fcntl.h>
@@ -11,13 +13,17 @@
 #include "sim/atomic_io.h"
 #include "sim/config_canon.h"
 #include "sim/error.h"
-#include "sim/json.h"
 #include "val/digest.h"
 
 namespace memento {
 namespace {
 
 namespace fs = std::filesystem;
+
+/** First word of every record; a file that does not start so is damage. */
+constexpr std::string_view kRecordTag = "memento-run-cell";
+/** Bumped whenever the record layout changes. */
+constexpr unsigned kRecordVersion = 1;
 
 std::uint64_t
 checksumOf(std::string_view payload)
@@ -27,20 +33,74 @@ checksumOf(std::string_view payload)
     return d.value();
 }
 
-/** The one cell kind the store holds (the header's `cell_kind`). */
-constexpr std::string_view kRunCellKind = "run";
+void
+appendU64(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 std::string
 headerLine(std::string_view key_hex, std::size_t payload_bytes,
            std::uint64_t checksum)
 {
-    std::ostringstream os;
-    os << "{\"schema_version\": " << kJsonSchemaVersion
-       << ", \"kind\": \"result-cell\", \"cell_kind\": \""
-       << kRunCellKind << "\", \"key\": \"" << key_hex
-       << "\", \"payload_bytes\": " << payload_bytes
-       << ", \"checksum\": \"" << digestToHex(checksum) << "\"}";
-    return os.str();
+    return std::string(kRecordTag) + ' ' + std::to_string(kRecordVersion) +
+           ' ' + std::string(key_hex) + ' ' + std::to_string(payload_bytes) +
+           ' ' + digestToHex(checksum);
+}
+
+/** Split off the text before the next newline; false when none is left. */
+bool
+nextLine(std::string_view &rest, std::string_view &line)
+{
+    const std::size_t nl = rest.find('\n');
+    if (nl == std::string_view::npos)
+        return false;
+    line = rest.substr(0, nl);
+    rest.remove_prefix(nl + 1);
+    return true;
+}
+
+/** Strip "@p name " off the front of @p text; false when it is not there. */
+bool
+stripName(std::string_view &text, std::string_view name)
+{
+    if (!text.starts_with(name) || text.substr(name.size(), 1) != " ")
+        return false;
+    text.remove_prefix(name.size() + 1);
+    return true;
+}
+
+/** Split off the non-empty word before the next space. */
+bool
+nextWord(std::string_view &text, std::string_view &word)
+{
+    const std::size_t sp = text.find(' ');
+    if (sp == 0 || sp == std::string_view::npos)
+        return false;
+    word = text.substr(0, sp);
+    text.remove_prefix(sp + 1);
+    return true;
+}
+
+/**
+ * Parse @p text as exactly out.size() space-separated unsigned
+ * decimals: no sign, no junk after a number, no overflow.
+ */
+bool
+parseValues(std::string_view text, std::span<std::uint64_t> out)
+{
+    const char *p = text.data();
+    const char *const end = p + text.size();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        if (i != 0 && (p == end || *p++ != ' '))
+            return false;
+        const auto [next, ec] = std::from_chars(p, end, out[i]);
+        if (ec != std::errc())
+            return false;
+        p = next;
+    }
+    return p == end;
 }
 
 /**
@@ -48,211 +108,121 @@ headerLine(std::string_view key_hex, std::size_t payload_bytes,
  * @p key_hex. Fills @p payload (a view into @p record) on success.
  */
 bool
-validateRecord(const std::string &record, std::string_view key_hex,
+validateRecord(std::string_view record, std::string_view key_hex,
                std::string_view &payload)
 {
-    const std::size_t nl = record.find('\n');
-    if (nl == std::string::npos)
+    std::string_view header;
+    if (!nextLine(record, header) ||
+        header != headerLine(key_hex, record.size(), checksumOf(record)))
         return false;
-
-    JsonValue header;
-    std::string err;
-    if (!parseJson(std::string_view(record).substr(0, nl), header, err) ||
-        !header.isObject())
-        return false;
-
-    const JsonValue *version = header.find("schema_version");
-    const JsonValue *kind = header.find("kind");
-    const JsonValue *ckind = header.find("cell_kind");
-    const JsonValue *key = header.find("key");
-    const JsonValue *bytes = header.find("payload_bytes");
-    const JsonValue *checksum = header.find("checksum");
-    if (version == nullptr || !version->isNumber() || !version->isInteger ||
-        version->u64 != kJsonSchemaVersion)
-        return false;
-    if (kind == nullptr || !kind->isString() || kind->str != "result-cell")
-        return false;
-    if (ckind == nullptr || !ckind->isString() || ckind->str != kRunCellKind)
-        return false;
-    if (key == nullptr || !key->isString() || key->str != key_hex)
-        return false;
-    if (bytes == nullptr || !bytes->isNumber() || !bytes->isInteger)
-        return false;
-    if (checksum == nullptr || !checksum->isString())
-        return false;
-
-    const std::string_view body = std::string_view(record).substr(nl + 1);
-    if (body.size() != bytes->u64)
-        return false;
-    if (digestToHex(checksumOf(body)) != checksum->str)
-        return false;
-
-    payload = body;
+    payload = record;
     return true;
 }
 
 // ---- RunResult payload (de)serialization -----------------------------
 
-/** Doubles travel as exact bit patterns: cache hits must be bit-true. */
-std::uint64_t
-doubleBits(double v)
+template <typename U64>
+struct NumericLine
 {
-    return std::bit_cast<std::uint64_t>(v);
-}
-
-double
-bitsToDouble(std::uint64_t bits)
-{
-    return std::bit_cast<double>(bits);
-}
-
-bool
-isU64(const JsonValue &v)
-{
-    return v.isNumber() && v.isInteger;
-}
-
-bool
-getU64(const JsonValue &obj, std::string_view name, std::uint64_t &out)
-{
-    const JsonValue *v = obj.find(name);
-    if (v == nullptr || !isU64(*v))
-        return false;
-    out = v->u64;
-    return true;
-}
+    std::string_view name;
+    std::span<U64> values;
+};
 
 /**
- * Read `"counters": [["name", start, end], ...]`. Names must be
- * strictly ascending, as the registry keeps them; anything else is
- * damage.
+ * The numeric lines between `workload` and the counters, in record
+ * order: the writer and the reader share this one list. @p frag_bits
+ * stands in for fragInactiveFraction, which travels as its bit pattern
+ * so that a cache hit is bit-true.
  */
-bool
-parseCounters(const JsonValue &obj, std::vector<CounterReading> &out)
+template <typename Result, typename U64>
+std::array<NumericLine<U64>, 7>
+numericLines(Result &r, U64 &frag_bits)
 {
-    const JsonValue *list = obj.find("counters");
-    if (list == nullptr || !list->isArray())
-        return false;
-    out.clear();
-    out.reserve(list->items.size());
-    for (const JsonValue &item : list->items) {
-        if (!item.isArray() || item.items.size() != 3 ||
-            !item.items[0].isString() || !isU64(item.items[1]) ||
-            !isU64(item.items[2]))
-            return false;
-        const std::string &name = item.items[0].str;
-        if (!out.empty() && !(out.back().name < name))
-            return false;
-        out.push_back({name, item.items[1].u64, item.items[2].u64});
-    }
-    return true;
-}
-
-bool
-getString(const JsonValue &obj, std::string_view name, std::string &out)
-{
-    const JsonValue *v = obj.find(name);
-    if (v == nullptr || !v->isString())
-        return false;
-    out = v->str;
-    return true;
+    return {{{"cycles", {&r.cycles, 1}},
+             {"by_category", r.byCategory},
+             {"instructions", {&r.instructions, 1}},
+             {"peak_resident_pages", {&r.peakResidentPages, 1}},
+             {"hot_valid_entries", {&r.hotValidEntries, 1}},
+             {"frag_inactive_bits", {&frag_bits, 1}},
+             {"digest", {&r.digest, 1}}}};
 }
 
 std::string
-runPayload(const RunResult &r, unsigned attempts)
+runPayload(const RunResult &r)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.member("workload", std::string_view(r.workload));
-    w.member("cycles", r.cycles);
-    w.key("by_category").beginArray();
-    for (const Cycles c : r.byCategory)
-        w.value(c);
-    w.endArray();
-    w.member("instructions", r.instructions);
-    w.key("counters").beginArray();
+    std::string out = "workload ";
+    out += r.workload;
+    const std::uint64_t frag_bits =
+        std::bit_cast<std::uint64_t>(r.fragInactiveFraction);
+    for (const auto &[name, values] : numericLines(r, frag_bits)) {
+        out += '\n';
+        out += name;
+        for (const std::uint64_t v : values) {
+            out += ' ';
+            appendU64(out, v);
+        }
+    }
     for (const CounterReading &c : r.counters) {
-        w.beginArray();
-        w.value(std::string_view(c.name)).value(c.start).value(c.end);
-        w.endArray();
+        out += "\ncounter ";
+        out += c.name;
+        out += ' ';
+        appendU64(out, c.start);
+        out += ' ';
+        appendU64(out, c.end);
     }
-    w.endArray();
-    w.member("peak_resident_pages", r.peakResidentPages);
-    w.member("hot_valid_entries", r.hotValidEntries);
-    w.member("frag_inactive_bits", doubleBits(r.fragInactiveFraction));
+    // The error line comes last and has no newline: its message runs to
+    // the end of the payload, so any bytes round-trip.
+    out += "\nerror";
     if (r.error.has_value()) {
-        w.key("error").beginObject();
-        w.member("category", errorCategoryName(r.error->category));
-        w.member("message", std::string_view(r.error->message));
-        w.member("op_index", r.error->opIndex);
-        w.endObject();
-    } else {
-        w.key("error").valueNull();
+        out += ' ';
+        out += errorCategoryName(r.error->category);
+        out += ' ';
+        appendU64(out, r.error->opIndex);
+        out += ' ';
+        out += r.error->message;
     }
-    w.member("digest", r.digest);
-    w.member("attempts", static_cast<std::uint64_t>(attempts));
-    w.endObject();
-    return os.str();
+    return out;
 }
 
 bool
-parseRunPayload(std::string_view payload, RunResult &r, unsigned &attempts)
+parseRunPayload(std::string_view payload, RunResult &r)
 {
-    JsonValue doc;
-    std::string err;
-    if (!parseJson(payload, doc, err) || !doc.isObject())
+    std::string_view line;
+    if (!nextLine(payload, line) || !stripName(line, "workload"))
         return false;
-
-    if (!getString(doc, "workload", r.workload))
-        return false;
-    if (!getU64(doc, "cycles", r.cycles))
-        return false;
-
-    const JsonValue *cats = doc.find("by_category");
-    if (cats == nullptr || !cats->isArray() ||
-        cats->items.size() != r.byCategory.size())
-        return false;
-    for (std::size_t i = 0; i < r.byCategory.size(); ++i) {
-        const JsonValue &c = cats->items[i];
-        if (!isU64(c))
-            return false;
-        r.byCategory[i] = c.u64;
-    }
+    r.workload = line;
 
     std::uint64_t frag_bits = 0;
-    if (!getU64(doc, "instructions", r.instructions) ||
-        !parseCounters(doc, r.counters) ||
-        !getU64(doc, "peak_resident_pages", r.peakResidentPages) ||
-        !getU64(doc, "hot_valid_entries", r.hotValidEntries) ||
-        !getU64(doc, "frag_inactive_bits", frag_bits) ||
-        !getU64(doc, "digest", r.digest))
-        return false;
-    r.fragInactiveFraction = bitsToDouble(frag_bits);
-
-    const JsonValue *error = doc.find("error");
-    if (error == nullptr)
-        return false;
-    if (error->type == JsonValue::Type::Null) {
-        r.error.reset();
-    } else if (error->isObject()) {
-        RunError re;
-        std::string category;
-        if (!getString(*error, "category", category) ||
-            !errorCategoryFromName(category, re.category) ||
-            !getString(*error, "message", re.message) ||
-            !getU64(*error, "op_index", re.opIndex))
+    for (const auto &[name, values] : numericLines(r, frag_bits)) {
+        if (!nextLine(payload, line) || !stripName(line, name) ||
+            !parseValues(line, values))
             return false;
-        r.error = std::move(re);
-    } else {
-        return false;
+    }
+    r.fragInactiveFraction = std::bit_cast<double>(frag_bits);
+
+    // Counter names must be strictly ascending, as the registry keeps
+    // them; anything else is damage.
+    std::string_view name;
+    std::array<std::uint64_t, 2> window{};
+    while (stripName(payload, "counter")) {
+        if (!nextLine(payload, line) || !nextWord(line, name) ||
+            !parseValues(line, window) ||
+            (!r.counters.empty() && !(r.counters.back().name < name)))
+            return false;
+        r.counters.push_back({std::string(name), window[0], window[1]});
     }
 
-    std::uint64_t attempts64 = 0;
-    if (!getU64(doc, "attempts", attempts64) || attempts64 == 0 ||
-        attempts64 > 1u << 20)
+    if (payload == "error")
+        return true;
+    RunError re;
+    std::string_view op_index;
+    if (!stripName(payload, "error") || !nextWord(payload, name) ||
+        !errorCategoryFromName(name, re.category) ||
+        !nextWord(payload, op_index) ||
+        !parseValues(op_index, {&re.opIndex, 1}))
         return false;
-    attempts = static_cast<unsigned>(attempts64);
+    re.message = payload;
+    r.error = std::move(re);
     return true;
 }
 
@@ -319,16 +289,15 @@ ResultStore::loadRun(const CellKey &key, RunResult &out, unsigned &attempts)
 
     std::string_view payload;
     RunResult parsed;
-    unsigned parsed_attempts = 1;
     if (!validateRecord(record, key.hex(), payload) ||
-        !parseRunPayload(payload, parsed, parsed_attempts)) {
+        !parseRunPayload(payload, parsed)) {
         quarantine(key);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.misses;
         return false;
     }
     out = std::move(parsed);
-    attempts = parsed_attempts;
+    attempts = 1;
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hits;
     return true;
@@ -336,9 +305,9 @@ ResultStore::loadRun(const CellKey &key, RunResult &out, unsigned &attempts)
 
 void
 ResultStore::storeRun(const CellKey &key, const RunResult &result,
-                      unsigned attempts)
+                      unsigned /*attempts*/)
 {
-    const std::string payload = runPayload(result, attempts);
+    const std::string payload = runPayload(result);
     std::string record =
         headerLine(key.hex(), payload.size(), checksumOf(payload));
     record += '\n';

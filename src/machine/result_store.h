@@ -8,11 +8,12 @@
  * run options, code version) — see sim/config_canon.h — so a cache hit
  * is only possible when *nothing* that could change the result has
  * changed. Each cell is one run outcome in one file
- * `<16-hex-key>.cell` in the store directory:
+ * `<16-hex-key>.cell` in the store directory: a header line, then N
+ * payload bytes with one `name value...` line per RunResult field
+ * (DESIGN.md §9 lists them and every shape the loader rejects):
  *
- *     {"schema_version": 1, "kind": "result-cell", "cell_kind": "run",
- *      "key": "<16hex>", "payload_bytes": N, "checksum": "<16hex>"}\n
- *     <N bytes of payload JSON>
+ *     memento-run-cell 1 <16hex key> <N> <16hex checksum>\n
+ *     workload aes\ncycles 123\n...\ncounter l1d.hits 5 9\n...\nerror
  *
  * The checksum is FNV-1a over the exact payload bytes, and the whole
  * record is written via writeFileAtomic() (temp + fsync + rename), so
@@ -20,14 +21,13 @@
  * record under the final name. Defense in depth: even if a torn or
  * bit-flipped record *does* appear (hardware, filesystem bugs, or the
  * inject.store_torn_write test fault), loading detects the damage —
- * header unparseable, payload length short, or checksum mismatch —
- * quarantines the file (renamed to `<key>.quarantined`) and reports a
- * miss, so the cell is simply recomputed. Corruption is never fatal.
+ * a header that is not exactly the one the payload implies, or a
+ * payload that is not a RunResult — quarantines the file (renamed to
+ * `<key>.quarantined`) and reports a miss, so the cell is simply
+ * recomputed. Corruption is never fatal.
  *
  * Same key => same content, and every record is validated on read, so
  * combining two stores is copying one's `*.cell` files into the other.
- * The `cell_kind` header field always reads "run"; a record of any
- * other kind is damage.
  *
  * Thread safety: all public methods are safe to call concurrently;
  * distinct cells go to distinct files and counters are mutex-guarded.
@@ -130,19 +130,19 @@ class ResultStore
     // ---- Run cells ----
 
     /**
-     * Load the cell @p key into @p out / @p attempts. Returns true on
-     * a validated hit. A missing file is a miss; a damaged record (bad
-     * header, checksum, cell kind, or a payload that no longer parses
-     * as a RunResult) is quarantined and reported as a miss. The
-     * stored result may itself be a captured failure (out.failed()) —
-     * cached failures are first-class.
+     * Load the cell @p key into @p out. Returns true on a validated
+     * hit. A missing file is a miss; a damaged record (bad header,
+     * length or checksum, or a payload that does not parse as a
+     * RunResult) is quarantined and reported as a miss. The stored
+     * result may itself be a captured failure (out.failed()) — cached
+     * failures are first-class. A hit sets @p attempts to 1: the sweep
+     * engine never retries, so records do not carry it.
      */
     bool loadRun(const CellKey &key, RunResult &out, unsigned &attempts);
 
     /**
      * Atomically persist one run outcome (success or captured failure;
-     * last writer wins). @p attempts is recorded as given; the sweep
-     * engine never retries, so it always writes 1.
+     * last writer wins). @p attempts is not recorded.
      */
     void storeRun(const CellKey &key, const RunResult &result,
                   unsigned attempts);

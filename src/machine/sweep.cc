@@ -1,61 +1,15 @@
 #include "machine/sweep.h"
 
 #include <atomic>
-#include <deque>
 #include <mutex>
 #include <thread>
 
 #include "machine/result_store.h"
-#include "sim/thread_annotations.h"
 #include "sim/error.h"
 #include "sim/logging.h"
 
 namespace memento {
 namespace {
-
-/**
- * One worker's task queue. The owner takes from the front (ascending
- * task index, which keeps cancellation checks cheap and early), a
- * thief takes from the back. A mutex per deque is plenty here: tasks
- * are whole simulator runs, so queue traffic is negligible next to
- * task execution and a lock-free Chase-Lev deque would buy nothing.
- */
-class TaskDeque
-{
-  public:
-    void
-    push(std::size_t idx)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        dq_.push_back(idx);
-    }
-
-    bool
-    popFront(std::size_t &idx)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (dq_.empty())
-            return false;
-        idx = dq_.front();
-        dq_.pop_front();
-        return true;
-    }
-
-    bool
-    popBack(std::size_t &idx)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (dq_.empty())
-            return false;
-        idx = dq_.back();
-        dq_.pop_back();
-        return true;
-    }
-
-  private:
-    std::mutex mu_;
-    std::deque<std::size_t> dq_ MEMENTO_GUARDED_BY(mu_);
-};
 
 /** Lower @p target to @p idx if smaller (lock-free min). */
 void
@@ -85,33 +39,19 @@ parallelFor(std::size_t n, unsigned jobs,
         return;
     }
 
-    // Round-robin seeding spreads adjacent indices over different
-    // workers (for sweeps: a workload's config variants overlap early,
-    // so shared-trace first touches coincide).
-    std::vector<TaskDeque> deques(workers);
-    for (std::size_t i = 0; i < n; ++i)
-        deques[i % workers].push(i);
-
-    auto worker_loop = [&](std::size_t me) {
-        std::size_t idx;
-        for (;;) {
-            if (deques[me].popFront(idx)) {
-                fn(idx);
-                continue;
-            }
-            bool stole = false;
-            for (std::size_t off = 1; off < workers && !stole; ++off)
-                stole = deques[(me + off) % workers].popBack(idx);
-            if (!stole)
-                return; // All deques drained; no tasks are ever added.
+    // Workers claim indices from one cursor, so tasks start in index
+    // order as in the serial loop: for sweeps, workload-major, with a
+    // workload's config variants starting together on its shared trace.
+    std::atomic<std::size_t> next{0};
+    auto worker_loop = [&] {
+        for (std::size_t idx; (idx = next.fetch_add(1)) < n;)
             fn(idx);
-        }
     };
 
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
-        pool.emplace_back(worker_loop, w);
+        pool.emplace_back(worker_loop);
     for (std::thread &t : pool)
         t.join();
 }
@@ -161,12 +101,6 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
             opts_.onTaskStart(task, idx);
         }
 
-        MachineConfig cfg = task.cfg;
-        if (opts_.watchdogMaxOps != 0 && cfg.check.maxOps == 0)
-            cfg.check.maxOps = opts_.watchdogMaxOps;
-        if (opts_.watchdogMaxCycles != 0 && cfg.check.maxCycles == 0)
-            cfg.check.maxCycles = opts_.watchdogMaxCycles;
-
         // Run the cell, capturing any failure in-result.
         auto execute = [&]() -> RunResult {
             RunResult result;
@@ -174,7 +108,7 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
             try {
                 std::shared_ptr<const Trace> trace =
                     task.trace ? task.trace : cache_.get(task.spec);
-                return Experiment::tryRunOne(task.spec, *trace, cfg,
+                return Experiment::tryRunOne(task.spec, *trace, task.cfg,
                                              task.opts);
             } catch (const SimError &e) {
                 // tryRunOne already captures SimError; this arm only
@@ -192,15 +126,12 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
             return result;
         };
 
-        // The cell's content address, derived from the *effective*
-        // config (after watchdog defaulting) so a cell never aliases
-        // across different effective watchdog budgets.
         CellKey key;
         if (opts_.store != nullptr && task.trace == nullptr) {
-            key = opts_.store->runCellKey(task.spec.id, cfg, task.opts,
+            key = opts_.store->runCellKey(task.spec.id, task.cfg, task.opts,
                                           task.cacheSalt);
             RunResult cached;
-            unsigned attempts = 1; // Stored with the cell; unused here.
+            unsigned attempts = 1; // Unused: the engine never retries.
             if (opts_.store->loadRun(key, cached, attempts)) {
                 if (opts_.store->inRevalidateSample(
                         key, opts_.revalidateEvery)) {

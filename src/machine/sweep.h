@@ -1,9 +1,9 @@
 /**
  * @file
  * Parallel sweep engine: fans (workload x configuration) runs out over
- * a work-stealing thread pool and merges the outcomes back in task
- * order, so a sweep at any --jobs level reports byte-identically to
- * the serial path.
+ * a thread pool and merges the outcomes back in task order, so a
+ * sweep at any --jobs level reports byte-identically to the serial
+ * path.
  *
  * Determinism rests on three properties, all enforced here or audited
  * in the components this header names:
@@ -49,11 +49,11 @@ namespace memento {
 class ResultStore;
 
 /**
- * Run @p fn(index) for every index in [0, n), fanned out over a
- * work-stealing pool of @p jobs worker threads (0 = hardware
- * concurrency; always capped at n). With one effective worker the
- * calls run inline on the calling thread in index order — the exact
- * serial semantics.
+ * Run @p fn(index) for every index in [0, n), fanned out over a pool
+ * of @p jobs worker threads (0 = hardware concurrency; always capped
+ * at n) that claim indices in ascending order from one shared cursor.
+ * With one effective worker the calls run inline on the calling thread
+ * in index order — the exact serial semantics.
  *
  * This is the pool under SweepEngine, exposed for any embarrassingly
  * parallel index space (the static analyzer's `check all` uses it
@@ -97,14 +97,6 @@ struct SweepOptions
      * before they start, mirroring the serial early exit.
      */
     bool keepGoing = false;
-    /**
-     * Pool watchdog: applied to any task whose config does not arm its
-     * own check.maxOps / check.maxCycles budget, so a single runaway
-     * run times out with ErrorCategory::Timeout instead of stalling
-     * its worker (and, transitively, the pool) forever. 0 = off.
-     */
-    std::uint64_t watchdogMaxOps = 0;
-    Cycles watchdogMaxCycles = 0;
     /**
      * Progress callback fired as each task starts, serialized by an
      * internal mutex (safe to write to a stream from). May be null.
@@ -163,9 +155,8 @@ class SweepEngine
     /**
      * Execute every task and return outcomes in task order. With
      * jobs == 1 the tasks run inline on the calling thread, in order —
-     * the exact serial semantics; with jobs > 1 they are distributed
-     * round-robin over per-worker deques, and an idle worker steals
-     * from the back of a sibling's deque. Outcomes are identical
+     * the exact serial semantics; with jobs > 1 each worker claims the
+     * next unstarted task in index order. Outcomes are identical
      * either way (bar scheduling of the cancellation race: a task the
      * serial path would have skipped may have run — it is still never
      * reported).

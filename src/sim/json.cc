@@ -204,319 +204,4 @@ writeSchemaHeader(JsonWriter &w, std::string_view kind)
     w.member("kind", kind);
 }
 
-const JsonValue *
-JsonValue::find(std::string_view key) const
-{
-    if (type != Type::Object)
-        return nullptr;
-    for (const auto &[k, v] : members) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
-namespace {
-
-/**
- * Recursive-descent JSON reader. Errors carry the byte offset so a
- * corrupt cache record can be reported precisely; depth is bounded so
- * adversarial nesting cannot blow the stack.
- */
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
-
-    bool
-    parse(JsonValue &out, std::string &err)
-    {
-        if (!parseValue(out, 0)) {
-            err = err_;
-            return false;
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            err = fail("trailing garbage after document");
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    static constexpr std::size_t kMaxDepth = 64;
-
-    std::string
-    fail(std::string_view why)
-    {
-        if (err_.empty())
-            err_ = "json: offset " + std::to_string(pos_) + ": " +
-                   std::string(why);
-        return err_;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    consumeWord(std::string_view word)
-    {
-        if (text_.substr(pos_, word.size()) != word)
-            return false;
-        pos_ += word.size();
-        return true;
-    }
-
-    bool
-    parseHex4(unsigned &out)
-    {
-        out = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size())
-                return false;
-            const char c = text_[pos_++];
-            unsigned digit = 0;
-            if (c >= '0' && c <= '9')
-                digit = static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                digit = static_cast<unsigned>(c - 'a') + 10;
-            else if (c >= 'A' && c <= 'F')
-                digit = static_cast<unsigned>(c - 'A') + 10;
-            else
-                return false;
-            out = out * 16 + digit;
-        }
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"')) {
-            fail("expected string");
-            return false;
-        }
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20) {
-                fail("raw control character in string");
-                return false;
-            }
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                break;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                unsigned cp = 0;
-                if (!parseHex4(cp)) {
-                    fail("bad \\u escape");
-                    return false;
-                }
-                if (cp >= 0xd800 && cp <= 0xdfff) {
-                    fail("surrogate \\u escape not supported");
-                    return false;
-                }
-                // UTF-8 encode the code point (BMP only).
-                if (cp < 0x80) {
-                    out += static_cast<char>(cp);
-                } else if (cp < 0x800) {
-                    out += static_cast<char>(0xc0 | (cp >> 6));
-                    out += static_cast<char>(0x80 | (cp & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (cp >> 12));
-                    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (cp & 0x3f));
-                }
-                break;
-              }
-              default:
-                fail("bad escape character");
-                return false;
-            }
-        }
-        fail("unterminated string");
-        return false;
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        const std::size_t start = pos_;
-        bool negative = false;
-        bool integral = true;
-        if (consume('-'))
-            negative = true;
-        while (pos_ < text_.size() && text_[pos_] >= '0' &&
-               text_[pos_] <= '9')
-            ++pos_;
-        if (pos_ == start + (negative ? 1u : 0u)) {
-            fail("bad number");
-            return false;
-        }
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            integral = false;
-            ++pos_;
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9')
-                ++pos_;
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            integral = false;
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9')
-                ++pos_;
-        }
-        const std::string token(text_.substr(start, pos_ - start));
-        out.type = JsonValue::Type::Number;
-        try {
-            out.number = std::stod(token);
-        } catch (...) {
-            fail("unrepresentable number");
-            return false;
-        }
-        if (integral && !negative) {
-            try {
-                out.u64 = std::stoull(token);
-                out.isInteger = true;
-            } catch (...) {
-                // Exceeds u64: keep the double reading only.
-            }
-        }
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out, std::size_t depth)
-    {
-        if (depth > kMaxDepth) {
-            fail("nesting too deep");
-            return false;
-        }
-        skipWs();
-        if (pos_ >= text_.size()) {
-            fail("unexpected end of document");
-            return false;
-        }
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.type = JsonValue::Type::Object;
-            skipWs();
-            if (consume('}'))
-                return true;
-            for (;;) {
-                skipWs();
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                skipWs();
-                if (!consume(':')) {
-                    fail("expected ':' after object key");
-                    return false;
-                }
-                JsonValue member;
-                if (!parseValue(member, depth + 1))
-                    return false;
-                out.members.emplace_back(std::move(key),
-                                         std::move(member));
-                skipWs();
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                fail("expected ',' or '}' in object");
-                return false;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.type = JsonValue::Type::Array;
-            skipWs();
-            if (consume(']'))
-                return true;
-            for (;;) {
-                JsonValue elem;
-                if (!parseValue(elem, depth + 1))
-                    return false;
-                out.items.push_back(std::move(elem));
-                skipWs();
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return true;
-                fail("expected ',' or ']' in array");
-                return false;
-            }
-        }
-        if (c == '"') {
-            out.type = JsonValue::Type::String;
-            return parseString(out.str);
-        }
-        if (consumeWord("true")) {
-            out.type = JsonValue::Type::Bool;
-            out.boolean = true;
-            return true;
-        }
-        if (consumeWord("false")) {
-            out.type = JsonValue::Type::Bool;
-            out.boolean = false;
-            return true;
-        }
-        if (consumeWord("null")) {
-            out.type = JsonValue::Type::Null;
-            return true;
-        }
-        return parseNumber(out);
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    std::string err_;
-};
-
-} // namespace
-
-bool
-parseJson(std::string_view text, JsonValue &out, std::string &err)
-{
-    out = JsonValue{};
-    return JsonParser(text).parse(out, err);
-}
-
 } // namespace memento

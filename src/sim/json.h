@@ -27,6 +27,9 @@
  * Doubles are written with 12 significant digits (locale-independent);
  * NaN and infinities are written as null (JSON has no spelling for
  * them).
+ *
+ * This is the write side only: the simulator never reads JSON back.
+ * The result store keeps its own line records (machine/result_store.h).
  */
 
 #ifndef MEMENTO_SIM_JSON_H
@@ -111,50 +114,6 @@ void writeSchemaHeader(JsonWriter &w, std::string_view kind);
 
 /** Escape @p s for inclusion in a JSON string literal (no quotes). */
 std::string jsonEscape(std::string_view s);
-
-/**
- * A parsed JSON value (the read side of JsonWriter, used by the
- * result store and anything else that loads a document this simulator
- * wrote). Integers that fit an unsigned 64-bit value parse exactly
- * (`isInteger` + `u64`) — digests, cycle counts, and op indices never
- * round-trip through a double — while every number also fills
- * `number` for callers that want the floating-point reading.
- */
-class JsonValue
-{
-  public:
-    enum class Type : std::uint8_t {
-        Null, Bool, Number, String, Array, Object
-    };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    /** Floating-point reading of a Number (always filled). */
-    double number = 0.0;
-    /** Exact reading of a non-negative integer Number. */
-    std::uint64_t u64 = 0;
-    bool isInteger = false;
-    std::string str;
-    std::vector<JsonValue> items; ///< Array elements, in order.
-    /** Object members in document order (duplicates preserved). */
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    /** Member lookup; nullptr when absent or not an object. */
-    const JsonValue *find(std::string_view key) const;
-
-    bool isObject() const { return type == Type::Object; }
-    bool isArray() const { return type == Type::Array; }
-    bool isString() const { return type == Type::String; }
-    bool isNumber() const { return type == Type::Number; }
-};
-
-/**
- * Parse one JSON document from @p text (trailing whitespace allowed,
- * trailing garbage is an error). Returns false and fills @p err with a
- * byte offset and reason on malformed input — never throws, because a
- * corrupt cached document is an expected input, not a bug.
- */
-bool parseJson(std::string_view text, JsonValue &out, std::string &err);
 
 } // namespace memento
 

@@ -79,13 +79,6 @@ TEST(CliOptions, DefaultsMatchDocumentedBehaviour)
     EXPECT_FALSE(opts.cfg.memento.enabled);
 }
 
-TEST(CliOptions, HelpRequestShortCircuitsParsing)
-{
-    const CliOptions opts = parseCommandOptions(
-        command("run"), {"run", "aes", "--help", "--jobs", "bogus"}, 2);
-    EXPECT_TRUE(opts.helpRequested);
-}
-
 using CliOptionsDeath = ::testing::Test;
 
 TEST(CliOptionsDeath, UnacceptedFlagIsFatal)

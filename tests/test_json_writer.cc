@@ -27,6 +27,8 @@ TEST(JsonWriter, GoldenDocumentShape)
     w.beginObject();
     writeSchemaHeader(w, "fleet");
     w.member("count", std::uint64_t{42});
+    // Digests and cycle counts span the whole u64 range: written exactly.
+    w.member("max", std::numeric_limits<std::uint64_t>::max());
     w.member("ratio", 0.5);
     w.member("on", true);
     w.key("items").beginArray();
@@ -43,6 +45,7 @@ TEST(JsonWriter, GoldenDocumentShape)
                                  "  \"schema_version\": 1,\n"
                                  "  \"kind\": \"fleet\",\n"
                                  "  \"count\": 42,\n"
+                                 "  \"max\": 18446744073709551615,\n"
                                  "  \"ratio\": 0.5,\n"
                                  "  \"on\": true,\n"
                                  "  \"items\": [\n"

@@ -21,8 +21,8 @@
  *       only — no caches, no DRAM, no cycle ledger — and report every
  *       memory-discipline violation with a rule id, severity, and the
  *       exact op index. ~100x cheaper than run; `check all` fans out
- *       over the work-stealing pool with byte-identical output at any
- *       --jobs level. Exits non-zero when any error remains.
+ *       over the sweep pool with byte-identical output at any --jobs
+ *       level. Exits non-zero when any error remains.
  *
  *   memento_sim lint-config <file> [options]
  *       Validate a `key = value` config file against the declared
@@ -88,7 +88,7 @@
  * panic and user errors on the command line are still fatal.
  *
  * Sweeps (run all / compare all) fan individual runs out over
- * the machine/sweep.h work-stealing pool and merge results back in
+ * the machine/sweep.h thread pool and merge results back in
  * workload order, so parallelism never changes what gets printed.
  */
 
@@ -274,23 +274,30 @@ printRun(const MachineConfig &cfg, const RunResult &res)
     t.print(std::cout);
 }
 
+/**
+ * The workloads a `<workload>|all` argument names. A --trace file
+ * belongs to one workload, so it cannot go with `all`.
+ */
+std::vector<WorkloadSpec>
+selectWorkloads(const std::string &id, const CliOptions &opts)
+{
+    if (id != "all")
+        return {workloadById(id)};
+    fatal_if(!opts.traceFile.empty(),
+             "--trace names one workload's trace, not 'all'");
+    return allWorkloads();
+}
+
 int
 cmdRun(const std::string &id, const CliOptions &opts)
 {
-    std::vector<WorkloadSpec> specs;
-    if (id == "all") {
-        fatal_if(!opts.traceFile.empty(),
-                 "--trace replays one workload, not 'all'");
-        specs = allWorkloads();
-    } else {
-        specs.push_back(workloadById(id));
-    }
+    const std::vector<WorkloadSpec> specs = selectWorkloads(id, opts);
 
     RunOptions run_opts;
     run_opts.coldStart = opts.cold;
     run_opts.computeDigest = opts.digest;
 
-    // Fan the sweep out over the work-stealing pool: one task per run
+    // Fan the sweep out over the pool: one task per run
     // (a digest check is two runs, dispatched as sibling tasks). The
     // merge below reports strictly in workload order, so the output is
     // byte-identical at any --jobs level.
@@ -389,11 +396,7 @@ cmdRun(const std::string &id, const CliOptions &opts)
 int
 cmdCompare(const std::string &id, const CliOptions &opts)
 {
-    std::vector<WorkloadSpec> specs;
-    if (id == "all")
-        specs = allWorkloads();
-    else
-        specs.push_back(workloadById(id));
+    const std::vector<WorkloadSpec> specs = selectWorkloads(id, opts);
 
     MachineConfig base_cfg = opts.cfg;
     base_cfg.memento.enabled = false;
@@ -477,18 +480,11 @@ finishAnalysis(const DiagReport &report, const CliOptions &opts,
 int
 cmdCheck(const std::string &id, const CliOptions &opts)
 {
-    std::vector<WorkloadSpec> specs;
-    if (id == "all") {
-        fatal_if(!opts.traceFile.empty(),
-                 "--trace checks one workload, not 'all'");
-        specs = allWorkloads();
-    } else {
-        specs.push_back(workloadById(id));
-    }
+    const std::vector<WorkloadSpec> specs = selectWorkloads(id, opts);
 
     const TraceCheckPolicy policy = TraceCheckPolicy::fromConfig(opts.cfg);
 
-    // One slot per workload, filled by the work-stealing pool and
+    // One slot per workload, filled by the sweep pool and
     // merged in workload order — the same determinism recipe as the
     // sweep engine, so output is byte-identical at any --jobs level.
     std::vector<DiagReport> slots(specs.size());
@@ -694,10 +690,6 @@ main(int argc, char **argv)
     try {
         const CliOptions opts =
             parseCommandOptions(*spec, args, 1 + spec->positionals);
-        if (opts.helpRequested) {
-            printCommandHelp(std::cout, *spec);
-            return 0;
-        }
         if (cmd == "list")
             return cmdList();
         if (cmd == "run")
