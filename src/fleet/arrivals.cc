@@ -66,6 +66,9 @@ generateArrivals(const MachineConfig &cfg, std::size_t num_workloads)
     }
     sim_error_if(num_workloads == 0, ErrorCategory::Config,
                  "fleet: the workload mix is empty");
+    sim_error_if(num_workloads > kMaxFleetWorkloads, ErrorCategory::Config,
+                 "fleet: the workload mix holds ", num_workloads,
+                 " workloads, more than the limit of ", kMaxFleetWorkloads);
 
     const double cycles_per_sec = cfg.core.freqGhz * 1.0e9;
     const double mean_rate = fleet.ratePerSec;
@@ -122,10 +125,18 @@ generateArrivals(const MachineConfig &cfg, std::size_t num_workloads)
         const double fraction = rate_fraction(t_sec);
         if (fraction < 1.0 && rng.nextDouble() >= fraction)
             continue; // Thinned away: not an arrival at this rate.
-        Arrival a;
-        a.atCycles = static_cast<Cycles>(t_sec * cycles_per_sec);
-        a.workloadIndex = rng.nextBelow(num_workloads);
-        arrivals.push_back(a);
+        const double at_cycles = t_sec * cycles_per_sec;
+        sim_error_if(at_cycles >= static_cast<double>(kMaxArrivalCycles),
+                     ErrorCategory::Config, "fleet: arrival ",
+                     arrivals.size(), " lands at ", t_sec,
+                     " s, past the arrival window limit of 2^56 cycles (",
+                     static_cast<double>(kMaxArrivalCycles) /
+                         cycles_per_sec,
+                     " s at ", cfg.core.freqGhz,
+                     " GHz); lower fleet.invocations or raise "
+                     "fleet.rate_rps");
+        arrivals.push_back(
+            {static_cast<Cycles>(at_cycles), rng.nextBelow(num_workloads)});
     }
     return arrivals;
 }

@@ -95,25 +95,6 @@ fleetOfferedLoad(const MachineConfig &cfg,
            static_cast<double>(cfg.fleet.cores);
 }
 
-Cycles
-nearestRank(std::vector<Cycles> &values, std::uint64_t num,
-            std::uint64_t den, std::size_t &from)
-{
-    if (values.empty())
-        return 0;
-    const auto n = static_cast<std::uint64_t>(values.size());
-    std::uint64_t rank = (num * n + den - 1) / den; // ceil(num/den * n)
-    if (rank == 0)
-        rank = 1;
-    panic_if(rank - 1 < from, "nearestRank: rank ", rank,
-             " below an earlier selection at index ", from);
-    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-    std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from),
-                     nth, values.end());
-    from = rank - 1;
-    return *nth;
-}
-
 std::vector<WorkloadSpec>
 fleetMix(const FleetConfig &fleet)
 {
@@ -206,8 +187,7 @@ simulateFleet(const std::vector<Arrival> &arrivals,
         digest.add(p.hotValidEntries);
     }
 
-    std::vector<Cycles> latencies;
-    latencies.reserve(arrivals.size());
+    LatencyLog latencies(arrivals.size());
     Cycles prev_t = 0;
 
     for (const Arrival &arr : arrivals) {
@@ -325,7 +305,7 @@ simulateFleet(const std::vector<Arrival> &arrivals,
         inst.busyUntil = end;
 
         const Cycles latency = end - t;
-        latencies.push_back(latency);
+        latencies.push(latency);
         ++m.completed;
         m.makespanCycles = std::max(m.makespanCycles, end);
 
@@ -341,10 +321,9 @@ simulateFleet(const std::vector<Arrival> &arrivals,
             (m.makespanCycles - prev_t);
 
     // Each selection runs only on the suffix the previous one left.
-    std::size_t from = 0;
-    m.p50Cycles = nearestRank(latencies, 50, 100, from);
-    m.p99Cycles = nearestRank(latencies, 99, 100, from);
-    m.p999Cycles = nearestRank(latencies, 999, 1000, from);
+    m.p50Cycles = latencies.nearestRank(50, 100);
+    m.p99Cycles = latencies.nearestRank(99, 100);
+    m.p999Cycles = latencies.nearestRank(999, 1000);
 
     // Fold the counters and the final node state, so the digest pins
     // the complete outcome, not just the per-arrival trajectory.

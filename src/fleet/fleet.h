@@ -41,6 +41,7 @@
 #ifndef MEMENTO_FLEET_FLEET_H
 #define MEMENTO_FLEET_FLEET_H
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -48,6 +49,7 @@
 
 #include "fleet/arrivals.h"
 #include "sim/config.h"
+#include "sim/logging.h"
 #include "wl/workloads.h"
 
 namespace memento {
@@ -158,16 +160,112 @@ double fleetOfferedLoad(const MachineConfig &cfg,
                         const std::vector<FleetProfile> &profiles);
 
 /**
- * Nearest-rank percentile @p num / @p den of @p values: the
- * ceil(num/den * n)-th smallest (at least the first), 0 when empty.
- * Selects with std::nth_element over values[from..], so @p values is
- * reordered, and sets @p from to the selected index. Start with
- * from = 0; passing the updated @p from to the next call, at a rank no
- * lower, selects from the suffix the previous call left, which holds
- * every value not below its pick.
+ * The nearest rank of percentile @p num / @p den among @p n values:
+ * ceil(num/den * n), at least 1; 0 when @p n is 0.
  */
-Cycles nearestRank(std::vector<Cycles> &values, std::uint64_t num,
-                   std::uint64_t den, std::size_t &from);
+constexpr std::uint64_t
+percentileRank(std::uint64_t n, std::uint64_t num, std::uint64_t den)
+{
+    if (n == 0)
+        return 0;
+    return std::max<std::uint64_t>(1, (num * n + den - 1) / den);
+}
+
+/**
+ * The @p rank-th smallest (from 1) of @p values. Selects with
+ * std::nth_element over values[from..], so @p values is reordered, and
+ * sets @p from to the selected index. Start with from = 0; passing the
+ * updated @p from to the next call, at a rank no lower, selects from
+ * the suffix the previous call left, which holds every value not below
+ * its pick.
+ */
+template <typename T>
+T
+selectRank(std::vector<T> &values, std::uint64_t rank, std::size_t &from)
+{
+    // At or below `from` is below an earlier selection's index.
+    panic_if(rank <= from || rank > values.size(), "selectRank: rank ",
+             rank, " outside ", from + 1, "..", values.size());
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from),
+                     nth, values.end());
+    from = rank - 1;
+    return *nth;
+}
+
+/**
+ * Nearest-rank percentile @p num / @p den of @p values: the
+ * percentileRank-th smallest, 0 when empty. Chains through @p from as
+ * selectRank does.
+ */
+template <typename T>
+T
+nearestRank(std::vector<T> &values, std::uint64_t num, std::uint64_t den,
+            std::size_t &from)
+{
+    if (values.empty())
+        return 0;
+    return selectRank(values, percentileRank(values.size(), num, den), from);
+}
+
+/**
+ * Invocation latencies in two widths: one below 2^32 cycles takes
+ * 4 bytes, a wider one 8. Every wide value outranks every narrow one,
+ * so with n narrow values rank r lies among them when r <= n and is
+ * the (r - n)-th wide value otherwise; no value is ever copied or
+ * widened.
+ */
+class LatencyLog
+{
+  public:
+    /**
+     * A log for up to @p expected values: the narrow half reserves
+     * them all up front, and the wide half reserves the values still
+     * expected when its first value arrives.
+     */
+    explicit LatencyLog(std::size_t expected) : expected_(expected)
+    {
+        narrow_.reserve(expected);
+    }
+
+    void
+    push(Cycles latency)
+    {
+        if (latency <= UINT32_MAX) [[likely]] {
+            narrow_.push_back(static_cast<std::uint32_t>(latency));
+            return;
+        }
+        if (wide_.empty() && expected_ > size())
+            wide_.reserve(expected_ - size());
+        wide_.push_back(latency);
+    }
+
+    std::size_t size() const { return narrow_.size() + wide_.size(); }
+
+    /**
+     * Nearest-rank percentile @p num / @p den of every value pushed, 0
+     * when none was. Reorders the log; successive calls at ranks that
+     * do not fall chain like nearestRank's, each selecting from the
+     * suffix the previous one left.
+     */
+    Cycles
+    nearestRank(std::uint64_t num, std::uint64_t den)
+    {
+        const std::uint64_t rank = percentileRank(size(), num, den);
+        if (rank == 0)
+            return 0;
+        if (rank <= narrow_.size())
+            return selectRank(narrow_, rank, narrowFrom_);
+        return selectRank(wide_, rank - narrow_.size(), wideFrom_);
+    }
+
+  private:
+    std::size_t expected_;
+    std::vector<std::uint32_t> narrow_;
+    std::vector<Cycles> wide_;
+    std::size_t narrowFrom_ = 0;
+    std::size_t wideFrom_ = 0;
+};
 
 /** Container set-up cost of a cold start (kernel_cost.h budget). */
 Cycles fleetColdSetupCost(const MachineConfig &cfg);

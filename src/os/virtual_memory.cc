@@ -273,6 +273,7 @@ VirtualMemory::tryHugeFault(Addr vaddr, Env &env)
         return false;
 
     hugeMappings_[block] = frame;
+    ++hugeFaults_;
     const std::uint64_t pages = huge / kPageSize;
     aggUserPages_ += pages;
     residentUser_ += pages;

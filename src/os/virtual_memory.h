@@ -99,6 +99,8 @@ class VirtualMemory : public FrameSource
 
     /** Number of live huge-page mappings. */
     std::size_t hugeMappingCount() const { return hugeMappings_.size(); }
+    /** Faults a transparent huge page has served, ever. */
+    std::uint64_t hugeFaultCount() const { return hugeFaults_; }
 
     /** The process's OS page table (CR3). */
     PageTable &pageTable() { return *pageTable_; }
@@ -153,6 +155,7 @@ class VirtualMemory : public FrameSource
     std::map<Addr, Vma> vmas_;
     /** Huge-page mappings: 2 MiB-aligned va -> 2 MiB-aligned pa. */
     std::map<Addr, Addr> hugeMappings_;
+    std::uint64_t hugeFaults_ = 0;
     Addr heapCursor_;
 
     std::uint64_t residentUser_ = 0;

@@ -17,12 +17,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -32,36 +26,10 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(s);
 }
 
-std::uint64_t
-Rng::next()
+void
+Rng::panicZeroBound()
 {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    panic_if(bound == 0, "nextBelow(0)");
-    // Rejection sampling to avoid modulo bias: draws below
-    // (2^64 - bound) % bound are redrawn. That threshold is below
-    // bound, so a draw at or above bound is accepted without it.
-    std::uint64_t r = next();
-    if (r < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (r < threshold)
-            r = next();
-    }
-    return r % bound;
+    panic("nextBelow(0)");
 }
 
 std::uint64_t
@@ -69,12 +37,6 @@ Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
 {
     panic_if(lo > hi, "nextRange: lo > hi");
     return lo + nextBelow(hi - lo + 1);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 bool

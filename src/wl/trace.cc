@@ -58,6 +58,14 @@ fieldFromText(const std::string &text, std::uint32_t &out)
 } // namespace
 
 void
+Trace::panicUnstorable(const TraceOp &op, const char *why)
+{
+    panic("trace: op kind ", static_cast<unsigned>(op.kind), " ", why,
+          " (value ", op.value, ", objId ", op.objId, ", offset ",
+          op.offset, ")");
+}
+
+void
 writeTrace(const Trace &trace, std::ostream &os)
 {
     for (const TraceOp &op : trace) {

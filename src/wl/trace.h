@@ -288,16 +288,22 @@ class Trace
     };
 
     /**
+     * Panic that @p op cannot be stored because it @p why. Out of line
+     * and cold, so push_back() and the encoder inline into their
+     * callers.
+     */
+    [[noreturn, gnu::cold]] static void panicUnstorable(const TraceOp &op,
+                                                        const char *why);
+
+    /**
      * Encode @p op into @p word; false when a field is too wide for
      * its word. Panics when a field its kind does not use is set.
      */
     static bool
     encode(const TraceOp &op, std::uint32_t &word)
     {
-        panic_if(!unusedFieldsAreZero(op), "trace: op kind ",
-                 static_cast<unsigned>(op.kind),
-                 " sets a field it does not use (value ", op.value,
-                 ", objId ", op.objId, ", offset ", op.offset, ")");
+        if (!unusedFieldsAreZero(op)) [[unlikely]]
+            panicUnstorable(op, "sets a field it does not use");
         const unsigned k = static_cast<unsigned>(op.kind);
         const Layout &layout = kLayouts[k];
         if ((op.objId & ~layout.objIdMask) != 0 ||
@@ -310,12 +316,15 @@ class Trace
         return true;
     }
 
-    /** Store @p op in the side table; returns its escape word. */
-    std::uint32_t
+    /**
+     * Store @p op in the side table; returns its escape word. Rare, so
+     * kept out of line: push_back() then inlines at every call site.
+     */
+    [[gnu::noinline]] std::uint32_t
     escape(const TraceOp &op)
     {
-        panic_if(side_.size() >= kPayloadMask,
-                 "trace: side table full at ", side_.size(), " ops");
+        if (side_.size() >= kPayloadMask) [[unlikely]]
+            panicUnstorable(op, "overflows the full side table");
         side_.push_back(op);
         return kEscapeBase + static_cast<std::uint32_t>(side_.size());
     }

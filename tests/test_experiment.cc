@@ -13,7 +13,10 @@
 
 #include "machine/breakdown.h"
 #include "machine/experiment.h"
+#include "machine/function_executor.h"
+#include "machine/machine.h"
 #include "wl/trace_generator.h"
+#include "wl/workloads.h"
 
 namespace memento {
 namespace {
@@ -281,6 +284,39 @@ TEST(ExperimentInvariants, MapPopulateRaisesFootprintLowersFaults)
     RunResult eager = Experiment::runOne(spec, trace, pop);
     EXPECT_LT(eager.pageFaults(), lazy.pageFaults());
     EXPECT_GT(eager.peakResidentPages, lazy.peakResidentPages);
+}
+
+/**
+ * A kernel.thp=true run's cycles and the huge faults behind them,
+ * pinned. The THP figure prints ratios that round away a few cycles
+ * per huge fault, so only the exact count catches a drift in the
+ * zeroing cost. The window is RunResult::cycles': from after set-up
+ * to the end of the run. Of the THP figure's workloads, only the Go
+ * ones take huge faults.
+ */
+TEST(ThpContract, CyclesAndHugeFaultsArePinned)
+{
+    struct Pin
+    {
+        const char *id;
+        Cycles cycles;
+        std::uint64_t hugeFaults;
+    };
+    for (const Pin &pin :
+         {Pin{"html-go", 85'361'331, 8}, Pin{"bfs-go", 85'259'482, 4}}) {
+        const WorkloadSpec &spec = workloadById(pin.id);
+        const Trace trace = TraceGenerator(spec).generate();
+        MachineConfig cfg = defaultConfig();
+        cfg.kernel.transparentHugePages = true;
+        Machine machine(cfg);
+        machine.createProcess(spec);
+        const Cycles before = machine.cycleLedger().total();
+        FunctionExecutor(machine).run(spec, trace, RunOptions{});
+        const Cycles cycles = machine.cycleLedger().total() - before;
+        const std::uint64_t huge = machine.process().vm().hugeFaultCount();
+        EXPECT_EQ(cycles, pin.cycles) << pin.id;
+        EXPECT_EQ(huge, pin.hugeFaults) << pin.id;
+    }
 }
 
 } // namespace

@@ -513,8 +513,8 @@ TEST(FleetPercentile, SelectionMatchesSortedNearestRank)
         cases.push_back(std::vector<Cycles>(n, 42));
     }
     for (const std::vector<Cycles> &values : cases) {
-        // Chained as simulateFleet selects: p99 on the suffix p50 left,
-        // p999 on the suffix p99 left, all in one vector.
+        // Chained as LatencyLog selects in each of its vectors: p99 on
+        // the suffix p50 left, p999 on the suffix p99 left.
         std::vector<Cycles> chained = values;
         std::size_t chained_from = 0;
         for (const auto &[num, den] :
@@ -531,6 +531,93 @@ TEST(FleetPercentile, SelectionMatchesSortedNearestRank)
                 << "chained, n " << values.size() << " at " << num << "/"
                 << den;
         }
+    }
+}
+
+TEST(FleetPercentile, TwoWidthLogMatchesNearestRankOnPlainVector)
+{
+    constexpr Cycles kNarrowMax = 0xffff'ffffull;
+    Rng rng(31);
+    const auto straddling = [&](std::size_t n, Cycles lo, Cycles span) {
+        std::vector<Cycles> v(n);
+        for (Cycles &x : v)
+            x = lo + rng.nextBelow(span);
+        return v;
+    };
+    std::vector<std::vector<Cycles>> cases = {
+        {},
+        {7},
+        {kNarrowMax},
+        {kNarrowMax + 1},
+        {kNarrowMax, kNarrowMax + 1},
+        {kNarrowMax + 1, kNarrowMax, kNarrowMax + 1, 0},
+        std::vector<Cycles>(1000, kNarrowMax),
+        std::vector<Cycles>(1000, kNarrowMax + 1),
+    };
+    for (const std::size_t n : {1, 2, 999, 1000, 1001, 5000}) {
+        cases.push_back(straddling(n, 0, kNarrowMax + 1));          // Narrow.
+        cases.push_back(straddling(n, kNarrowMax + 1, 1ull << 40)); // Wide.
+        cases.push_back(straddling(n, kNarrowMax - 2000, 4000));    // Both.
+        cases.push_back(straddling(n, 0, 1ull << 34));              // Both.
+        cases.push_back(straddling(n, kNarrowMax - 1, 3)); // Duplicates.
+    }
+    for (const std::vector<Cycles> &values : cases) {
+        LatencyLog log(values.size());
+        for (const Cycles v : values)
+            log.push(v);
+        ASSERT_EQ(log.size(), values.size());
+        std::vector<Cycles> plain = values;
+        std::size_t from = 0;
+        for (const auto &[num, den] :
+             {std::pair<std::uint64_t, std::uint64_t>{50, 100},
+              {99, 100},
+              {999, 1000}}) {
+            EXPECT_EQ(log.nearestRank(num, den),
+                      nearestRank(plain, num, den, from))
+                << "n " << values.size() << " at " << num << "/" << den;
+        }
+    }
+}
+
+TEST(FleetArrivals, WidestArrivalRoundTripsBothFields)
+{
+    const Arrival a{(1ull << 56) - 1, 255};
+    EXPECT_EQ(a.atCycles, (1ull << 56) - 1);
+    EXPECT_EQ(a.workloadIndex, 255u);
+}
+
+TEST(FleetArrivals, MixBeyondTheIndexWidthThrowsConfigError)
+{
+    MachineConfig cfg = defaultConfig();
+    cfg.fleet.invocations = 1000;
+    const std::vector<Arrival> a = generateArrivals(cfg, 256);
+    EXPECT_TRUE(std::any_of(a.begin(), a.end(), [](const Arrival &x) {
+        return x.workloadIndex > 200;
+    }));
+    try {
+        generateArrivals(cfg, 257);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Config);
+        EXPECT_NE(std::string(e.what()).find("256"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(FleetArrivals, WindowPastTheCycleLimitThrowsConfigError)
+{
+    // 300K arrivals at 0.01 rps span about 3e7 s, 9e16 cycles at
+    // 3 GHz: past 2^56 (about 7.2e16) well before the last arrival.
+    MachineConfig cfg = defaultConfig();
+    cfg.fleet.ratePerSec = 0.01;
+    cfg.fleet.invocations = 300'000;
+    try {
+        generateArrivals(cfg, 1);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Config);
+        EXPECT_NE(std::string(e.what()).find("2^56"), std::string::npos)
+            << e.what();
     }
 }
 

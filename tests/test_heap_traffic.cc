@@ -6,9 +6,10 @@
  * sized, aligned and nothrow forms) with counting forwards to malloc
  * and free, and bounds the allocations per trace op of trace synthesis
  * and of a baseline and a Memento replay over paper workloads of every
- * language. A profiler that does not sample libc cannot see this cost,
- * so the bound lives here. It is its own executable because the
- * replacement is program-wide.
+ * language, and the bytes per invocation the fleet stage requests. A
+ * profiler that does not sample libc cannot see this cost, so the
+ * bound lives here. It is its own executable because the replacement
+ * is program-wide.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,8 @@
 #include <iostream>
 #include <new>
 
+#include "fleet/arrivals.h"
+#include "fleet/fleet.h"
 #include "machine/experiment.h"
 #include "sim/config.h"
 #include "wl/trace_generator.h"
@@ -27,18 +30,27 @@
 namespace {
 
 std::atomic<std::uint64_t> gAllocations{0};
+/** Bytes requested, summed over every counted allocation. */
+std::atomic<std::uint64_t> gBytes{0};
+
+void
+count(std::size_t size) noexcept
+{
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    gBytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void *
 countedMalloc(std::size_t size) noexcept
 {
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    count(size);
     return std::malloc(size == 0 ? 1 : size);
 }
 
 void *
 countedAlignedMalloc(std::size_t size, std::align_val_t align) noexcept
 {
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    count(size);
     std::size_t alignment = static_cast<std::size_t>(align);
     if (alignment < sizeof(void *))
         alignment = sizeof(void *);
@@ -153,6 +165,16 @@ allocationsDuring(Fn &&fn)
     return gAllocations.load() - before;
 }
 
+/** Bytes requested from the global operator new during @p fn. */
+template <typename Fn>
+std::uint64_t
+bytesDuring(Fn &&fn)
+{
+    const std::uint64_t before = gBytes.load();
+    fn();
+    return gBytes.load() - before;
+}
+
 TEST(HeapTraffic, TheCounterSeesEveryForm)
 {
     // Each pointer goes through a volatile, so no pair is elided.
@@ -161,6 +183,7 @@ TEST(HeapTraffic, TheCounterSeesEveryForm)
         char bytes[64];
     };
     const std::uint64_t before = gAllocations.load();
+    const std::uint64_t bytes_before = gBytes.load();
     int *volatile one = new int(1);
     delete one;
     int *volatile four = new int[4];
@@ -172,6 +195,47 @@ TEST(HeapTraffic, TheCounterSeesEveryForm)
     Wide *volatile wides = new Wide[2];
     delete[] wides;
     EXPECT_EQ(gAllocations.load() - before, 5u);
+    EXPECT_EQ(gBytes.load() - bytes_before,
+              sizeof(int) * 6 + sizeof(Wide) * 3);
+}
+
+/**
+ * The fleet stage's host state per invocation: an 8-byte Arrival and,
+ * for a latency below 2^32 cycles, a 4-byte log entry. The constant
+ * covers the cores, the resident instances and the digest's text.
+ */
+TEST(HeapTraffic, FleetStageRequestsTwelveBytesPerInvocation)
+{
+    constexpr std::uint64_t kInvocations = 200'000;
+    constexpr std::uint64_t kSlack = 64 << 10;
+    MachineConfig cfg = defaultConfig();
+    cfg.fleet.invocations = kInvocations;
+    cfg.fleet.ratePerSec = 1000.0;
+    // Two 1 ms workloads on 8 cores at 1000 rps: no backlog, so every
+    // latency is a few ms, far below 2^32 cycles.
+    std::vector<FleetProfile> profiles(2);
+    for (FleetProfile &p : profiles) {
+        p.id = "w";
+        p.serviceCycles = 3'000'000;
+        p.pages = 64;
+        p.hotValidEntries = 8;
+    }
+
+    std::vector<Arrival> arrivals;
+    const std::uint64_t arrival_bytes = bytesDuring(
+        [&] { arrivals = generateArrivals(cfg, profiles.size()); });
+    FleetMetrics m;
+    const std::uint64_t loop_bytes =
+        bytesDuring([&] { m = simulateFleet(arrivals, profiles, cfg); });
+    std::cout << "[ heap     ] fleet: " << kInvocations
+              << " invocations, bytes per invocation: arrivals "
+              << static_cast<double>(arrival_bytes) / kInvocations
+              << ", event loop "
+              << static_cast<double>(loop_bytes) / kInvocations << '\n';
+    ASSERT_EQ(m.completed, kInvocations);
+    ASSERT_LT(m.p999Cycles, cfg.msToCycles(50.0));
+    EXPECT_LE(arrival_bytes, 8 * kInvocations + kSlack);
+    EXPECT_LE(loop_bytes, 4 * kInvocations + kSlack);
 }
 
 /**
