@@ -1,8 +1,9 @@
 #include "an/lifetime.h"
 
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
+#include "sim/addr_map.h"
 #include "sim/size_class.h"
 
 namespace memento {
@@ -20,7 +21,8 @@ profileTrace(const Trace &trace)
     };
     // Class counters: one per small class plus one shared large stream.
     std::vector<std::uint64_t> class_count(kNumSmallClasses + 1, 0);
-    std::unordered_map<std::uint64_t, LiveObj> live;
+    // Keyed by object id + 1: ids are 32-bit, so the key never wraps.
+    AddrMap<LiveObj> live;
 
     std::uint64_t compute_instructions = 0;
     std::uint64_t small_short = 0, small_long = 0;
@@ -56,19 +58,16 @@ profileTrace(const Trace &trace)
                           ? sizeClassIndex(op.value)
                           : kNumSmallClasses;
             obj.bornAt = ++class_count[obj.cls];
-            live[op.objId] = obj;
+            live.insert(Addr{op.objId} + 1, obj);
             break;
           }
           case OpKind::Free: {
             ++profile.frees;
-            auto it = live.find(op.objId);
-            if (it == live.end())
+            const std::optional<LiveObj> obj = live.take(Addr{op.objId} + 1);
+            if (!obj)
                 break;
-            const LiveObj &obj = it->second;
-            const std::uint64_t distance =
-                class_count[obj.cls] - obj.bornAt;
-            classify(obj, distance, /*freed=*/true);
-            live.erase(it);
+            classify(*obj, class_count[obj->cls] - obj->bornAt,
+                     /*freed=*/true);
             break;
           }
           default:
@@ -77,10 +76,10 @@ profileTrace(const Trace &trace)
     }
 
     // Everything still live is batch-freed at exit: long-lived. The
-    // loop only bumps commutative counters, so visit order is moot.
-    for (const auto &[id, obj] :
-         live) // lint-src: allow(src-unordered-iteration)
+    // walk only bumps commutative counters, so visit order is moot.
+    live.forEach([&](Addr, const LiveObj &obj) {
         classify(obj, 0, /*freed=*/false);
+    });
 
     const std::uint64_t classified =
         small_short + small_long + large_short + large_long;

@@ -357,6 +357,10 @@ runFleet(const FleetOptions &opts)
                   "' is not one of poisson, bursty, diurnal");
     }
     const std::vector<WorkloadSpec> mix = fleetMix(cfg.fleet);
+    // Arrivals first: a window past 2^56 cycles is a config error, and
+    // it must not wait for (or leave behind) a whole mix's profiles.
+    const std::vector<Arrival> arrivals =
+        generateArrivals(cfg, mix.size());
 
     FleetReport report;
     report.fleet = cfg.fleet;
@@ -396,8 +400,6 @@ runFleet(const FleetOptions &opts)
     }
 
     // Stage 2: the fleet event loop.
-    const std::vector<Arrival> arrivals =
-        generateArrivals(cfg, mix.size());
     report.metrics = simulateFleet(arrivals, report.profiles, cfg);
     return report;
 }

@@ -45,18 +45,17 @@ class BypassUnit
     {
         if (!enabled_)
             return false;
-        auto it = space.arenas.find(geometry_.arenaBaseOf(va));
-        if (it == space.arenas.end())
+        ArenaState *state = space.arenas.find(geometry_.arenaBaseOf(va));
+        if (!state)
             return false;
-        ArenaState &state = it->second;
 
         const unsigned line = geometry_.lineIndexOf(va);
         if (line > kCounterMax)
             return false; // Beyond the counter's range: never bypass.
 
-        const bool eligible = line >= state.bypassCounter;
+        const bool eligible = line >= state->bypassCounter;
         if (eligible) {
-            state.bypassCounter = line + 1;
+            state->bypassCounter = line + 1;
             ++candidates_;
         }
         return eligible;

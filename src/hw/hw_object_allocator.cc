@@ -1,8 +1,5 @@
 #include "hw/hw_object_allocator.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "mem/tlb.h"
 
 namespace memento {
@@ -37,15 +34,15 @@ HwObjectAllocator::newArena(MementoSpace &space, unsigned cls, Env &env)
     // Fig. 6) without fetching stale data from DRAM.
     env.installPhysical(grant.headerPa);
 
-    auto [it, inserted] = space.arenas.emplace(grant.va, state);
-    panic_if(!inserted, "memento: duplicate arena at 0x", std::hex,
-             grant.va);
+    panic_if(space.arenas.contains(grant.va),
+             "memento: duplicate arena at 0x", std::hex, grant.va);
+    space.arenas.insert(grant.va, state);
 
     HotEntry &e = hot_.entry(cls);
     e.valid = true;
     e.arenaVa = grant.va;
     e.arenaPa = grant.headerPa;
-    return it->second;
+    return space.arenas.at(grant.va);
 }
 
 ArenaState &
@@ -130,6 +127,7 @@ HwObjectAllocator::objAlloc(MementoSpace &space, std::uint64_t size,
     if (state->full(capacity) && cfg_.memento.eagerArenaPrefetch) {
         // Hide the next miss: retire the now-full arena and pull in the
         // next one while the core continues (step 9's optimization).
+        // A new arena may grow the map, so `state` is not used after.
         replaceFullArena(space, cls, env, /*eager=*/true);
     }
     return va;
@@ -146,10 +144,12 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
     const Addr arena_base = geometry_.arenaBaseOf(va);
     const unsigned capacity = geometry_.objectsPerArena();
 
-    auto it = space.arenas.find(arena_base);
-    if (it == space.arenas.end())
+    ArenaState *found = space.arenas.find(arena_base);
+    if (!found)
         return FreeStatus::UnknownArena;
-    ArenaState &state = it->second;
+    // Held until the take() below: nothing in between inserts or
+    // erases an arena, so the map does not move it.
+    ArenaState &state = *found;
 
     const unsigned idx = geometry_.objIndexOf(va);
     if (!state.bitmap.test(idx) ||
@@ -216,7 +216,7 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
             }
         }
         pageAlloc_.freeArena(space, arena_base, env);
-        space.arenas.erase(it);
+        space.arenas.take(arena_base);
     }
     return FreeStatus::Ok;
 }
@@ -225,16 +225,9 @@ void
 HwObjectAllocator::releaseAllArenas(MementoSpace &space, Env &env)
 {
     // Release in ascending VA order: freeArena rebuilds the page
-    // allocator's free lists, so hash-order teardown would leave an
-    // implementation-defined free-list order for the next function
-    // instance to allocate from.
-    std::vector<Addr> vas;
-    vas.reserve(space.arenas.size());
-    for (const auto &[va, state] :
-         space.arenas) // lint-src: allow(src-unordered-iteration)
-        vas.push_back(va);
-    std::sort(vas.begin(), vas.end());
-    for (Addr va : vas) {
+    // allocator's free lists, which the next function instance
+    // allocates from, so the order is simulated state.
+    for (Addr va : space.arenas.sortedKeys()) {
         ++arenasReleased_;
         pageAlloc_.freeArena(space, va, env);
     }
@@ -255,13 +248,12 @@ HwObjectAllocator::inactiveSlotFraction(const MementoSpace &space) const
     std::uint64_t total = 0;
     std::uint64_t active = 0;
     // Commutative integer sums: visit order cannot affect the result.
-    for (const auto &[va, state] :
-         space.arenas) { // lint-src: allow(src-unordered-iteration)
+    space.arenas.forEach([&](Addr, const ArenaState &state) {
         if (state.allocated == 0)
-            continue;
+            return;
         total += capacity;
         active += state.allocated;
-    }
+    });
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(active) / static_cast<double>(total);

@@ -63,12 +63,12 @@ MementoAllocator::smallIsLive(Addr ptr) const
     const Addr base = geo.arenaBaseOf(ptr);
     if (ptr < base + ArenaGeometry::kHeaderBytes)
         return false;
-    const auto it = space_.arenas.find(base);
-    if (it == space_.arenas.end())
+    const ArenaState *state = space_.arenas.find(base);
+    if (!state)
         return false;
     const unsigned idx = geo.objIndexOf(ptr);
     return geo.objAddr(base, geo.classOf(ptr), idx) == ptr &&
-           it->second.bitmap.test(idx);
+           state->bitmap.test(idx);
 }
 
 } // namespace memento

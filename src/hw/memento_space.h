@@ -13,11 +13,11 @@
 #define MEMENTO_HW_MEMENTO_SPACE_H
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/arena.h"
 #include "os/page_table.h"
+#include "sim/addr_map.h"
 
 namespace memento {
 
@@ -38,7 +38,7 @@ struct MementoSpace
     std::vector<Addr> bump;
 
     /** Memory-resident arena headers, keyed by arena base VA. */
-    std::unordered_map<Addr, ArenaState> arenas;
+    AddrMap<ArenaState> arenas;
 
     /** Per-class list of arenas with at least one free object. */
     std::vector<std::deque<Addr>> availList;

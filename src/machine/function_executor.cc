@@ -1,5 +1,6 @@
 #include "machine/function_executor.h"
 
+#include <optional>
 #include <string>
 
 #include "sim/error.h"
@@ -54,11 +55,9 @@ FunctionExecutor::execute(const WorkloadSpec &spec, TraceOp op)
             slot.size = op.value;
             slot.live = true;
         } else {
-            auto [it, inserted] = sparse_.emplace(
-                op.objId, ObjectInfo{addr, op.value, true});
-            (void)it;
-            sim_error_if(!inserted, ErrorCategory::Trace,
+            sim_error_if(sparse_.contains(op.objId), ErrorCategory::Trace,
                          "trace: duplicate object id ", op.objId);
+            sparse_.insert(op.objId, ObjectInfo{addr, op.value, true});
         }
         ++liveCount_;
         if (++opsSinceFragSample_ >= 4096) {
@@ -79,11 +78,10 @@ FunctionExecutor::execute(const WorkloadSpec &spec, TraceOp op)
             alloc.free(slot.addr, machine_);
             break;
         }
-        auto it = sparse_.find(op.objId);
-        sim_error_if(it == sparse_.end(), ErrorCategory::Trace,
+        const std::optional<ObjectInfo> info = sparse_.take(op.objId);
+        sim_error_if(!info, ErrorCategory::Trace,
                      "trace: free of unknown object ", op.objId);
-        alloc.free(it->second.addr, machine_);
-        sparse_.erase(it);
+        alloc.free(info->addr, machine_);
         --liveCount_;
         break;
       }
@@ -93,10 +91,9 @@ FunctionExecutor::execute(const WorkloadSpec &spec, TraceOp op)
         if (op.objId < dense_.size() && dense_[op.objId].live) {
             info = &dense_[op.objId];
         } else {
-            auto it = sparse_.find(op.objId);
-            sim_error_if(it == sparse_.end(), ErrorCategory::Trace,
+            info = sparse_.find(op.objId);
+            sim_error_if(!info, ErrorCategory::Trace,
                          "trace: access to unknown object ", op.objId);
-            info = &it->second;
         }
         sim_error_if(op.offset >= info->size, ErrorCategory::Trace,
                      "trace: access past object end");
@@ -124,19 +121,10 @@ FunctionExecutor::flipArenaBit()
     MementoSpace *space = machine_.mementoSpace();
     if (!space || space->arenas.empty())
         return;
-    // Deterministic victim: the lowest-addressed live arena, found by
-    // a full min-scan, so the traversal order is provably irrelevant.
-    // Flipping slot 0 desynchronises the bitmap from the allocated
-    // count either way the bit goes, so the checker always sees it.
-    auto victim =
-        space->arenas.begin(); // lint-src: allow(src-unordered-iteration)
-    for (auto it =
-             space->arenas.begin(); // lint-src: allow(src-unordered-iteration)
-         it != space->arenas.end(); ++it) {
-        if (it->first < victim->first)
-            victim = it;
-    }
-    victim->second.bitmap.flip(0);
+    // Deterministic victim: the lowest-addressed live arena. Flipping
+    // slot 0 desynchronises the bitmap from the allocated count either
+    // way the bit goes, so the checker always sees it.
+    space->arenas.at(space->arenas.sortedKeys().front()).bitmap.flip(0);
 }
 
 void

@@ -9,10 +9,10 @@
 #ifndef MEMENTO_MACHINE_FUNCTION_EXECUTOR_H
 #define MEMENTO_MACHINE_FUNCTION_EXECUTOR_H
 
-#include <unordered_map>
 #include <vector>
 
 #include "machine/machine.h"
+#include "sim/addr_map.h"
 #include "wl/trace.h"
 #include "wl/workloads.h"
 
@@ -85,7 +85,7 @@ class FunctionExecutor
     /**
      * Ids below this bind through the flat vector; at or above it (a
      * handwritten trace with huge ids, fault injection's poisoned
-     * frees) they fall back to the hash map. Bounds the vector so a
+     * frees) they fall back to sparse_. Bounds the vector so a
      * hostile id cannot demand 2^64 slots.
      */
     static constexpr std::uint64_t kDenseIdLimit = 1ull << 22;
@@ -103,7 +103,7 @@ class FunctionExecutor
      * Grown on demand; FunctionEnd clears size but keeps capacity.
      */
     std::vector<ObjectInfo> dense_;
-    std::unordered_map<std::uint64_t, ObjectInfo> sparse_;
+    AddrMap<ObjectInfo> sparse_; ///< Ids >= kDenseIdLimit, so never 0.
     std::size_t liveCount_ = 0;
     double fragSample_ = 0.0;
     std::uint64_t fragMaxLive_ = 0;

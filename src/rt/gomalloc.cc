@@ -1,7 +1,7 @@
 #include "rt/gomalloc.h"
 
 #include <algorithm>
-#include <vector>
+#include <utility>
 
 #include "sim/logging.h"
 
@@ -37,7 +37,7 @@ GoMalloc::newSpan(unsigned cls, Env &env)
     if (!idleSpans_.empty()) {
         base = idleSpans_.back();
         idleSpans_.pop_back();
-        spans_.erase(base);
+        spans_.take(base);
     } else {
         if (arenas_.empty() || arenaCursor_ + kSpanBytes > kArenaBytes) {
             // mheap growth: reserve a new arena from the OS. Go's
@@ -63,11 +63,11 @@ GoMalloc::newSpan(unsigned cls, Env &env)
     env.chargeInstructions(230);
     env.accessVirtual(span.metaAddr, AccessType::Write);
 
-    auto [it, inserted] = spans_.emplace(base, span);
-    panic_if(!inserted, "gomalloc: span already exists at 0x", std::hex,
-             base);
+    panic_if(spans_.contains(base), "gomalloc: span already exists at 0x",
+             std::hex, base);
+    spans_.insert(base, std::move(span));
     partialSpans_[cls].push_back(base);
-    return it->second;
+    return spans_.at(base);
 }
 
 GoMalloc::Span &
@@ -141,15 +141,9 @@ GoMalloc::runGc(Env &env)
 
     // Sweep in ascending span order: the sweep touches span metadata
     // (cache state) and appends reclaimed spans to the partial/idle
-    // lists that later allocations pop from, so hash-order sweeping
-    // would make allocation addresses implementation-defined.
-    std::vector<Addr> bases;
-    bases.reserve(spans_.size());
-    for (const auto &[base, span] :
-         spans_) // lint-src: allow(src-unordered-iteration)
-        bases.push_back(base);
-    std::sort(bases.begin(), bases.end());
-    for (Addr base : bases) {
+    // lists that later allocations pop from, so the order is simulated
+    // state.
+    for (Addr base : spans_.sortedKeys()) {
         Span &span = spans_.at(base);
         if (span.dead.empty())
             continue;
@@ -201,13 +195,12 @@ GoMalloc::inactiveSlotFraction() const
     std::uint64_t total = 0;
     std::uint64_t live = 0;
     // Commutative integer sums: visit order cannot affect the result.
-    for (const auto &[base, span] :
-         spans_) { // lint-src: allow(src-unordered-iteration)
+    spans_.forEach([&](Addr, const Span &span) {
         if (span.liveCount == 0)
-            continue; // Idle span: free memory, not slack.
+            return; // Idle span: free memory, not slack.
         total += span.capacity;
         live += span.liveCount;
-    }
+    });
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(live) / static_cast<double>(total);

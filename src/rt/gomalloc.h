@@ -17,10 +17,10 @@
 #define MEMENTO_RT_GOMALLOC_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/allocator.h"
+#include "sim/addr_map.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
@@ -93,7 +93,7 @@ class GoMalloc : public SoftwareAllocator
 
     Params params_;
 
-    std::unordered_map<Addr, Span> spans_;
+    AddrMap<Span> spans_;
     std::vector<std::vector<Addr>> partialSpans_; ///< Per class.
     std::vector<Addr> idleSpans_; ///< Fully free, reusable (any class).
     std::vector<Addr> arenas_;    ///< OS reservations.

@@ -1,7 +1,6 @@
 #include "rt/jemalloc.h"
 
-#include <algorithm>
-#include <vector>
+#include <utility>
 
 #include "sim/error.h"
 #include "sim/logging.h"
@@ -81,10 +80,10 @@ JeMalloc::newSlab(unsigned cls, Env &env)
         slab.livePerPage.assign(kSlabBytes / kPageSize, 0);
     env.chargeInstructions(200);
     env.accessVirtual(base, AccessType::Write); // Slab header init.
-    auto [it, inserted] = slabs_.emplace(base, slab);
-    panic_if(!inserted, "jemalloc: slab already exists");
+    panic_if(slabs_.contains(base), "jemalloc: slab already exists");
+    slabs_.insert(base, std::move(slab));
     partialSlabs_[cls].push_back(base);
-    return it->second;
+    return slabs_.at(base);
 }
 
 void
@@ -177,15 +176,8 @@ JeMalloc::maybePurge(Env &env)
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
     env.chargeInstructions(400);
     // Decay in ascending slab order: madviseFree mutates VM state, so
-    // hash-order purging would make the access sequence (and with it
-    // the state digest) implementation-defined.
-    std::vector<Addr> bases;
-    bases.reserve(slabs_.size());
-    for (const auto &[base, slab] :
-         slabs_) // lint-src: allow(src-unordered-iteration)
-        bases.push_back(base);
-    std::sort(bases.begin(), bases.end());
-    for (Addr base : bases) {
+    // the order is part of the access sequence and the state digest.
+    for (Addr base : slabs_.sortedKeys()) {
         Slab &slab = slabs_.at(base);
         if (slab.livePerPage.empty())
             continue;
@@ -262,13 +254,12 @@ JeMalloc::inactiveSlotFraction() const
     std::uint64_t total = 0;
     std::uint64_t inactive = 0;
     // Commutative integer sums: visit order cannot affect the result.
-    for (const auto &[base, slab] :
-         slabs_) { // lint-src: allow(src-unordered-iteration)
+    slabs_.forEach([&](Addr, const Slab &slab) {
         if (slab.freeList.size() == slab.carved)
-            continue; // No live objects: free memory, not slack.
+            return; // No live objects: free memory, not slack.
         total += slab.capacity;
         inactive += (slab.capacity - slab.carved) + slab.freeList.size();
-    }
+    });
     // Objects parked in tcaches are also not live.
     for (const auto &stack : tcache_)
         inactive += stack.size();

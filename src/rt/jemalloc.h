@@ -14,10 +14,10 @@
 #define MEMENTO_RT_JEMALLOC_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/allocator.h"
+#include "sim/addr_map.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
@@ -99,7 +99,7 @@ class JeMalloc : public SoftwareAllocator
 
     std::vector<std::vector<Addr>> tcache_; ///< Per-class LIFO stacks.
     /** Slabs by base address. */
-    std::unordered_map<Addr, Slab> slabs_;
+    AddrMap<Slab> slabs_;
     /** Per-class slabs with uncarved/free objects. */
     std::vector<std::vector<Addr>> partialSlabs_;
     /** Chunks mmap'd from the OS. */

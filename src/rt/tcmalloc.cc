@@ -65,7 +65,7 @@ TcMalloc::refill(unsigned cls, Env &env)
             env.chargeInstructions(220);
             env.accessVirtual(span.base, AccessType::Write);
             openSpan_[cls] = span.base;
-            spans_[span.base] = span;
+            spans_.insert(span.base, span);
         }
         Span &span = spans_.at(openSpan_[cls]);
         const Addr obj =
@@ -160,13 +160,12 @@ TcMalloc::inactiveSlotFraction() const
     std::uint64_t total = 0;
     std::uint64_t live = 0;
     // Commutative integer sums: visit order cannot affect the result.
-    for (const auto &[base, span] :
-         spans_) { // lint-src: allow(src-unordered-iteration)
+    spans_.forEach([&](Addr, const Span &span) {
         if (span.live == 0)
-            continue;
+            return;
         total += span.capacity;
         live += span.live;
-    }
+    });
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(live) / static_cast<double>(total);

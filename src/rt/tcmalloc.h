@@ -20,10 +20,10 @@
 #define MEMENTO_RT_TCMALLOC_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/allocator.h"
+#include "sim/addr_map.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
@@ -95,7 +95,7 @@ class TcMalloc : public SoftwareAllocator
     /** Central free lists: per-class objects returned by releases. */
     std::vector<std::vector<Addr>> central_;
     /** Spans by base address. */
-    std::unordered_map<Addr, Span> spans_;
+    AddrMap<Span> spans_;
     /** Per-class span with uncarved objects. */
     std::vector<Addr> openSpan_;
 

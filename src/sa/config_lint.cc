@@ -175,6 +175,22 @@ lintConfigStream(std::istream &is, const std::string &subject,
                    std::max(line_of(p.sizeKey), line_of(p.waysKey)),
                    p.message);
     }
+    // Arrival generation rejects a time past 2^56 cycles; the expected
+    // window is invocations / rate at the core clock.
+    const double window_cycles =
+        static_cast<double>(cfg.fleet.invocations) / cfg.fleet.ratePerSec *
+        cfg.core.freqGhz * 1.0e9;
+    if (window_cycles >= static_cast<double>(kMaxArrivalCycles)) {
+        report.add("config-bad-value", subject,
+                   std::max(line_of("fleet.invocations"),
+                            line_of("fleet.rate_rps")),
+                   detail::formatMsg(
+                       "fleet.invocations / fleet.rate_rps spans ",
+                       window_cycles, " cycles at ", cfg.core.freqGhz,
+                       " GHz, past the arrival window limit of 2^56 "
+                       "cycles; lower fleet.invocations or raise "
+                       "fleet.rate_rps"));
+    }
 
     if (!cfg.memento.enabled) {
         for (const auto &[key, at] : assignments) {

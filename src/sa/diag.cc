@@ -77,9 +77,10 @@ allDiagRules()
          "fleet.memory_budget_pages, so node RSS grows unbounded"},
         // Source linter (determinism over the repo's own sources).
         {"src-unordered-iteration", DiagSeverity::Warning,
-         "Iteration over std::unordered_{map,set}: hash order is "
-         "implementation-defined, so whatever the loop feeds (stdout, "
-         "digests, simulated access order) loses portability"},
+         "std::unordered_{map,set,multimap,multiset} in code: hash order "
+         "is implementation-defined, so whatever a walk feeds (stdout, "
+         "digests, simulated access order) loses portability; use "
+         "AddrMap or an ordered container"},
         {"src-pointer-key-order", DiagSeverity::Warning,
          "std::map/std::set keyed by a raw pointer iterates in allocator "
          "address order, which differs run to run"},

@@ -358,125 +358,18 @@ parseInlineAllows(const std::vector<CommentTok> &comments)
     return allows;
 }
 
-/** What kind of container a name was declared as. */
-struct ContainerSeen
-{
-    bool unordered = false;
-    bool ordered = false;
-};
-
-/** Container declarations by name, in one file or across all files. */
-using DeclIndex = std::map<std::string, ContainerSeen>;
-
-bool
-isOrderedContainerName(const std::string &t)
-{
-    return t == "map" || t == "set" || t == "multimap" ||
-           t == "multiset" || t == "vector" || t == "deque" ||
-           t == "array" || t == "list" || t == "string";
-}
-
-bool
-isUnorderedContainerName(const std::string &t)
-{
-    return t == "unordered_map" || t == "unordered_set" ||
-           t == "unordered_multimap" || t == "unordered_multiset";
-}
-
-/**
- * Skip a balanced template argument list: @p i indexes the `<` token.
- * Returns the index one past the matching `>`. `>>` closers arrive as
- * two `>` tokens, so plain depth counting works.
- */
-std::size_t
-skipTemplateArgs(const std::vector<Tok> &toks, std::size_t i)
-{
-    int depth = 0;
-    for (; i < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::Punct)
-            continue;
-        if (toks[i].text == "<") {
-            ++depth;
-        } else if (toks[i].text == ">") {
-            if (--depth == 0)
-                return i + 1;
-        } else if (toks[i].text == ";") {
-            return i; // Malformed; resynchronize.
-        }
-    }
-    return i;
-}
-
-/**
- * Record container-typed declarations: `<container><<args>> [&*const]*
- * name`. Collects the declared name into @p seen with the container's
- * ordering class, for the unordered-iteration rule.
- */
-void
-scanContainerDeclsInto(const std::vector<Tok> &toks, DeclIndex &seen)
-{
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::Ident)
-            continue;
-        const bool unordered = isUnorderedContainerName(toks[i].text);
-        const bool ordered = isOrderedContainerName(toks[i].text);
-        if (!unordered && !ordered)
-            continue;
-        if (toks[i + 1].kind != TokKind::Punct || toks[i + 1].text != "<")
-            continue;
-        std::size_t j = skipTemplateArgs(toks, i + 1);
-        // Declarator: skip references, pointers, and cv qualifiers.
-        while (j < toks.size() &&
-               ((toks[j].kind == TokKind::Punct &&
-                 (toks[j].text == "&" || toks[j].text == "*")) ||
-                (toks[j].kind == TokKind::Ident &&
-                 (toks[j].text == "const" || toks[j].text == "constexpr"))))
-            ++j;
-        if (j >= toks.size() || toks[j].kind != TokKind::Ident)
-            continue;
-        ContainerSeen &entry = seen[toks[j].text];
-        entry.unordered = entry.unordered || unordered;
-        entry.ordered = entry.ordered || ordered;
-    }
-}
-
-/**
- * The names src-unordered-iteration treats as unordered containers in
- * a file that declares @p local. A name the file declares is classified
- * by the file's own declarations; the cross-file @p index only resolves
- * the names it does not declare, such as a member its header declares.
- * A name with both ordered and unordered declarations in the deciding
- * set is ambiguous and never fires: lexical scoping is out of budget
- * for a lint pass, and missing a finding beats inventing one.
- */
-std::set<std::string>
-unorderedNames(const DeclIndex &local, const DeclIndex &index)
-{
-    std::set<std::string> names;
-    for (const auto &[name, seen] : local) {
-        if (seen.unordered && !seen.ordered)
-            names.insert(name);
-    }
-    for (const auto &[name, seen] : index) {
-        if (local.count(name) == 0 && seen.unordered && !seen.ordered)
-            names.insert(name);
-    }
-    return names;
-}
-
 /** The per-file rule driver. */
 class FileLinter
 {
   public:
     FileLinter(const Lexer &lex, const std::string &subject,
-               DiagReport &report,
-               const std::set<std::string> &unorderedNames)
+               DiagReport &report)
         : toks_(lex.toks), subject_(subject), report_(report),
-          unordered_(unorderedNames), allows_(parseInlineAllows(lex.comments)),
+          allows_(parseInlineAllows(lex.comments)),
           scope_(scopeFor(subject))
     {
         scanLocalDecls();
-        checkUnorderedIteration();
+        checkUnorderedContainers();
         checkPointerKeys();
         checkIdentifierRules();
         checkDigestFloats();
@@ -573,69 +466,23 @@ class FileLinter
 
     // ---- src-unordered-iteration ----
 
-    bool
-    isUnorderedVar(const std::string &name) const
-    {
-        return unordered_.count(name) != 0;
-    }
-
     void
-    checkUnorderedIteration()
+    checkUnorderedContainers()
     {
-        for (std::size_t i = 0; i < toks_.size(); ++i) {
-            // Range-for whose sequence expression names an unordered
-            // container: `for (decl : expr)`.
-            if (isIdent(i, "for") && isPunct(i + 1, "(")) {
-                const std::size_t end = skipParens(i + 1);
-                std::size_t colon = 0;
-                int depth = 0;
-                for (std::size_t j = i + 1; j < end; ++j) {
-                    if (isPunct(j, "("))
-                        ++depth;
-                    else if (isPunct(j, ")"))
-                        --depth;
-                    else if (depth == 1 && isPunct(j, ":")) {
-                        colon = j;
-                        break;
-                    }
-                }
-                for (std::size_t j = colon ? colon + 1 : end; j < end;
-                     ++j) {
-                    if (toks_[j].kind == TokKind::Ident &&
-                        isUnorderedVar(toks_[j].text)) {
-                        // Anchor at the container, not the `for`: a
-                        // wrapped sequence expression keeps the inline
-                        // allow on the same physical line this way.
-                        finding("src-unordered-iteration", toks_[j].line,
-                                detail::formatMsg(
-                                    "range-for over unordered container '",
-                                    toks_[j].text,
-                                    "': hash order is implementation-"
-                                    "defined and leaks into anything "
-                                    "this loop feeds (stdout, digests, "
-                                    "simulated access order); iterate "
-                                    "sorted keys or an ordered mirror"));
-                        break;
-                    }
-                }
-            }
-            // Iterator walk: `container.begin()` (and friends) on an
-            // unordered container.
-            if (toks_[i].kind == TokKind::Ident &&
-                isUnorderedVar(toks_[i].text) &&
-                (isPunct(i + 1, ".") || isPunct(i + 1, "->")) &&
-                i + 2 < toks_.size() &&
-                (toks_[i + 2].text == "begin" ||
-                 toks_[i + 2].text == "cbegin") &&
-                isPunct(i + 3, "(")) {
-                finding("src-unordered-iteration", toks_[i].line,
-                        detail::formatMsg(
-                            "iterator over unordered container '",
-                            toks_[i].text,
-                            "' starts at an implementation-defined "
-                            "position; iterate sorted keys or prove "
-                            "the traversal order-independent"));
-            }
+        for (const Tok &t : toks_) {
+            if (t.kind != TokKind::Ident ||
+                (t.text != "unordered_map" && t.text != "unordered_set" &&
+                 t.text != "unordered_multimap" &&
+                 t.text != "unordered_multiset"))
+                continue;
+            finding("src-unordered-iteration", t.line,
+                    detail::formatMsg(
+                        "std::", t.text,
+                        " iterates in the standard library's hash order, "
+                        "which is implementation-defined and leaks into "
+                        "anything a walk feeds (stdout, digests, "
+                        "simulated access order); use AddrMap "
+                        "(sim/addr_map.h) or an ordered container"));
         }
     }
 
@@ -812,7 +659,6 @@ class FileLinter
     const std::vector<Tok> &toks_;
     const std::string &subject_;
     DiagReport &report_;
-    const std::set<std::string> &unordered_;
     AllowMap allows_;
     RuleScope scope_;
     std::set<std::string> floatVars_;
@@ -883,32 +729,15 @@ lintSourceText(std::string_view text, const std::string &subject,
                DiagReport &report)
 {
     const Lexer lex(text);
-    DeclIndex local;
-    scanContainerDeclsInto(lex.toks, local);
-    FileLinter(lex, subject, report, unorderedNames(local, {}));
+    FileLinter(lex, subject, report);
 }
 
 std::size_t
 lintSourcePaths(const std::vector<std::string> &paths, DiagReport &report)
 {
     const std::vector<std::string> files = collectSourceFiles(paths);
-    std::vector<std::string> texts;
     for (const std::string &path : files)
-        texts.push_back(readFileOrFatal(path));
-
-    // Tokenize every file before linting any: the declaration index
-    // spans all of them, so a .cc iterating a member its header
-    // declares still resolves the container's ordering class.
-    std::vector<Lexer> lexed(texts.begin(), texts.end());
-    std::vector<DeclIndex> local(files.size());
-    DeclIndex index;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        scanContainerDeclsInto(lexed[i].toks, local[i]);
-        scanContainerDeclsInto(lexed[i].toks, index);
-    }
-    for (std::size_t i = 0; i < files.size(); ++i)
-        FileLinter(lexed[i], files[i], report,
-                   unorderedNames(local[i], index));
+        lintSourceText(readFileOrFatal(path), path, report);
     return files.size();
 }
 

@@ -12,12 +12,14 @@
  *
  * The rule catalog (all ids registered in sa/diag.h):
  *
- *   src-unordered-iteration        range-for / .begin() iteration over a
- *                                  std::unordered_{map,set} variable:
- *                                  hash order is implementation-defined,
- *                                  so anything it feeds (stdout, digests,
- *                                  the result store, simulated access
- *                                  order) silently loses portability.
+ *   src-unordered-iteration        any std::unordered_{map,set,multimap,
+ *                                  multiset} in code: hash order is
+ *                                  implementation-defined, so anything a
+ *                                  walk feeds (stdout, digests, the
+ *                                  result store, simulated access order)
+ *                                  silently loses portability. A ban,
+ *                                  with no declaration index: use
+ *                                  AddrMap or an ordered container.
  *   src-pointer-key-order          std::map/std::set keyed by a raw
  *                                  pointer: iteration order is the
  *                                  allocator's address order, different
@@ -44,9 +46,9 @@
  * --allow, --werror, and --json (kind "diagnostics") work unchanged.
  *
  * An inline comment `lint-src: allow(rule-id)` on the same physical
- * line as a finding suppresses it — used for the handful of benign
- * patterns a lexical pass cannot prove safe (collect-keys-then-sort,
- * min_element by a unique projection).
+ * line as a finding suppresses it, for a pattern a lexical pass cannot
+ * prove safe. CI rejects any allow of src-unordered-iteration in the
+ * shipped tree.
  */
 
 #ifndef MEMENTO_SA_SOURCE_LINT_H
@@ -73,10 +75,8 @@ void lintSourceText(std::string_view text, const std::string &subject,
 /**
  * The whole `lint-src` pipeline: collect the .h/.cc files under
  * @p paths (a file argument is taken verbatim; a file reached through
- * two arguments is linted once) and lint them in sorted path order.
- * A container name a file does not declare itself, such as a member
- * its header declares, is resolved against every collected file's
- * declarations. A missing or unreadable path is a user error and
+ * two arguments is linted once) and lint them one at a time in sorted
+ * path order. A missing or unreadable path is a user error and
  * fatal()s. Returns the number of files linted.
  */
 std::size_t lintSourcePaths(const std::vector<std::string> &paths,

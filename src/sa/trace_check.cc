@@ -1,9 +1,9 @@
 #include "sa/trace_check.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/addr_map.h"
 #include "sim/error.h"
 #include "sim/logging.h"
 #include "sim/size_class.h"
@@ -18,10 +18,17 @@ struct ShadowObject
     std::uint64_t allocOp = 0;
 };
 
+/** AddrMap key of trace object @p id: ids are 32-bit, so never wraps. */
+Addr
+keyOf(std::uint32_t id)
+{
+    return Addr{id} + 1;
+}
+
 /**
  * The abstract interpreter. State mirrors exactly what the dynamic
- * executor tracks (FunctionExecutor::objects_) plus the free history
- * and per-class occupancy the sanitizer-style rules need.
+ * executor tracks (FunctionExecutor's object bindings) plus the free
+ * history and per-class occupancy the sanitizer-style rules need.
  */
 class ShadowHeap
 {
@@ -65,20 +72,22 @@ class ShadowHeap
         if (!live_.empty()) {
             // Earliest-allocated leaked object, for a stable exemplar.
             // allocOp is unique per live object, so the minimum does
-            // not depend on the hash order of the walk.
-            const auto first = std::min_element(
-                live_.begin(), // lint-src: allow(src-unordered-iteration)
-                live_.end(),
-                [](const auto &a, const auto &b) {
-                    return a.second.allocOp < b.second.allocOp;
-                });
-            diag("trace-leak", first->second.allocOp,
+            // not depend on the order of the walk.
+            Addr first_key = kNullAddr;
+            ShadowObject first{0, UINT64_MAX};
+            live_.forEach([&](Addr key, const ShadowObject &obj) {
+                if (obj.allocOp < first.allocOp) {
+                    first_key = key;
+                    first = obj;
+                }
+            });
+            diag("trace-leak", first.allocOp,
                  detail::formatMsg(
                      live_.size(),
                      " object(s) still live at end of stream (first: "
                      "object ",
-                     first->first, " allocated at op ",
-                     first->second.allocOp, ", never freed)"));
+                     first_key - 1, " allocated at op ", first.allocOp,
+                     ", never freed)"));
         }
     }
 
@@ -103,17 +112,17 @@ class ShadowHeap
                          : " exceeds the per-class region and cannot "
                            "be routed"));
         }
-        const auto it = live_.find(op.objId);
-        if (it != live_.end()) {
+        const Addr key = keyOf(op.objId);
+        if (const ShadowObject *obj = live_.find(key)) {
             diag("trace-duplicate-id", i,
                  detail::formatMsg("malloc reuses object id ", op.objId,
                                    " which is still live (allocated at "
                                    "op ",
-                                   it->second.allocOp, ")"));
+                                   obj->allocOp, ")"));
             return; // Keep the original binding, as the executor would.
         }
-        freed_.erase(op.objId); // Reusing a freed handle is legal.
-        live_.emplace(op.objId, ShadowObject{op.value, i});
+        freed_.take(key); // Reusing a freed handle is legal.
+        live_.insert(key, ShadowObject{op.value, i});
         if (isSmallSize(op.value)) {
             const unsigned cls = sizeClassIndex(op.value);
             if (++classLive_[cls] > policy_.classCapacity(cls) &&
@@ -133,20 +142,17 @@ class ShadowHeap
     void
     onFree(const TraceOp &op, std::uint64_t i)
     {
-        const auto it = live_.find(op.objId);
-        if (it != live_.end()) {
-            if (isSmallSize(it->second.size))
-                --classLive_[sizeClassIndex(it->second.size)];
-            freed_[op.objId] = i;
-            live_.erase(it);
+        const Addr key = keyOf(op.objId);
+        if (const std::optional<ShadowObject> obj = live_.take(key)) {
+            if (isSmallSize(obj->size))
+                --classLive_[sizeClassIndex(obj->size)];
+            freed_.insert(key, i);
             return;
         }
-        const auto freed = freed_.find(op.objId);
-        if (freed != freed_.end()) {
+        if (const std::uint64_t *freed_at = freed_.find(key)) {
             diag("trace-double-free", i,
                  detail::formatMsg("double free of object ", op.objId,
-                                   " (freed at op ", freed->second,
-                                   ")"));
+                                   " (freed at op ", *freed_at, ")"));
         } else {
             diag("trace-free-unallocated", i,
                  detail::formatMsg("free of object ", op.objId,
@@ -158,23 +164,22 @@ class ShadowHeap
     onAccess(const TraceOp &op, std::uint64_t i)
     {
         const char *what = op.kind == OpKind::Store ? "store" : "load";
-        const auto it = live_.find(op.objId);
-        if (it != live_.end()) {
-            if (op.offset >= it->second.size) {
+        const Addr key = keyOf(op.objId);
+        if (const ShadowObject *obj = live_.find(key)) {
+            if (op.offset >= obj->size) {
                 diag("trace-out-of-bounds", i,
                      detail::formatMsg(
                          what, " at offset ", op.offset, " past the end "
-                         "of object ", op.objId, " (", it->second.size,
-                         " byte(s), allocated at op ",
-                         it->second.allocOp, ")"));
+                         "of object ", op.objId, " (", obj->size,
+                         " byte(s), allocated at op ", obj->allocOp,
+                         ")"));
             }
             return;
         }
-        const auto freed = freed_.find(op.objId);
-        if (freed != freed_.end()) {
+        if (const std::uint64_t *freed_at = freed_.find(key)) {
             diag("trace-use-after-free", i,
                  detail::formatMsg(what, " to object ", op.objId,
-                                   " after free at op ", freed->second));
+                                   " after free at op ", *freed_at));
         } else {
             diag("trace-use-unallocated", i,
                  detail::formatMsg(what, " to object ", op.objId,
@@ -204,8 +209,9 @@ class ShadowHeap
     const TraceCheckPolicy &policy_;
     const std::string &subject_;
     DiagReport &report_;
-    std::unordered_map<std::uint64_t, ShadowObject> live_;
-    std::unordered_map<std::uint64_t, std::uint64_t> freed_;
+    /** Live objects and freed ids (op of the free), by keyOf(id). */
+    AddrMap<ShadowObject> live_;
+    AddrMap<std::uint64_t> freed_;
     std::vector<std::uint64_t> classLive_;
     std::vector<bool> classReported_;
 };

@@ -1,16 +1,22 @@
 /**
  * @file
- * A flat, open-addressing map from a non-null address to a small value.
+ * A flat, open-addressing map from a non-null address to a value.
  *
  * For host-side tables the replay touches once per simulated object (a
- * pointer's requested size, a large chunk's header, a buddy block's
- * order), where a node-based map would make one host allocation per
+ * pointer's requested size, an arena header, an allocator's span or
+ * slab), where a node-based map would make one host allocation per
  * simulated one. Keys and values sit in two flat arrays; a key is
  * placed by a Fibonacci hash and linear probing, and erase shifts the
  * probe chain back, so there are no tombstones and the host heap is
- * touched only when the arrays double, at three-quarters load. Slot
- * order is hash order, which nothing may depend on; sortedKeys() gives
- * a stable one.
+ * touched only when the arrays double, at three-quarters load. Values
+ * move, never copy, when the arrays grow or a chain shifts, so a value
+ * may own heap storage; a pointer into the map is void after any
+ * insert or take.
+ *
+ * Slot order is fixed by this file's own hash and growth policy, not
+ * by a standard library, so forEach() visits the same order on every
+ * host; it is still an order of hash slots, and a caller whose output
+ * depends on visit order walks sortedKeys() instead.
  */
 
 #ifndef MEMENTO_SIM_ADDR_MAP_H
@@ -19,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.h"
@@ -37,7 +44,7 @@ class AddrMap
 
     /** Map @p key (never kNullAddr) to @p value, replacing any value. */
     void
-    insert(Addr key, const V &value)
+    insert(Addr key, V value)
     {
         panic_if(key == kNullAddr, "AddrMap: null key");
         if ((size_ + 1) * 4 > keys_.size() * 3)
@@ -47,7 +54,7 @@ class AddrMap
             keys_[i] = key;
             ++size_;
         }
-        values_[i] = value;
+        values_[i] = std::move(value);
     }
 
     /** The value of @p key, or nullptr when absent. */
@@ -56,6 +63,22 @@ class AddrMap
     {
         const std::size_t i = slotOf(key);
         return keys_[i] == kNullAddr ? nullptr : &values_[i];
+    }
+
+    V *
+    find(Addr key)
+    {
+        const std::size_t i = slotOf(key);
+        return keys_[i] == kNullAddr ? nullptr : &values_[i];
+    }
+
+    /** The value of @p key, which must be present. */
+    V &
+    at(Addr key)
+    {
+        V *value = find(key);
+        panic_if(!value, "AddrMap: no entry at 0x", std::hex, key);
+        return *value;
     }
 
     bool contains(Addr key) const { return find(key) != nullptr; }
@@ -67,7 +90,7 @@ class AddrMap
         std::size_t i = slotOf(key);
         if (keys_[i] == kNullAddr)
             return std::nullopt;
-        const V value = values_[i];
+        std::optional<V> value(std::move(values_[i]));
         --size_;
         // Backward shift: move each later entry of the chain whose home
         // is not cyclically in (i, j] into the hole, until a gap.
@@ -77,7 +100,7 @@ class AddrMap
                 break;
             if (((j - home(keys_[j])) & mask()) >= ((j - i) & mask())) {
                 keys_[i] = keys_[j];
-                values_[i] = values_[j];
+                values_[i] = std::move(values_[j]);
                 i = j;
             }
         }
@@ -85,11 +108,19 @@ class AddrMap
         return value;
     }
 
-    /** Forget every entry (the arrays keep their size). */
+    /**
+     * Forget every entry. The arrays keep their size; each value is
+     * reset, so none keeps heap storage it owned.
+     */
     void
     clear()
     {
-        std::fill(keys_.begin(), keys_.end(), kNullAddr);
+        for (std::size_t i = 0; i < keys_.size(); ++i) {
+            if (keys_[i] != kNullAddr) {
+                keys_[i] = kNullAddr;
+                values_[i] = V{};
+            }
+        }
         size_ = 0;
     }
 
@@ -152,7 +183,7 @@ class AddrMap
                 continue;
             const std::size_t i = slotOf(old_keys[j]);
             keys_[i] = old_keys[j];
-            values_[i] = old_values[j];
+            values_[i] = std::move(old_values[j]);
         }
     }
 

@@ -1,9 +1,7 @@
 #include "val/digest.h"
 
-#include <algorithm>
 #include <iomanip>
 #include <sstream>
-#include <vector>
 
 #include "machine/machine.h"
 
@@ -39,15 +37,9 @@ addSpace(DigestBuilder &d, const MementoSpace &space)
     for (Addr bump : space.bump)
         d.add(bump);
 
-    // arenas is unordered; visit headers by ascending base VA.
-    std::vector<Addr> bases;
-    bases.reserve(space.arenas.size());
-    for (const auto &[va, state] :
-         space.arenas) // lint-src: allow(src-unordered-iteration)
-        bases.push_back(va);
-    std::sort(bases.begin(), bases.end());
-    for (Addr va : bases) {
-        const ArenaState &state = space.arenas.at(va);
+    // Headers by ascending base VA, not the map's slot order.
+    for (Addr va : space.arenas.sortedKeys()) {
+        const ArenaState &state = *space.arenas.find(va);
         d.add(state.va);
         d.add(state.headerPa);
         d.add(state.szclass);

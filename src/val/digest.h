@@ -11,7 +11,8 @@
  * state, host-environment leakage) crept into the model.
  *
  * Only simulated state is hashed, never host pointers or addresses of
- * C++ objects, and unordered containers are visited in sorted order.
+ * C++ objects, and hash tables (AddrMap) are visited in sorted key
+ * order.
  */
 
 #ifndef MEMENTO_VAL_DIGEST_H

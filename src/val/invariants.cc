@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "machine/machine.h"
@@ -171,13 +171,7 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
 
         // Validate arenas in ascending VA order so a report with
         // several violations lists them deterministically.
-        std::vector<Addr> arena_vas;
-        arena_vas.reserve(space->arenas.size());
-        for (const auto &[va, state] :
-             space->arenas) // lint-src: allow(src-unordered-iteration)
-            arena_vas.push_back(va);
-        std::sort(arena_vas.begin(), arena_vas.end());
-        for (Addr va : arena_vas) {
+        for (Addr va : space->arenas.sortedKeys()) {
             const ArenaState &state = space->arenas.at(va);
             std::ostringstream who_arena;
             who_arena << who << ": arena 0x" << std::hex << va;
@@ -208,7 +202,7 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
         // List discipline: avail holds non-full arenas, full holds full
         // ones, and no arena sits on two lists (HOT-resident arenas sit
         // on none). Each listed arena must exist in the header map.
-        std::unordered_set<Addr> listed;
+        std::set<Addr> listed;
         auto check_list = [&](unsigned cls, const std::deque<Addr> &list,
                               bool want_full, const char *list_name) {
             for (Addr va : list) {
@@ -219,14 +213,14 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
                     v.push_back(os.str() + " linked on two lists");
                     continue;
                 }
-                auto it = space->arenas.find(va);
-                if (it == space->arenas.end()) {
+                const ArenaState *state = space->arenas.find(va);
+                if (!state) {
                     v.push_back(os.str() + " has no header");
                     continue;
                 }
-                if (it->second.szclass != cls)
+                if (state->szclass != cls)
                     v.push_back(os.str() + " linked under the wrong class");
-                if (it->second.full(capacity) != want_full)
+                if (state->full(capacity) != want_full)
                     v.push_back(os.str() + (want_full
                                     ? " on the full list but not full"
                                     : " on the avail list but full"));
@@ -266,16 +260,16 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
             const HotEntry &e = hot->entry(cls);
             if (!e.valid)
                 continue;
-            auto it = current->arenas.find(e.arenaVa);
+            const ArenaState *state = current->arenas.find(e.arenaVa);
             std::ostringstream os;
             os << "hot[" << cls << "]: arena 0x" << std::hex << e.arenaVa;
-            if (it == current->arenas.end()) {
+            if (!state) {
                 v.push_back(os.str() + " not present in the header map");
                 continue;
             }
-            if (it->second.szclass != cls)
+            if (state->szclass != cls)
                 v.push_back(os.str() + " cached under the wrong class");
-            if (it->second.headerPa != e.arenaPa)
+            if (state->headerPa != e.arenaPa)
                 v.push_back(os.str() + " cached with a stale header PA");
             auto on = [&](const std::deque<Addr> &list) {
                 return std::find(list.begin(), list.end(), e.arenaVa) !=

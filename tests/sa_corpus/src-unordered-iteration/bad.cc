@@ -1,13 +1,12 @@
-// True positive: range-for over an unordered map feeds output, so the
-// line order depends on the library's hash function.
+// True positive: an unordered container, even one only probed and
+// never iterated here. The next walk over it would feed output in the
+// standard library's hash order, so the type itself is banned.
 #include <cstdint>
 #include <unordered_map>
 
-std::uint64_t
-sumAndEmit(const std::unordered_map<std::uint64_t, std::uint64_t> &live)
+bool
+seenBefore(std::uint64_t id)
 {
-    std::uint64_t acc = 0;
-    for (const auto &[id, len] : live)
-        acc = acc * 31 + id + len;
-    return acc;
+    static std::unordered_map<std::uint64_t, std::uint64_t> seen;
+    return !seen.emplace(id, 1).second;
 }

@@ -1,19 +1,17 @@
-// Near-miss: same shape, but the container is an ordered std::map, so
-// iteration order is the key order — deterministic by construction.
-// Membership probes against an unordered map (find/count, no
-// iteration) are also fine.
+// Near-miss: an ordered std::map iterates in key order, deterministic
+// by construction. The #include line below, this comment's mention of
+// std::unordered_map and the string literal are not code, so they
+// stay silent.
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+
+const char *const kNote = "not a std::unordered_set";
 
 std::uint64_t
-sumAndEmit(const std::map<std::uint64_t, std::uint64_t> &live,
-           const std::unordered_map<std::uint64_t, std::uint64_t> &index)
+sumAndEmit(const std::map<std::uint64_t, std::uint64_t> &live)
 {
     std::uint64_t acc = 0;
     for (const auto &[id, len] : live)
         acc = acc * 31 + id + len;
-    if (index.find(acc) != index.end())
-        ++acc;
     return acc;
 }

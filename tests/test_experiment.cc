@@ -210,23 +210,74 @@ TEST_P(ExperimentTest, AccessorsMatchLiveRegistryReads)
     }
 }
 
+/** Counter namespaces of the Memento hardware units. */
+bool
+isHardwareCounter(const std::string &name)
+{
+    for (const char *prefix :
+         {"aac.", "bypass.", "hot.", "hwobj.", "hwpage.", "memento."}) {
+        if (name.rfind(prefix, 0) == 0)
+            return true;
+    }
+    return false;
+}
+
+TEST_P(ExperimentTest, AccountingIdentitiesAndBypassRelationHold)
+{
+    const Comparison cmp =
+        Experiment::compareDefault(smallWorkload(GetParam()));
+    const struct
+    {
+        const char *name;
+        const RunResult &run;
+    } runs[] = {{"baseline", cmp.base},
+                {"memento", cmp.memento},
+                {"memento-no-bypass", cmp.mementoNoBypass}};
+    for (const auto &[name, r] : runs) {
+        SCOPED_TRACE(name);
+        // R3: DRAM traffic is whole lines, and every access is a row
+        // hit or a row miss.
+        const std::uint64_t accesses =
+            r.delta("dram.reads") + r.delta("dram.writes");
+        EXPECT_EQ(r.dramBytes(), accesses * kLineSize);
+        EXPECT_EQ(r.delta("dram.row_hits") + r.delta("dram.row_misses"),
+                  accesses);
+        // R3: the cycle categories partition the run's cycles.
+        Cycles by_category = 0;
+        for (Cycles c : r.byCategory)
+            by_category += c;
+        EXPECT_EQ(by_category, r.cycles);
+    }
+
+    // R3: with Memento off, no hardware unit counts anything.
+    for (const CounterReading &c : cmp.base.counters) {
+        if (isHardwareCounter(c.name)) {
+            EXPECT_EQ(c.end - c.start, 0u) << c.name;
+        }
+    }
+    EXPECT_EQ(cmp.base.hwMmCycles(), 0u);
+
+    // R2: bypass changes DRAM traffic, never a cache hit or miss; each
+    // line it bypasses is a demand fill the no-bypass run makes.
+    for (const char *cache : {"l1d", "l1i", "l2", "llc"}) {
+        for (const char *event : {".hits", ".misses"}) {
+            const std::string counter = std::string(cache) + event;
+            EXPECT_EQ(cmp.mementoNoBypass.delta(counter),
+                      cmp.memento.delta(counter))
+                << counter;
+        }
+    }
+    EXPECT_GT(cmp.memento.bypassedLines(), 0u);
+    EXPECT_EQ(cmp.mementoNoBypass.bypassedLines(), 0u);
+    EXPECT_EQ(cmp.mementoNoBypass.delta("hier.demand_fills"),
+              cmp.memento.delta("hier.demand_fills") +
+                  cmp.memento.bypassedLines());
+}
+
 INSTANTIATE_TEST_SUITE_P(Languages, ExperimentTest,
                          ::testing::Values(Language::Python,
                                            Language::Cpp,
                                            Language::Golang));
-
-TEST(ExperimentInvariants, DramBytesAreLineGranular)
-{
-    Comparison cmp =
-        Experiment::compareDefault(smallWorkload(Language::Python));
-    for (const RunResult *r :
-         {&cmp.base, &cmp.memento, &cmp.mementoNoBypass}) {
-        EXPECT_EQ(r->dramBytes() % kLineSize, 0u);
-        EXPECT_EQ(r->dramBytes(),
-                  (r->delta("dram.reads") + r->delta("dram.writes")) *
-                      kLineSize);
-    }
-}
 
 TEST(ExperimentInvariants, HotHitRateIsHighOnChurn)
 {

@@ -668,5 +668,29 @@ TEST(FleetPipeline, UnknownArrivalKindThrowsBeforeProfiling)
     }
 }
 
+TEST(FleetPipeline, WindowPastTheArrivalLimitThrowsBeforeProfiling)
+{
+    // 300,000 invocations at 0.01/s span 3e7 s, 9e16 cycles at 3 GHz:
+    // past 2^56. The error must come before any profile cell is run
+    // or stored.
+    TempStoreDir dir("fleet-window");
+    ResultStore store({.dir = dir.path(), .codeVersion = "fleet-test"});
+    FleetOptions opts;
+    opts.cfg = smallFleetConfig();
+    opts.cfg.fleet.ratePerSec = 0.01;
+    opts.cfg.fleet.invocations = 300000;
+    opts.store = &store;
+    try {
+        runFleet(opts);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Config);
+        EXPECT_NE(std::string(e.what()).find("2^56"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(store.stats().misses, 0u);
+    EXPECT_EQ(store.stats().stores, 0u);
+}
+
 } // namespace
 } // namespace memento

@@ -267,8 +267,8 @@ TEST_P(HeapTrafficTest, SimulationPathStaysOffTheHostHeap)
               << ", base replay " << base << ", memento replay " << memento
               << '\n';
     EXPECT_LE(generate, 0.01);
-    EXPECT_LE(base, 0.05);
-    EXPECT_LE(memento, 0.02);
+    EXPECT_LE(base, 0.04);
+    EXPECT_LE(memento, 0.015);
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperWorkloads, HeapTrafficTest,

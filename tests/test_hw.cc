@@ -288,7 +288,7 @@ TEST_F(HwAllocTest, EmptyNonResidentArenaIsReleased)
     EXPECT_EQ(stats.value("hwpage.arena_frees"), 1u);
     EXPECT_GT(stats.value("hwpage.shootdowns"), 0u);
     // Its memory returned to the pool; the arena is gone from the map.
-    EXPECT_EQ(space.arenas.count(geo.arenaBaseOf(first_arena[0])), 0u);
+    EXPECT_FALSE(space.arenas.contains(geo.arenaBaseOf(first_arena[0])));
 }
 
 TEST_F(HwAllocTest, ResidentArenaSurvivesBecomingEmpty)
@@ -297,7 +297,7 @@ TEST_F(HwAllocTest, ResidentArenaSurvivesBecomingEmpty)
     EXPECT_EQ(objAlloc.objFree(space, a, env), FreeStatus::Ok);
     // Still resident in the HOT: kept to avoid thrash.
     EXPECT_EQ(stats.value("hwpage.arena_frees"), 0u);
-    EXPECT_EQ(space.arenas.count(geo.arenaBaseOf(a)), 1u);
+    EXPECT_TRUE(space.arenas.contains(geo.arenaBaseOf(a)));
 }
 
 TEST_F(HwAllocTest, ReleaseAllArenasEmptiesSpace)
@@ -526,7 +526,7 @@ TEST_F(AdapterBookkeepingTest, LastFreeInColdArenaErasesIt)
     }
     for (Addr a : first_arena)
         adapter.free(a, env);
-    EXPECT_EQ(space.arenas.count(geo.arenaBaseOf(first_arena[0])), 0u);
+    EXPECT_FALSE(space.arenas.contains(geo.arenaBaseOf(first_arena[0])));
     EXPECT_EQ(adapter.liveBytes(), 8u * 13u);
     for (Addr a : first_arena)
         EXPECT_FALSE(adapter.isLive(a));
@@ -645,10 +645,10 @@ TEST_P(HwPropertyTest, BitmapMatchesLiveSet)
 
     // The sum of set bitmap bits equals the live object count.
     std::uint64_t bits = 0;
-    for (const auto &[va, state] : space.arenas) {
+    space.arenas.forEach([&](Addr, const ArenaState &state) {
         bits += state.allocated;
-        ASSERT_EQ(state.bitmap.count(), state.allocated);
-    }
+        EXPECT_EQ(state.bitmap.count(), state.allocated);
+    });
     EXPECT_EQ(bits, live.size());
 }
 

@@ -235,7 +235,7 @@ TEST(InvariantTest, ArenaBitmapDesyncDetected)
     MementoSpace *space = m.mementoSpace();
     ASSERT_NE(space, nullptr);
     ASSERT_FALSE(space->arenas.empty());
-    space->arenas.begin()->second.bitmap.flip(0);
+    space->arenas.at(space->arenas.sortedKeys().front()).bitmap.flip(0);
     const InvariantReport report = InvariantChecker::check(m);
     ASSERT_FALSE(report.clean());
     EXPECT_NE(report.summary().find("bitmap"), std::string::npos);
@@ -337,7 +337,7 @@ TEST(DigestTest, DigestSeesMachineStateMutation)
     MementoSpace *space = m.mementoSpace();
     ASSERT_NE(space, nullptr);
     ASSERT_FALSE(space->arenas.empty());
-    space->arenas.begin()->second.bitmap.flip(0);
+    space->arenas.at(space->arenas.sortedKeys().front()).bitmap.flip(0);
     EXPECT_NE(digestMachine(m), before);
 }
 

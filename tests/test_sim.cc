@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -272,6 +273,56 @@ TEST(AddrMap, MatchesAHashMapUnderRandomTraffic)
     map.clear();
     EXPECT_TRUE(map.empty());
     EXPECT_FALSE(map.contains(keys.front()));
+}
+
+std::vector<Addr>
+vectorValueOf(Addr key)
+{
+    return std::vector<Addr>(1 + key % 7, key);
+}
+
+TEST(AddrMap, VectorValuesSurviveGrowAndTake)
+{
+    // 3000 keys force several doublings from the 256-slot start, and
+    // every take() shifts the chains after it: each move must carry
+    // the vector, not leave it behind or copy a moved-from one.
+    AddrMap<std::vector<Addr>> map;
+    std::vector<Addr> keys;
+    for (Addr key = 0x1000; keys.size() < 3000; key += 24) {
+        map.insert(key, vectorValueOf(key));
+        keys.push_back(key);
+    }
+    for (std::size_t i = 0; i < keys.size(); i += 2) {
+        const std::optional<std::vector<Addr>> taken = map.take(keys[i]);
+        ASSERT_TRUE(taken.has_value());
+        ASSERT_EQ(*taken, vectorValueOf(keys[i])) << keys[i];
+    }
+    EXPECT_EQ(map.size(), keys.size() / 2);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::vector<Addr> *value = map.find(keys[i]);
+        if (i % 2 == 0) {
+            EXPECT_EQ(value, nullptr);
+        } else {
+            ASSERT_NE(value, nullptr);
+            EXPECT_EQ(*value, vectorValueOf(keys[i])) << keys[i];
+        }
+    }
+    map.clear();
+    map.insert(keys[1], {});
+    EXPECT_TRUE(map.at(keys[1]).empty());
+}
+
+TEST(AddrMap, WriteThroughFindIsVisibleToLaterFinds)
+{
+    AddrMap<std::vector<Addr>> map;
+    map.insert(0x40, {1});
+    map.insert(0x80, {2});
+    map.find(0x40)->push_back(3);
+    map.at(0x80).clear();
+    ASSERT_NE(map.find(0x40), nullptr);
+    EXPECT_EQ(*map.find(0x40), (std::vector<Addr>{1, 3}));
+    EXPECT_TRUE(map.find(0x80)->empty());
+    EXPECT_EQ(map.find(0xc0), nullptr);
 }
 
 TEST(AddrMap, NullKeyPanics)

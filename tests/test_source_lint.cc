@@ -13,9 +13,8 @@
  *      strings, and comments must never produce findings, and inline
  *      `lint-src: allow(...)` comments suppress exactly their line.
  *   3. Path scopes and the pipeline: tools/ keeps the ordering rules,
- *      a file's own container declarations decide its names, files
- *      lint in sorted path order, and a file reached through two paths
- *      lints once.
+ *      files lint in sorted path order, and a file reached through two
+ *      paths lints once.
  *   4. DiagPolicy edges on the rules: --allow removes findings from
  *      every count, and the text and JSON renderings agree on
  *      error/warning totals.
@@ -116,9 +115,8 @@ INSTANTIATE_TEST_SUITE_P(Rules, SourceLintCorpus,
 
 TEST(SourceLintCorpus, WholeCorpusReportsEachRuleOnceAtItsBadFile)
 {
-    // Linted together, the near-misses' declarations must not hide the
-    // true positives: ok.cc of src-unordered-iteration declares the
-    // same name as an ordered std::map.
+    // Linted together, each true positive fires once and no near-miss
+    // fires at all.
     DiagReport report;
     lintSourcePaths({kCorpusDir}, report);
     ASSERT_EQ(report.diags().size(), std::size(kRules))
@@ -209,20 +207,29 @@ TEST(SourceLintTokenizer, InlineAllowSuppressesExactlyItsLine)
     EXPECT_EQ(report.diags().front().location, 2u);
 }
 
-TEST(SourceLintTokenizer, UnorderedIterationNeedsAnUnorderedDecl)
+TEST(SourceLintTokenizer, EveryUnorderedContainerInCodeFires)
 {
-    const char *unordered = "std::unordered_map<int, int> m;\n"
-                            "void f() {\n"
-                            "    for (const auto &kv : m)\n"
-                            "        (void)kv;\n"
-                            "}\n";
+    // A declaration, a parameter type and a using alias each fire on
+    // their own line, iterated or not; the #include line, the comment
+    // and the string stay inert.
+    const DiagReport report = lintSnippet(
+        "#include <unordered_map>\n"
+        "std::unordered_set<int> seen;\n"
+        "int f(const std::unordered_multimap<int, int> &m);\n"
+        "using Index = std::unordered_map<int, int>;\n"
+        "// std::unordered_multiset in a comment\n"
+        "const char *kDoc = \"std::unordered_map in a string\";\n");
+    ASSERT_EQ(countRule(report, "src-unordered-iteration"), 3u)
+        << renderText(report);
+    EXPECT_EQ(report.diags()[0].location, 2u);
+    EXPECT_EQ(report.diags()[1].location, 3u);
+    EXPECT_EQ(report.diags()[2].location, 4u);
+
     const char *ordered = "std::map<int, int> m;\n"
                           "void f() {\n"
                           "    for (const auto &kv : m)\n"
                           "        (void)kv;\n"
                           "}\n";
-    EXPECT_EQ(countRule(lintSnippet(unordered), "src-unordered-iteration"),
-              1u);
     EXPECT_EQ(countRule(lintSnippet(ordered), "src-unordered-iteration"),
               0u);
 }
@@ -291,7 +298,7 @@ TEST(SourceLintScope, ToolsKeepsTheOrderingRules)
 }
 
 // ---------------------------------------------------------------------
-// Pipeline: declaration precedence and file collection.
+// Pipeline: file collection and order.
 // ---------------------------------------------------------------------
 
 void
@@ -300,35 +307,6 @@ writeFile(const std::string &path, std::string_view text)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out) << path;
     out << text;
-}
-
-TEST(SourceLintPipeline, OwnDeclarationsDecideBeforeTheCrossFileIndex)
-{
-    // pool.cc iterates slots_, which only its header declares (as
-    // unordered). trace.cc declares its own unordered live_, which
-    // index.h declares as an ordered std::map: the file's own
-    // declaration decides.
-    const std::string dir = ::testing::TempDir() + "source_lint_decls";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    writeFile(dir + "/pool.h", "std::unordered_map<int, int> slots_;\n");
-    writeFile(dir + "/pool.cc", "void f() {\n"
-                                "    for (const auto &kv : slots_)\n"
-                                "        (void)kv;\n"
-                                "}\n");
-    writeFile(dir + "/index.h", "std::map<int, int> live_;\n");
-    writeFile(dir + "/trace.cc", "std::unordered_map<int, int> live_;\n"
-                                 "void g() {\n"
-                                 "    for (const auto &kv : live_)\n"
-                                 "        (void)kv;\n"
-                                 "}\n");
-    DiagReport report;
-    EXPECT_EQ(lintSourcePaths({dir}, report), 4u);
-    ASSERT_EQ(report.diags().size(), 2u) << renderText(report);
-    EXPECT_EQ(report.diags()[0].subject, dir + "/pool.cc");
-    EXPECT_EQ(report.diags()[0].location, 2u);
-    EXPECT_EQ(report.diags()[1].subject, dir + "/trace.cc");
-    EXPECT_EQ(report.diags()[1].location, 3u);
 }
 
 TEST(SourceLintPipeline, FileReachedThroughTwoPathsLintsOnce)

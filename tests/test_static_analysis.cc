@@ -388,6 +388,23 @@ TEST(ConfigLint, CacheAndTlbGeometryWithoutASet)
     EXPECT_TRUE(lint("tlb.l1_ways = 64\nl1d.size = 512\n").empty());
 }
 
+TEST(ConfigLint, FleetWindowPastTheArrivalLimit)
+{
+    // 300,000 / 0.01 s at 3 GHz is 9e16 cycles, past 2^56; reported
+    // at the later of the two fleet keys, whichever comes last.
+    DiagReport r = lint("fleet.invocations = 300000\n"
+                        "# slow\nfleet.rate_rps = 0.01\n");
+    expectOnly(r, "config-bad-value", DiagSeverity::Error, 3);
+    EXPECT_NE(renderText(r).find("2^56"), std::string::npos)
+        << renderText(r);
+    expectOnly(lint("fleet.rate_rps = 0.01\nfleet.invocations = 300000\n"),
+               "config-bad-value", DiagSeverity::Error, 2);
+    // A slower clock brings the same window under the limit.
+    EXPECT_TRUE(lint("fleet.invocations = 300000\n"
+                     "fleet.rate_rps = 0.01\ncore.freq_ghz = 2.0\n")
+                    .empty());
+}
+
 TEST(ConfigLint, MementoHardwareKeyWhileDisabled)
 {
     expectOnly(lint("memento.bypass = true\n"),

@@ -31,7 +31,7 @@
  *   memento_sim lint-src [paths...] [options]
  *       Determinism lint over the repo's own C++ sources (default
  *       paths: src tools). A comment/string-aware tokenizer drives
- *       repo-specific rules — unordered-container iteration, unseeded
+ *       repo-specific rules — std::unordered_* containers, unseeded
  *       randomness, wall-clock reads in simulation code, fatal() in
  *       model code — reported through the same diagnostic engine as
  *       check and lint-config, so --allow/--werror/--json work
