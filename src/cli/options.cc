@@ -49,7 +49,9 @@ allFlags()
          [](CliOptions &o, const std::string &) { o.dumpStats = true; }},
         {"--keep-going", "",
          "survive failing runs; report failures at the end",
-         [](CliOptions &o, const std::string &) { o.keepGoing = true; }},
+         [](CliOptions &o, const std::string &) {
+             o.cfg.sweep.keepGoing = true;
+         }},
         {"--digest", "",
          "run each workload twice and compare machine-state digests",
          [](CliOptions &o, const std::string &) { o.digest = true; }},
@@ -120,47 +122,6 @@ allFlags()
     return flags;
 }
 
-const std::vector<CommandSpec> &
-allCommands()
-{
-    static const std::vector<CommandSpec> commands = {
-        {"list", "", "list built-in workloads", {}, 0},
-        {"run", "<workload>|all", "run one configuration",
-         {"--config", "--set", "--memento", "--cold", "--trace",
-          "--stats", "--keep-going", "--digest", "--jobs", "--cache",
-          "--no-cache", "--revalidate"},
-         1},
-        {"compare", "<workload>|all",
-         "paired baseline vs Memento (and bypass-off) runs",
-         {"--config", "--set", "--cold", "--keep-going", "--jobs",
-          "--cache", "--no-cache", "--revalidate"},
-         1},
-        {"trace", "<workload> <file>", "write the workload's trace",
-         {}, 2},
-        {"check", "<workload>|all",
-         "static trace analysis (no simulation)",
-         {"--config", "--set", "--trace", "--jobs", "--json", "--allow",
-          "--werror"},
-         1},
-        {"lint-config", "<file>", "validate a config file",
-         {"--json", "--allow", "--werror"}, 1},
-        {"lint-src", "[paths...]", "determinism lint over C++ sources",
-         {"--json", "--allow", "--werror"}, 0, true},
-        {"rules", "", "dump the registered diagnostic rule table",
-         {"--json"}, 0},
-        {"fleet", "",
-         "simulate a serverless node: arrivals, keep-alive, percentiles",
-         {"--config", "--set", "--memento", "--jobs", "--json", "--cores",
-          "--invocations", "--arrival", "--rate", "--cache", "--no-cache"},
-         0},
-        {"figures", "<id>...|all",
-         "regenerate the paper's figures and tables in one sweep",
-         {"--jobs"}, 0, true},
-        {"help", "[command]", "show help for a command", {}, 0},
-    };
-    return commands;
-}
-
 const FlagSpec *
 findFlag(std::string_view name)
 {
@@ -171,25 +132,15 @@ findFlag(std::string_view name)
     return nullptr;
 }
 
-const CommandSpec *
-findCommand(std::string_view name)
-{
-    for (const CommandSpec &cmd : allCommands()) {
-        if (cmd.name == name)
-            return &cmd;
-    }
-    return nullptr;
-}
-
 CliOptions
 parseCommandOptions(const CommandSpec &command,
-                    const std::vector<std::string> &args, std::size_t from)
+                    const std::vector<std::string> &args)
 {
     CliOptions opts;
-    for (std::size_t i = from; i < args.size(); ++i) {
+    for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (command.variadicPaths && arg.rfind("-", 0) != 0) {
-            opts.paths.push_back(arg);
+        if (!arg.starts_with('-')) {
+            opts.args.push_back(arg);
             continue;
         }
         const FlagSpec *flag = findFlag(arg);
@@ -209,6 +160,12 @@ parseCommandOptions(const CommandSpec &command,
         }
         flag->apply(opts, value);
     }
+    const std::size_t n = opts.args.size();
+    fatal_if(n < command.minArgs || n > command.maxArgs, "command '",
+             command.name, "' expects ",
+             command.usageArgs.empty() ? std::string_view("no arguments")
+                                       : command.usageArgs,
+             ", got ", n, " (see `memento_sim help ", command.name, "`)");
     if (opts.memento)
         opts.cfg.memento.enabled = true;
     // --no-cache beats --cache and sweep.cache_dir regardless of the
@@ -232,6 +189,8 @@ printCommandHelp(std::ostream &os, const CommandSpec &command)
     os << "options:\n";
     for (std::string_view name : command.flags) {
         const FlagSpec *flag = findFlag(name);
+        panic_if(flag == nullptr, "command '", command.name,
+                 "' declares unregistered flag ", name);
         std::string left(flag->name);
         if (flag->takesValue()) {
             left += ' ';
@@ -245,10 +204,10 @@ printCommandHelp(std::ostream &os, const CommandSpec &command)
 }
 
 void
-printUsage(std::ostream &os)
+printUsage(std::ostream &os, const std::vector<CommandSpec> &commands)
 {
     os << "usage: memento_sim <command> [args]\n";
-    for (const CommandSpec &cmd : allCommands()) {
+    for (const CommandSpec &cmd : commands) {
         std::string left(cmd.name);
         if (!cmd.usageArgs.empty()) {
             left += ' ';

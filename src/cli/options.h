@@ -8,13 +8,9 @@
  * function, and each command declares which flags it accepts. That
  * buys one parser, one `--help` renderer, and one error-message style
  * for the whole tool — a command can no longer drift its own flag
- * spelling or silently accept a flag it ignores.
- *
- * All pre-existing flag spellings (`--config`, `--set`, `--memento`,
- * `--cold`, `--trace`, `--stats`, `--keep-going`, `--digest`,
- * `--jobs`, `--json`, `--allow`, `--werror`) are preserved verbatim.
- * The crash-safe sweep layer adds `--cache DIR`, `--no-cache`, and
- * `--revalidate`.
+ * spelling or silently accept a flag it ignores. The command table
+ * itself, with the handler each entry runs, lives next to those
+ * handlers in tools/memento_sim.cc.
  *
  * Parse errors raise the usual fatal() path (user error, exit 1).
  * The parser knows no `--help`: memento_sim scans a command's
@@ -25,6 +21,7 @@
 #ifndef MEMENTO_CLI_OPTIONS_H
 #define MEMENTO_CLI_OPTIONS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -43,7 +40,6 @@ struct CliOptions
     bool memento = false;
     bool cold = false;
     bool dumpStats = false;
-    bool keepGoing = false;
     bool digest = false;
     bool json = false;
     /** --no-cache: ignore sweep.cache_dir from config files. */
@@ -53,8 +49,8 @@ struct CliOptions
     unsigned jobs = 0; ///< Sweep worker threads; 0 = hw concurrency.
     std::string traceFile;
     DiagPolicy diagPolicy; ///< --allow / --werror (analysis commands).
-    /** Variadic arguments (lint-src paths, figures ids), in CLI order. */
-    std::vector<std::string> paths;
+    /** Positional arguments (workload, file, paths, ids), in CLI order. */
+    std::vector<std::string> args;
 };
 
 /** One registered flag. */
@@ -69,46 +65,48 @@ struct FlagSpec
     bool takesValue() const { return !valueName.empty(); }
 };
 
-/** One registered command. */
+/** CommandSpec::maxArgs of a command with no upper bound. */
+inline constexpr std::size_t kAnyArgs = SIZE_MAX;
+
+/** One command: its help, its handler, its flags and its arity. */
 struct CommandSpec
 {
     std::string_view name;      ///< "run".
     std::string_view usageArgs; ///< "<workload>|all".
     std::string_view help;      ///< One-line help text.
+    /** Run the parsed command; returns the process exit status. */
+    int (*run)(const CliOptions &opts);
     /** Names of the flags this command accepts, in help order. */
     std::vector<std::string_view> flags;
-    /** Required positional-argument count (before any flags). */
-    std::size_t positionals = 0;
-    /** Accept additional non-flag arguments into CliOptions::paths
-     * (lint-src [paths...], figures ids); otherwise a bare argument is
-     * an error. */
-    bool variadicPaths = false;
+    /** Bounds on the positional-argument count (CliOptions::args). */
+    std::size_t minArgs = 0;
+    std::size_t maxArgs = 0;
 };
 
 /** The full flag table, in help order. */
 const std::vector<FlagSpec> &allFlags();
 
-/** The full command table, in help order. */
-const std::vector<CommandSpec> &allCommands();
-
-/** Registry lookups; nullptr when unknown. */
+/** Flag registry lookup; nullptr when unknown. */
 const FlagSpec *findFlag(std::string_view name);
-const CommandSpec *findCommand(std::string_view name);
 
 /**
- * Parse @p command's options from @p args starting at @p from. Every
- * flag must be registered and accepted by the command; a flag that
- * takes a value consumes the following argument. fatal()s on unknown
- * flags, flags the command does not accept, and missing/bad values.
+ * Parse @p command's options from @p args, the arguments after the
+ * command name. An argument without a leading '-' is positional; every
+ * other one must be a registered flag the command accepts, and a flag
+ * that takes a value consumes the following argument. fatal()s on
+ * unknown flags, flags the command does not accept, missing/bad
+ * values, and a positional count outside the command's bounds.
  */
 CliOptions parseCommandOptions(const CommandSpec &command,
-                               const std::vector<std::string> &args,
-                               std::size_t from);
+                               const std::vector<std::string> &args);
 
-/** Render the global usage page (all commands + shared flags). */
-void printUsage(std::ostream &os);
+/** Render the global usage page (every command of @p commands). */
+void printUsage(std::ostream &os, const std::vector<CommandSpec> &commands);
 
-/** Render one command's help page (usage line + accepted flags). */
+/**
+ * Render one command's help page (usage line + accepted flags).
+ * panic()s on a declared flag that is not registered.
+ */
 void printCommandHelp(std::ostream &os, const CommandSpec &command);
 
 } // namespace memento

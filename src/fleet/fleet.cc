@@ -347,10 +347,9 @@ simulateFleet(const std::vector<Arrival> &arrivals,
     return m;
 }
 
-FleetReport
-runFleet(const FleetOptions &opts)
+std::optional<FleetReport>
+runFleet(const MachineConfig &cfg, SweepEngine &engine)
 {
-    const MachineConfig &cfg = opts.cfg;
     if (!validArrivalKind(cfg.fleet.arrival)) {
         sim_error(ErrorCategory::Config, "fleet.arrival '",
                   cfg.fleet.arrival,
@@ -372,25 +371,22 @@ runFleet(const FleetOptions &opts)
     tasks.reserve(mix.size());
     for (const WorkloadSpec &spec : mix)
         tasks.push_back(SweepTask{spec, cfg, RunOptions{}, nullptr, {}});
-    SweepOptions sweep_opts;
-    sweep_opts.jobs = opts.jobs;
-    sweep_opts.store = opts.store;
-    SweepEngine engine(sweep_opts);
     const std::vector<SweepOutcome> outcomes = engine.run(tasks);
 
     report.profiles.reserve(mix.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const RunResult &res = outcomes[i].result;
-        if (outcomes[i].skipped || res.error) {
-            const RunError err = res.error.value_or(
-                RunError{ErrorCategory::Internal, "profile run skipped",
-                         SimError::kNoOpIndex});
-            SimError boxed(err.category,
+        if (res.error) {
+            SimError boxed(res.error->category,
                            "fleet: profiling workload '" + mix[i].id +
-                               "' failed: " + err.message);
-            boxed.tagOpIndex(err.opIndex);
+                               "' failed: " + res.error->message);
+            boxed.tagOpIndex(res.error->opIndex);
             throw boxed;
         }
+        // A failure skips only the tasks after it, so a skip met
+        // before any failure is the stop flag's.
+        if (outcomes[i].skipped)
+            return std::nullopt;
         FleetProfile prof;
         prof.id = mix[i].id;
         prof.serviceCycles = res.cycles;

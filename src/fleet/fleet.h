@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@
 
 namespace memento {
 
-class ResultStore;
+class SweepEngine;
 
 /** Per-invocation profile of one workload in the mix (stage 1). */
 struct FleetProfile
@@ -115,15 +116,6 @@ struct FleetReport
     /** Stage-1 profiles, in mix order. */
     std::vector<FleetProfile> profiles;
     FleetMetrics metrics;
-};
-
-struct FleetOptions
-{
-    MachineConfig cfg = defaultConfig();
-    /** Stage-1 profile workers; 0 = hardware concurrency. */
-    unsigned jobs = 0;
-    /** Optional result store for the profile run cells. */
-    ResultStore *store = nullptr;
 };
 
 /**
@@ -288,12 +280,14 @@ FleetMetrics simulateFleet(const std::vector<Arrival> &arrivals,
                            const MachineConfig &cfg);
 
 /**
- * Both stages: profile the mix (through the sweep engine, cached when
- * opts.store is set), generate arrivals, and run the fleet. The fleet
- * stage always runs; only the profiles are cached. Throws SimError
- * when a profile run fails or the fleet config is invalid.
+ * Both stages: profile the mix through @p engine (its jobs, result
+ * store and stop flag), generate arrivals, and run the fleet. Only the
+ * profiles are cached. Returns nullopt when the engine's stop flag
+ * skipped a profile; throws SimError when a profile run fails or the
+ * fleet config is invalid.
  */
-FleetReport runFleet(const FleetOptions &opts);
+std::optional<FleetReport> runFleet(const MachineConfig &cfg,
+                                    SweepEngine &engine);
 
 /** Versioned JSON document (kind "fleet"). */
 void writeFleetJson(std::ostream &os, const FleetReport &report,

@@ -131,7 +131,6 @@ class Machine final : public Env
     Hot *hot() { return hot_.get(); }
     HwObjectAllocator *hwObjectAllocator() { return hwObj_.get(); }
     HwPageAllocator *hwPageAllocator() { return hwPage_.get(); }
-    BypassUnit *bypassUnit() { return bypass_.get(); }
     MementoSpace *mementoSpace();
     KernelCostModel &kernelCosts() { return kernelCosts_; }
 

@@ -4,11 +4,10 @@
  *
  * Inclusion is maintained by back-invalidating inner levels when the LLC
  * evicts; dirty inner evictions merge downward; LLC dirty evictions write
- * back to DRAM through the MemoryController. The hierarchy also
- * implements the Memento main-memory bypass: a missing line flagged
- * bypassCandidate is instantiated zero-filled at the LLC (§3.3) instead
- * of being fetched, which removes the DRAM read from both the critical
- * path and the traffic totals.
+ * back to DRAM. The hierarchy also implements the Memento main-memory
+ * bypass: a missing line flagged bypassCandidate is instantiated
+ * zero-filled at the LLC (§3.3) instead of being fetched, which removes
+ * the DRAM read from both the critical path and the traffic totals.
  */
 
 #ifndef MEMENTO_MEM_CACHE_HIERARCHY_H
@@ -16,13 +15,13 @@
 
 #include "mem/access.h"
 #include "mem/cache.h"
-#include "mem/memory_controller.h"
+#include "mem/dram.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 
 namespace memento {
 
-/** L1I/L1D + unified L2 + LLC slice in front of the memory controller. */
+/** L1I/L1D + unified L2 + LLC slice in front of DRAM. */
 class CacheHierarchy
 {
   public:
@@ -53,7 +52,7 @@ class CacheHierarchy
     const Cache &l1i() const { return l1i_; }
     const Cache &l2() const { return l2_; }
     const Cache &llc() const { return llc_; }
-    const MemoryController &memCtrl() const { return memCtrl_; }
+    const Dram &dram() const { return dram_; }
 
   private:
     /** Handle an eviction out of the L1 (merge into L2). */
@@ -69,7 +68,7 @@ class CacheHierarchy
     Cache l1i_;
     Cache l2_;
     Cache llc_;
-    MemoryController memCtrl_;
+    Dram dram_;
 
     Counter bypasses_;
     Counter demandFills_;
@@ -92,7 +91,7 @@ CacheHierarchy::absorbL1Eviction(const Cache::Eviction &ev, Cycles now)
     if (l2_.tryMarkDirty(ev.lineAddr))
         return;
     if (!llc_.tryMarkDirty(ev.lineAddr))
-        memCtrl_.writeback(ev.lineAddr, now);
+        dram_.access(ev.lineAddr, /*is_write=*/true, now);
 }
 
 inline void
@@ -101,7 +100,7 @@ CacheHierarchy::absorbL2Eviction(const Cache::Eviction &ev, Cycles now)
     if (!ev.valid)
         return;
     if (ev.dirty && !llc_.tryMarkDirty(ev.lineAddr))
-        memCtrl_.writeback(ev.lineAddr, now);
+        dram_.access(ev.lineAddr, /*is_write=*/true, now);
 }
 
 inline void
@@ -116,7 +115,7 @@ CacheHierarchy::absorbLlcEviction(const Cache::Eviction &ev, Cycles now)
     dirty |= l1i_.invalidate(ev.lineAddr);
     dirty |= l2_.invalidate(ev.lineAddr);
     if (dirty)
-        memCtrl_.writeback(ev.lineAddr, now);
+        dram_.access(ev.lineAddr, /*is_write=*/true, now);
 }
 
 inline void
@@ -176,7 +175,8 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
     }
 
     ++demandFills_;
-    res.latency += memCtrl_.fill(line, now + res.latency);
+    res.latency +=
+        dram_.access(line, /*is_write=*/false, now + res.latency);
     absorbLlcEviction(llc_.installAbsent(line, false), now);
     absorbL2Eviction(l2_.installAbsent(line, false), now);
     absorbL1Eviction(l1.installAbsent(line, is_write), now);

@@ -25,34 +25,4 @@ cycleCategoryName(CycleCategory cat)
     panic("invalid cycle category");
 }
 
-bool
-isMemoryManagementCategory(CycleCategory cat)
-{
-    switch (cat) {
-      case CycleCategory::UserAlloc:
-      case CycleCategory::UserFree:
-      case CycleCategory::KernelMmap:
-      case CycleCategory::KernelFault:
-      case CycleCategory::KernelOther:
-      case CycleCategory::HwAlloc:
-      case CycleCategory::HwFree:
-      case CycleCategory::HwPage:
-        return true;
-      default:
-        return false;
-    }
-}
-
-Cycles
-CycleLedger::memoryManagementTotal() const
-{
-    Cycles sum = 0;
-    for (std::size_t i = 0; i < kNumCycleCategories; ++i) {
-        auto cat = static_cast<CycleCategory>(i);
-        if (isMemoryManagementCategory(cat))
-            sum += byCategory_[i];
-    }
-    return sum;
-}
-
 } // namespace memento

@@ -43,9 +43,6 @@ inline constexpr std::size_t kNumCycleCategories =
 /** Human-readable name of a category, for reports. */
 std::string_view cycleCategoryName(CycleCategory cat);
 
-/** True for categories that count as memory-management time. */
-bool isMemoryManagementCategory(CycleCategory cat);
-
 /**
  * The per-machine cycle ledger.
  *
@@ -84,9 +81,6 @@ class CycleLedger
     {
         return byCategory_[static_cast<std::size_t>(cat)];
     }
-
-    /** Sum of all memory-management categories. */
-    Cycles memoryManagementTotal() const;
 
     /** Currently active attribution category. */
     CycleCategory current() const { return current_; }

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -23,6 +25,7 @@
 #include "machine/function_executor.h"
 #include "machine/machine.h"
 #include "machine/result_store.h"
+#include "machine/sweep.h"
 #include "os/kernel_cost.h"
 #include "sim/error.h"
 #include "sim/rng.h"
@@ -70,6 +73,20 @@ smallFleetConfig()
     cfg.fleet.cores = 4;
     cfg.fleet.ratePerSec = 4000.0;
     return cfg;
+}
+
+/** runFleet through an engine of @p jobs workers over @p store. */
+FleetReport
+runFleetWith(const MachineConfig &cfg, unsigned jobs = 0,
+             ResultStore *store = nullptr)
+{
+    SweepOptions so;
+    so.jobs = jobs;
+    so.store = store;
+    SweepEngine engine(so);
+    std::optional<FleetReport> report = runFleet(cfg, engine);
+    EXPECT_TRUE(report.has_value()) << "no stop flag, yet stopped";
+    return report.value_or(FleetReport{});
 }
 
 // ---- Arrival processes ----------------------------------------------
@@ -394,10 +411,7 @@ TEST_P(FleetDeterminism, OutputByteIdenticalAcrossJobLevels)
     std::string first_text, first_json;
     std::uint64_t first_digest = 0;
     for (const unsigned jobs : {1u, 2u, 8u}) {
-        FleetOptions opts;
-        opts.cfg = cfg;
-        opts.jobs = jobs;
-        const FleetReport report = runFleet(opts);
+        const FleetReport report = runFleetWith(cfg, jobs);
 
         std::ostringstream text, json;
         printFleetText(text, report, cfg);
@@ -437,22 +451,14 @@ TEST(FleetPipeline, ResumeFromStoreIsByteIdentical)
     {
         ResultStore store(
             {.dir = dir.path(), .codeVersion = "fleet-test"});
-        FleetOptions opts;
-        opts.cfg = cfg;
-        opts.jobs = 2;
-        opts.store = &store;
-        const FleetReport report = runFleet(opts);
+        const FleetReport report = runFleetWith(cfg, 2, &store);
         EXPECT_EQ(store.stats().hits, 0u);
         fresh = render(report);
     }
     {
         ResultStore store(
             {.dir = dir.path(), .codeVersion = "fleet-test"});
-        FleetOptions opts;
-        opts.cfg = cfg;
-        opts.jobs = 1;
-        opts.store = &store;
-        const FleetReport report = runFleet(opts);
+        const FleetReport report = runFleetWith(cfg, 1, &store);
         // Every profile is served from the store; the event loop reruns.
         EXPECT_EQ(render(report), fresh);
         EXPECT_EQ(store.stats().hits, report.profiles.size());
@@ -464,9 +470,7 @@ TEST(FleetPipeline, JsonCarriesVersionedEnvelopeAndDigest)
 {
     MachineConfig cfg = smallFleetConfig();
     cfg.fleet.invocations = 50;
-    FleetOptions opts;
-    opts.cfg = cfg;
-    const FleetReport report = runFleet(opts);
+    const FleetReport report = runFleetWith(cfg);
 
     std::ostringstream os;
     writeFleetJson(os, report, cfg);
@@ -658,10 +662,9 @@ TEST(FleetPipeline, UnknownArrivalKindThrowsBeforeProfiling)
 {
     MachineConfig cfg = smallFleetConfig();
     cfg.fleet.arrival = "lognormal";
-    FleetOptions opts;
-    opts.cfg = cfg;
+    SweepEngine engine;
     try {
-        runFleet(opts);
+        runFleet(cfg, engine);
         FAIL() << "expected SimError";
     } catch (const SimError &e) {
         EXPECT_EQ(e.category(), ErrorCategory::Config);
@@ -675,13 +678,14 @@ TEST(FleetPipeline, WindowPastTheArrivalLimitThrowsBeforeProfiling)
     // or stored.
     TempStoreDir dir("fleet-window");
     ResultStore store({.dir = dir.path(), .codeVersion = "fleet-test"});
-    FleetOptions opts;
-    opts.cfg = smallFleetConfig();
-    opts.cfg.fleet.ratePerSec = 0.01;
-    opts.cfg.fleet.invocations = 300000;
-    opts.store = &store;
+    MachineConfig cfg = smallFleetConfig();
+    cfg.fleet.ratePerSec = 0.01;
+    cfg.fleet.invocations = 300000;
+    SweepOptions so;
+    so.store = &store;
+    SweepEngine engine(so);
     try {
-        runFleet(opts);
+        runFleet(cfg, engine);
         FAIL() << "expected SimError";
     } catch (const SimError &e) {
         EXPECT_EQ(e.category(), ErrorCategory::Config);
@@ -690,6 +694,27 @@ TEST(FleetPipeline, WindowPastTheArrivalLimitThrowsBeforeProfiling)
     }
     EXPECT_EQ(store.stats().misses, 0u);
     EXPECT_EQ(store.stats().stores, 0u);
+}
+
+TEST(FleetPipeline, StopFlagEndsTheProfileStageWithoutAReport)
+{
+    // A stop raised before profiling (SIGINT under --cache) must skip
+    // every profile cell and say so with nullopt: a failed profile
+    // throws instead, and the CLI maps the two to different exits.
+    TempStoreDir dir("fleet-stop");
+    ResultStore store({.dir = dir.path(), .codeVersion = "fleet-test"});
+    std::atomic<bool> stop{true};
+    SweepOptions so;
+    so.jobs = 2;
+    so.store = &store;
+    so.stopFlag = &stop;
+    SweepEngine engine(so);
+    std::optional<FleetReport> report;
+    EXPECT_NO_THROW(report = runFleet(smallFleetConfig(), engine));
+    EXPECT_FALSE(report.has_value());
+    EXPECT_EQ(store.stats().misses, 0u);
+    EXPECT_EQ(store.stats().stores, 0u);
+    EXPECT_TRUE(store.listCellFiles().empty());
 }
 
 } // namespace

@@ -160,7 +160,7 @@ TEST(TrafficTest, DramBytesMatchAccessCounts)
     Addr heap = m.process().vm().mmap(1 << 20, nullptr);
     for (Addr va = heap; va < heap + (1 << 20); va += kLineSize)
         m.appAccess(va, AccessType::Read);
-    const auto &dram = m.hierarchy().memCtrl().dram();
+    const auto &dram = m.hierarchy().dram();
     EXPECT_EQ(dram.totalBytes(),
               (dram.readCount() + dram.writeCount()) * kLineSize);
     EXPECT_GT(dram.readCount(), 0u);
@@ -181,11 +181,11 @@ TEST(TrafficTest, LlcSizedWorkingSetStopsMissing)
         for (Addr va = heap; va < heap + ws; va += kLineSize)
             m.appAccess(va, AccessType::Read);
     const std::uint64_t reads_after_warm =
-        m.hierarchy().memCtrl().dram().readCount();
+        m.hierarchy().dram().readCount();
     for (Addr va = heap; va < heap + ws; va += kLineSize)
         m.appAccess(va, AccessType::Read);
     // Fully cache-resident now: no further DRAM reads.
-    EXPECT_EQ(m.hierarchy().memCtrl().dram().readCount(),
+    EXPECT_EQ(m.hierarchy().dram().readCount(),
               reads_after_warm);
 }
 

@@ -82,16 +82,6 @@ TEST(CycleLedger, ChargesCurrentCategory)
     EXPECT_EQ(ledger.category(CycleCategory::AppCompute), 11u);
 }
 
-TEST(CycleLedger, MemoryManagementTotal)
-{
-    CycleLedger ledger;
-    ledger.charge(5, CycleCategory::UserAlloc);
-    ledger.charge(7, CycleCategory::KernelFault);
-    ledger.charge(11, CycleCategory::AppCompute);
-    ledger.charge(13, CycleCategory::HwPage);
-    EXPECT_EQ(ledger.memoryManagementTotal(), 25u);
-}
-
 TEST(CycleLedger, ResetClearsEverything)
 {
     CycleLedger ledger;

@@ -2,102 +2,35 @@
  * @file
  * memento_sim — the command-line front end of the simulator.
  *
- *   memento_sim list
- *       List the built-in workloads with their key statistics.
+ * `memento_sim help` lists the commands and `memento_sim help <command>`
+ * one command's flags; both render the command table at the bottom of
+ * this file. Three contracts hold across every command:
  *
- *   memento_sim run <workload>|all [options]
- *       Run one workload (or every workload) and dump the results.
+ *  - stdout carries only simulated results, and everything else —
+ *    progress, cache statistics, interruption notes — goes to stderr;
+ *  - `run`, `compare` and `fleet` accept --cache DIR, which persists
+ *    every completed cell to a content-addressed result store
+ *    (machine/result_store.h). SIGINT or SIGTERM then stops the sweep
+ *    between cells with exit 130, and a re-run on the same store
+ *    resumes it;
+ *  - stdout is byte-identical at any --jobs level, and across cache
+ *    resumes.
  *
- *   memento_sim compare <workload>|all [options]
- *       Paired baseline vs Memento (and bypass-off) runs.
- *
- *   memento_sim trace <workload> <file>
- *       Synthesize the workload's operation trace into <file>
- *       (replayable with run --trace).
- *
- *   memento_sim check <workload>|all [--trace FILE] [options]
- *       Static pre-flight analysis: abstract-interpret the workload's
- *       trace (or a recorded trace file) over shadow allocation state
- *       only — no caches, no DRAM, no cycle ledger — and report every
- *       memory-discipline violation with a rule id, severity, and the
- *       exact op index. ~100x cheaper than run; `check all` fans out
- *       over the sweep pool with byte-identical output at any --jobs
- *       level. Exits non-zero when any error remains.
- *
- *   memento_sim lint-config <file> [options]
- *       Validate a `key = value` config file against the declared
- *       schema. Exits non-zero when any error remains.
- *
- *   memento_sim lint-src [paths...] [options]
- *       Determinism lint over the repo's own C++ sources (default
- *       paths: src tools). A comment/string-aware tokenizer drives
- *       repo-specific rules — std::unordered_* containers, unseeded
- *       randomness, wall-clock reads in simulation code, fatal() in
- *       model code — reported through the same diagnostic engine as
- *       check and lint-config, so --allow/--werror/--json work
- *       unchanged. Files lint serially in sorted path order.
- *
- *   memento_sim rules [--json]
- *       Dump the registered diagnostic rule table (id, severity,
- *       summary). Text output is the markdown table embedded in
- *       README.md; CI regenerates the README section from it so the
- *       docs cannot drift from the registry.
- *
- *   memento_sim fleet [options]
- *       Fleet-scale serverless node simulation (src/fleet): an
- *       open-loop arrival process (--arrival poisson|bursty|diurnal,
- *       --rate RPS, --invocations N) dispatched across --cores
- *       simulated cores under keep-alive and memory-budget policies.
- *       Reports the offered load rho = lambda * E[S] / cores,
- *       p50/p99/p99.9 invocation latency, throughput, cold-start
- *       rate, and packing density, plus an FNV-1a digest of
- *       the complete fleet outcome; every number is derived from
- *       integer cycle counts, so output is byte-identical at any
- *       --jobs level and across --cache resumes.
- *
- *   memento_sim figures <id>...|all [--jobs N]
- *       Regenerate the paper's evidence (Figs. 2-3 and 8-14, Tables
- *       1-3, the §6.1/§6.6/§6.7 studies, the design ablations) from
- *       the an/figures.h registry. The union of the selected entries'
- *       cells runs once, deduplicated, through one sweep engine; the
- *       entries print in registry order, byte-identically at any
- *       --jobs level (tests/golden/figures.txt holds `figures all`).
- *
- *   memento_sim help [command]
- *       Render the global usage page or one command's options.
- *
- * Crash-safe sweeps: `run all` and `compare all` accept --cache DIR,
- * which persists every completed cell to a content-addressed result
- * store (machine/result_store.h); `fleet` caches its profiles there
- * too. A killed or interrupted sweep resumes from the cache with
- * byte-identical stdout; --revalidate audits cached results by
- * recomputing a sample. All cache chatter goes to stderr.
- *
- * Every command parses through the shared declarative flag table in
- * src/cli/options.h: one parser, one --help renderer, one error style.
- * `memento_sim help <command>` (or `<command> --help`) lists exactly
- * the flags that command accepts; passing any other flag is an error.
- *
- * The check, lint-config, lint-src, rules and fleet --json documents all
- * share the versioned JSON envelope of sim/json.h
- * (`"schema_version"`, `"kind"`).
- *
- * A failing run (out of memory, bad trace, corruption detected by the
- * invariant checker, watchdog timeout) raises SimError; without
- * --keep-going the first failure stops the sweep. Simulator bugs still
- * panic and user errors on the command line are still fatal.
- *
- * Sweeps (run all / compare all) fan individual runs out over
- * the machine/sweep.h thread pool and merge results back in
- * workload order, so parallelism never changes what gets printed.
+ * A failing run raises SimError, reported as `memento_sim: error
+ * (<category>): ...` with exit 1; user errors on the command line are
+ * fatal (exit 1) and simulator bugs panic.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <fstream>
-#include <memory>
+#include <functional>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "an/figures.h"
@@ -130,9 +63,12 @@ struct FailureRecord
     RunError error;
 };
 
-void
-printFailureReport(const std::vector<FailureRecord> &failures)
+/** Print the failed runs of a sweep, if any; returns the exit status. */
+int
+reportFailures(const std::vector<FailureRecord> &failures)
 {
+    if (failures.empty())
+        return 0;
     std::cout << "\n" << failures.size() << " run(s) failed:\n";
     TextTable t({"workload", "category", "op", "error"});
     for (const FailureRecord &f : failures) {
@@ -144,9 +80,10 @@ printFailureReport(const std::vector<FailureRecord> &failures)
         t.cell(f.error.message);
     }
     t.print(std::cout);
+    return 1;
 }
 
-// ---- Crash-safe sweep plumbing ---------------------------------------
+// ---- Store-backed sweeps ----------------------------------------------
 
 /** SIGINT/SIGTERM latch; the sweep engine polls it between cells. */
 std::atomic<bool> g_stop{false};
@@ -158,72 +95,65 @@ onStopSignal(int)
 }
 
 /**
- * Open the result store named by --cache / sweep.cache_dir (null when
- * caching is off) and arm the stop-signal latch: with a store, an
- * interrupted sweep's completed cells are durable, so Ctrl-C becomes
- * "flush and resume later" instead of "lose everything".
+ * Run one sweep command: @p sweep runs the cells on an engine built
+ * from @p opts (jobs, keep-going, @p on_start), and @p report prints
+ * stdout and returns the exit status. With a result store
+ * (--cache / sweep.cache_dir) every cell goes through it, and
+ * SIGINT/SIGTERM raise a latch the engine polls between cells: the
+ * completed cells are durable, so the command skips @p report, says
+ * how to resume and exits 130. Store chatter goes to stderr only, so
+ * stdout stays byte-identical to an uncached, uninterrupted sweep.
  */
-std::unique_ptr<ResultStore>
-makeStore(const CliOptions &opts)
-{
-    if (opts.cfg.sweep.cacheDir.empty())
-        return nullptr;
-    ResultStoreOptions so;
-    so.dir = opts.cfg.sweep.cacheDir;
-    so.tornWriteAt = opts.cfg.inject.storeTornWriteAt;
-    so.killAt = opts.cfg.inject.storeKillAt;
-    auto store = std::make_unique<ResultStore>(std::move(so));
-    std::signal(SIGINT, onStopSignal);
-    std::signal(SIGTERM, onStopSignal);
-    return store;
-}
-
-/** Cache/interruption chatter goes to stderr only: stdout must stay
- * byte-identical to an uncached, uninterrupted serial sweep. */
-void
-reportStoreStats(const ResultStore &store)
-{
-    const StoreStats s = store.stats();
-    std::cerr << "cache " << store.dir() << ": " << s.hits << " hit(s), "
-              << s.misses << " miss(es), " << s.stores << " store(s)";
-    if (s.quarantined != 0)
-        std::cerr << ", " << s.quarantined << " quarantined";
-    if (s.revalidated != 0)
-        std::cerr << ", " << s.revalidated << " revalidated";
-    std::cerr << "\n";
-}
-
-/** Interrupted sweep: say how to resume, exit 130, print no report. */
 int
-reportInterrupted(const ResultStore *store)
+runSweep(const CliOptions &opts,
+         std::function<void(const SweepTask &, std::size_t)> on_start,
+         const std::function<void(SweepEngine &)> &sweep,
+         const std::function<int()> &report)
 {
-    std::cerr << "interrupted: completed cells are durable";
-    if (store != nullptr)
-        std::cerr << " in " << store->dir()
-                  << "; re-run with --cache " << store->dir()
-                  << " to resume";
-    std::cerr << "\n";
-    return 130;
-}
-
-/** Shared SweepOptions wiring for the cache/revalidate layer. */
-void
-applySweepPolicy(SweepOptions &sweep_opts, const CliOptions &opts,
-                 ResultStore *store)
-{
-    sweep_opts.keepGoing = opts.keepGoing || opts.cfg.sweep.keepGoing;
-    sweep_opts.store = store;
-    if (store != nullptr) {
-        sweep_opts.stopFlag = &g_stop;
+    SweepOptions so;
+    so.jobs = opts.jobs;
+    so.keepGoing = opts.cfg.sweep.keepGoing;
+    so.onTaskStart = std::move(on_start);
+    const std::string &dir = opts.cfg.sweep.cacheDir;
+    std::optional<ResultStore> store;
+    if (!dir.empty()) {
+        ResultStoreOptions store_opts;
+        store_opts.dir = dir;
+        store_opts.tornWriteAt = opts.cfg.inject.storeTornWriteAt;
+        store_opts.killAt = opts.cfg.inject.storeKillAt;
+        store.emplace(std::move(store_opts));
+        std::signal(SIGINT, onStopSignal);
+        std::signal(SIGTERM, onStopSignal);
+        so.store = &*store;
+        so.stopFlag = &g_stop;
         // --revalidate recomputes a deterministic 1-in-4 sample of
         // cache hits; plenty to catch a lying cache without paying for
         // a full recompute.
-        sweep_opts.revalidateEvery = opts.revalidate ? 4 : 0;
+        so.revalidateEvery = opts.revalidate ? 4 : 0;
     }
+    SweepEngine engine(std::move(so));
+    sweep(engine);
+
+    if (store) {
+        const StoreStats s = store->stats();
+        std::cerr << "cache " << dir << ": " << s.hits << " hit(s), "
+                  << s.misses << " miss(es), " << s.stores << " store(s)";
+        if (s.quarantined != 0)
+            std::cerr << ", " << s.quarantined << " quarantined";
+        if (s.revalidated != 0)
+            std::cerr << ", " << s.revalidated << " revalidated";
+        std::cerr << "\n";
+    }
+    if (g_stop.load(std::memory_order_relaxed)) {
+        std::cerr << "interrupted: completed cells are durable in " << dir
+                  << "; re-run with --cache " << dir << " to resume\n";
+        return 130;
+    }
+    return report();
 }
 
 int
-cmdList()
+cmdList(const CliOptions &)
 {
     TextTable t({"id", "group", "lang", "allocs", "MallocPKI",
                  "<=512B", "short-lived", "description"});
@@ -279,8 +209,9 @@ printRun(const MachineConfig &cfg, const RunResult &res)
  * belongs to one workload, so it cannot go with `all`.
  */
 std::vector<WorkloadSpec>
-selectWorkloads(const std::string &id, const CliOptions &opts)
+selectWorkloads(const CliOptions &opts)
 {
+    const std::string &id = opts.args.front();
     if (id != "all")
         return {workloadById(id)};
     fatal_if(!opts.traceFile.empty(),
@@ -288,56 +219,13 @@ selectWorkloads(const std::string &id, const CliOptions &opts)
     return allWorkloads();
 }
 
+/** `run`'s stdout: each run's metrics in workload order. */
 int
-cmdRun(const std::string &id, const CliOptions &opts)
+printRuns(const std::vector<WorkloadSpec> &specs,
+          const std::vector<SweepOutcome> &outcomes, const CliOptions &opts)
 {
-    const std::vector<WorkloadSpec> specs = selectWorkloads(id, opts);
-
-    RunOptions run_opts;
-    run_opts.coldStart = opts.cold;
-    run_opts.computeDigest = opts.digest;
-
-    // Fan the sweep out over the pool: one task per run
-    // (a digest check is two runs, dispatched as sibling tasks). The
-    // merge below reports strictly in workload order, so the output is
-    // byte-identical at any --jobs level.
     const std::size_t runs_per = opts.digest ? 2 : 1;
-    std::shared_ptr<const Trace> replay;
-    if (!opts.traceFile.empty()) {
-        fatal_if(!opts.cfg.sweep.cacheDir.empty(),
-                 "--cache keys cells by workload identity and cannot "
-                 "cache --trace replays; drop one of the two");
-        std::ifstream in(opts.traceFile);
-        fatal_if(!in, "cannot open trace file ", opts.traceFile);
-        replay = std::make_shared<const Trace>(readTrace(in));
-    }
-    const std::unique_ptr<ResultStore> store = makeStore(opts);
-
-    std::vector<SweepTask> tasks;
-    tasks.reserve(specs.size() * runs_per);
-    for (const WorkloadSpec &spec : specs) {
-        for (std::size_t r = 0; r < runs_per; ++r) {
-            // The paired digest run is a *deliberate* duplicate of the
-            // first cell; salt its cache key so both runs stay cached
-            // and the determinism check never degenerates into
-            // comparing one cached cell with itself.
-            tasks.push_back({spec, opts.cfg, run_opts, replay,
-                             r == 0 ? std::string() : "digest-rerun"});
-        }
-    }
-
-    SweepOptions sweep_opts;
-    sweep_opts.jobs = opts.jobs;
-    applySweepPolicy(sweep_opts, opts, store.get());
-    const bool keep_going = sweep_opts.keepGoing;
-    SweepEngine engine(sweep_opts);
-    const std::vector<SweepOutcome> outcomes = engine.run(tasks);
-
-    if (store != nullptr)
-        reportStoreStats(*store);
-    if (g_stop.load(std::memory_order_relaxed))
-        return reportInterrupted(store.get());
-
+    const bool keep_going = opts.cfg.sweep.keepGoing;
     std::vector<FailureRecord> failures;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const WorkloadSpec &spec = specs[i];
@@ -385,49 +273,58 @@ cmdRun(const std::string &id, const CliOptions &opts)
             }
         }
     }
-
-    if (!failures.empty()) {
-        printFailureReport(failures);
-        return 1;
-    }
-    return 0;
+    return reportFailures(failures);
 }
 
 int
-cmdCompare(const std::string &id, const CliOptions &opts)
+cmdRun(const CliOptions &opts)
 {
-    const std::vector<WorkloadSpec> specs = selectWorkloads(id, opts);
-
-    MachineConfig base_cfg = opts.cfg;
-    base_cfg.memento.enabled = false;
-    MachineConfig memento_cfg = opts.cfg;
-    memento_cfg.memento.enabled = true;
+    const std::vector<WorkloadSpec> specs = selectWorkloads(opts);
 
     RunOptions run_opts;
     run_opts.coldStart = opts.cold;
+    run_opts.computeDigest = opts.digest;
 
-    const std::unique_ptr<ResultStore> store = makeStore(opts);
+    // Fan the sweep out over the pool: one task per run
+    // (a digest check is two runs, dispatched as sibling tasks).
+    // printRuns reports strictly in workload order, so the output is
+    // byte-identical at any --jobs level.
+    const std::size_t runs_per = opts.digest ? 2 : 1;
+    std::shared_ptr<const Trace> replay;
+    if (!opts.traceFile.empty()) {
+        fatal_if(!opts.cfg.sweep.cacheDir.empty(),
+                 "--cache keys cells by workload identity and cannot "
+                 "cache --trace replays; drop one of the two");
+        std::ifstream in(opts.traceFile);
+        fatal_if(!in, "cannot open trace file ", opts.traceFile);
+        replay = std::make_shared<const Trace>(readTrace(in));
+    }
 
-    // Each workload's (baseline, memento, no-bypass) triple fans out
-    // as three tasks sharing one cached trace; the progress line fires
-    // as a workload's first task starts (serialized by the engine).
-    SweepOptions sweep_opts;
-    sweep_opts.jobs = opts.jobs;
-    applySweepPolicy(sweep_opts, opts, store.get());
-    const bool keep_going = sweep_opts.keepGoing;
-    sweep_opts.onTaskStart = [](const SweepTask &task, std::size_t idx) {
-        if (idx % 3 == 0)
-            std::cerr << "  running " << task.spec.id << "...\n";
-    };
-    SweepEngine engine(sweep_opts);
-    const std::vector<ComparisonOutcome> outcomes =
-        compareSweep(specs, base_cfg, memento_cfg, run_opts, engine);
+    std::vector<SweepTask> tasks;
+    tasks.reserve(specs.size() * runs_per);
+    for (const WorkloadSpec &spec : specs) {
+        for (std::size_t r = 0; r < runs_per; ++r) {
+            // The paired digest run is a *deliberate* duplicate of the
+            // first cell; salt its cache key so both runs stay cached
+            // and the determinism check never degenerates into
+            // comparing one cached cell with itself.
+            tasks.push_back({spec, opts.cfg, run_opts, replay,
+                             r == 0 ? std::string() : "digest-rerun"});
+        }
+    }
 
-    if (store != nullptr)
-        reportStoreStats(*store);
-    if (g_stop.load(std::memory_order_relaxed))
-        return reportInterrupted(store.get());
+    std::vector<SweepOutcome> outcomes;
+    return runSweep(
+        opts, {}, [&](SweepEngine &engine) { outcomes = engine.run(tasks); },
+        [&] { return printRuns(specs, outcomes, opts); });
+}
 
+/** `compare`'s stdout: one table row per workload, in order. */
+int
+printComparisons(const std::vector<WorkloadSpec> &specs,
+                 const std::vector<ComparisonOutcome> &outcomes,
+                 const CliOptions &opts)
+{
     TextTable t({"workload", "speedup", "traffic", "faults base->mem",
                  "alloc/free/page/bypass"});
     std::vector<FailureRecord> failures;
@@ -435,7 +332,7 @@ cmdCompare(const std::string &id, const CliOptions &opts)
         const ComparisonOutcome &out = outcomes[i];
         if (out.error) {
             failures.push_back({specs[i].id, *out.error});
-            if (!keep_going)
+            if (!opts.cfg.sweep.keepGoing)
                 break;
             continue;
         }
@@ -453,11 +350,37 @@ cmdCompare(const std::string &id, const CliOptions &opts)
                percentStr(bd.bypass, 0));
     }
     t.print(std::cout);
-    if (!failures.empty()) {
-        printFailureReport(failures);
-        return 1;
-    }
-    return 0;
+    return reportFailures(failures);
+}
+
+int
+cmdCompare(const CliOptions &opts)
+{
+    const std::vector<WorkloadSpec> specs = selectWorkloads(opts);
+
+    MachineConfig base_cfg = opts.cfg;
+    base_cfg.memento.enabled = false;
+    MachineConfig memento_cfg = opts.cfg;
+    memento_cfg.memento.enabled = true;
+
+    RunOptions run_opts;
+    run_opts.coldStart = opts.cold;
+
+    // Each workload's (baseline, memento, no-bypass) triple fans out
+    // as three tasks sharing one cached trace; the progress line fires
+    // as a workload's first task starts (serialized by the engine).
+    const auto progress = [](const SweepTask &task, std::size_t idx) {
+        if (idx % 3 == 0)
+            std::cerr << "  running " << task.spec.id << "...\n";
+    };
+    std::vector<ComparisonOutcome> outcomes;
+    return runSweep(
+        opts, progress,
+        [&](SweepEngine &engine) {
+            outcomes = compareSweep(specs, base_cfg, memento_cfg, run_opts,
+                                    engine);
+        },
+        [&] { return printComparisons(specs, outcomes, opts); });
 }
 
 /** Render a finished report and map it to an exit status. */
@@ -478,9 +401,9 @@ finishAnalysis(const DiagReport &report, const CliOptions &opts,
 }
 
 int
-cmdCheck(const std::string &id, const CliOptions &opts)
+cmdCheck(const CliOptions &opts)
 {
-    const std::vector<WorkloadSpec> specs = selectWorkloads(id, opts);
+    const std::vector<WorkloadSpec> specs = selectWorkloads(opts);
 
     const TraceCheckPolicy policy = TraceCheckPolicy::fromConfig(opts.cfg);
 
@@ -515,8 +438,9 @@ cmdCheck(const std::string &id, const CliOptions &opts)
 }
 
 int
-cmdLintConfig(const std::string &path, const CliOptions &opts)
+cmdLintConfig(const CliOptions &opts)
 {
+    const std::string &path = opts.args.front();
     DiagReport report;
     lintConfigFile(path, report);
     return finishAnalysis(report, opts, "linted " + path);
@@ -526,8 +450,8 @@ int
 cmdLintSrc(const CliOptions &opts)
 {
     const std::vector<std::string> paths =
-        opts.paths.empty() ? std::vector<std::string>{"src", "tools"}
-                           : opts.paths;
+        opts.args.empty() ? std::vector<std::string>{"src", "tools"}
+                          : opts.args;
     DiagReport report;
     const std::size_t files = lintSourcePaths(paths, report);
     return finishAnalysis(report, opts,
@@ -565,9 +489,10 @@ cmdRules(const CliOptions &opts)
 }
 
 int
-cmdTrace(const std::string &id, const std::string &path)
+cmdTrace(const CliOptions &opts)
 {
-    const WorkloadSpec &spec = workloadById(id);
+    const WorkloadSpec &spec = workloadById(opts.args.front());
+    const std::string &path = opts.args.back();
     const Trace trace = TraceGenerator(spec).generate();
     std::ofstream out(path);
     fatal_if(!out, "cannot open ", path, " for writing");
@@ -579,34 +504,28 @@ cmdTrace(const std::string &id, const std::string &path)
 int
 cmdFleet(const CliOptions &opts)
 {
-    const std::unique_ptr<ResultStore> store = makeStore(opts);
-
-    FleetOptions fopts;
-    fopts.cfg = opts.cfg;
-    fopts.jobs = opts.jobs;
-    fopts.store = store.get();
-    const FleetReport report = runFleet(fopts);
-
-    if (store != nullptr)
-        reportStoreStats(*store);
-
-    // stdout carries only simulated (integer-derived) values: the text
-    // and JSON renderings are byte-identical across --jobs levels and
-    // across cache resumes.
-    if (opts.json)
-        writeFleetJson(std::cout, report, opts.cfg);
-    else
-        printFleetText(std::cout, report, opts.cfg);
-    return 0;
+    std::optional<FleetReport> report;
+    return runSweep(
+        opts, {},
+        [&](SweepEngine &engine) { report = runFleet(opts.cfg, engine); },
+        [&] {
+            // stdout carries only simulated (integer-derived) values:
+            // the text and JSON renderings are byte-identical across
+            // --jobs levels and across cache resumes.
+            if (opts.json)
+                writeFleetJson(std::cout, report.value(), opts.cfg);
+            else
+                printFleetText(std::cout, report.value(), opts.cfg);
+            return 0;
+        });
 }
 
 int
 cmdFigures(const CliOptions &opts)
 {
-    fatal_if(opts.paths.empty(), "figures: name one or more ids, or all");
     const std::vector<Figure> &registry = allFigures();
     std::vector<bool> selected(registry.size(), false);
-    for (const std::string &id : opts.paths) {
+    for (const std::string &id : opts.args) {
         if (id == "all") {
             selected.assign(registry.size(), true);
             continue;
@@ -628,32 +547,88 @@ cmdFigures(const CliOptions &opts)
             figs.push_back(&registry[i]);
     }
 
-    SweepOptions sweep_opts;
-    sweep_opts.jobs = opts.jobs;
-    sweep_opts.onTaskStart = [](const SweepTask &task, std::size_t idx) {
+    const auto progress = [](const SweepTask &task, std::size_t idx) {
         std::cerr << "  cell " << idx << ": " << task.spec.id << "\n";
     };
-    SweepEngine engine(sweep_opts);
-    runFigures(figs, engine, std::cout);
-    return 0;
+    return runSweep(
+        opts, progress,
+        [&](SweepEngine &engine) { runFigures(figs, engine, std::cout); },
+        [] { return 0; });
+}
+
+const std::vector<CommandSpec> &commands();
+
+const CommandSpec *
+findCommand(std::string_view name)
+{
+    const auto it = std::ranges::find(commands(), name, &CommandSpec::name);
+    return it == commands().end() ? nullptr : &*it;
 }
 
 int
-cmdHelp(const std::vector<std::string> &args)
+cmdHelp(const CliOptions &opts)
 {
-    if (args.size() >= 2) {
-        const CommandSpec *spec = findCommand(args[1]);
-        if (!spec) {
-            std::cerr << "memento_sim: unknown command '" << args[1]
-                      << "'\n";
-            printUsage(std::cerr);
-            return 1;
-        }
-        printCommandHelp(std::cout, *spec);
+    if (opts.args.empty()) {
+        printUsage(std::cout, commands());
         return 0;
     }
-    printUsage(std::cout);
+    const CommandSpec *spec = findCommand(opts.args.front());
+    if (spec == nullptr) {
+        std::cerr << "memento_sim: unknown command '" << opts.args.front()
+                  << "'\n";
+        printUsage(std::cerr, commands());
+        return 1;
+    }
+    printCommandHelp(std::cout, *spec);
     return 0;
+}
+
+/** Every command, in help order. */
+const std::vector<CommandSpec> &
+commands()
+{
+    static const std::vector<CommandSpec> table = {
+        {"list", "", "list built-in workloads", cmdList, {}},
+        {"run", "<workload>|all", "run one configuration", cmdRun,
+         {"--config", "--set", "--memento", "--cold", "--trace",
+          "--stats", "--keep-going", "--digest", "--jobs", "--cache",
+          "--no-cache", "--revalidate"},
+         1, 1},
+        {"compare", "<workload>|all",
+         "paired baseline vs Memento (and bypass-off) runs", cmdCompare,
+         {"--config", "--set", "--cold", "--keep-going", "--jobs",
+          "--cache", "--no-cache", "--revalidate"},
+         1, 1},
+        {"trace", "<workload> <file>", "write the workload's trace",
+         cmdTrace, {}, 2, 2},
+        {"check", "<workload>|all",
+         "static trace analysis (no simulation)", cmdCheck,
+         {"--config", "--set", "--trace", "--jobs", "--json", "--allow",
+          "--werror"},
+         1, 1},
+        {"lint-config", "<file>", "validate a config file", cmdLintConfig,
+         {"--json", "--allow", "--werror"}, 1, 1},
+        {"lint-src", "[paths...]", "determinism lint over C++ sources",
+         cmdLintSrc, {"--json", "--allow", "--werror"}, 0, kAnyArgs},
+        {"rules", "", "dump the registered diagnostic rule table",
+         cmdRules, {"--json"}},
+        {"fleet", "",
+         "simulate a serverless node: arrivals, keep-alive, percentiles",
+         cmdFleet,
+         {"--config", "--set", "--memento", "--jobs", "--json", "--cores",
+          "--invocations", "--arrival", "--rate", "--cache", "--no-cache"}},
+        {"figures", "<id>...|all",
+         "regenerate the paper's figures and tables in one sweep",
+         cmdFigures, {"--jobs"}, 1, kAnyArgs},
+        {"help", "[command]", "show help for a command", cmdHelp, {}, 0, 1},
+    };
+    return table;
+}
+
+bool
+isHelpFlag(std::string_view arg)
+{
+    return arg == "--help" || arg == "-h";
 }
 
 } // namespace
@@ -661,61 +636,24 @@ cmdHelp(const std::vector<std::string> &args)
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty()) {
-        printUsage(std::cerr);
-        return 1;
+    const CommandSpec *spec = argc < 2 ? nullptr : findCommand(argv[1]);
+    if (spec == nullptr) {
+        // A bare --help asks for the usage page; anything else misuses.
+        const bool asked = argc >= 2 && isHelpFlag(argv[1]);
+        printUsage(asked ? std::cout : std::cerr, commands());
+        return asked ? 0 : 1;
     }
-    const std::string &cmd = args[0];
-    if (cmd == "--help" || cmd == "-h")
-        return cmdHelp({"help"});
-    if (cmd == "help")
-        return cmdHelp(args);
-
-    const CommandSpec *spec = findCommand(cmd);
-    if (!spec) {
-        printUsage(std::cerr);
-        return 1;
-    }
-    for (const std::string &arg : args) {
-        if (arg == "--help" || arg == "-h") {
-            printCommandHelp(std::cout, *spec);
-            return 0;
-        }
-    }
-    if (args.size() < 1 + spec->positionals) {
-        printCommandHelp(std::cerr, *spec);
-        return 1;
+    const std::vector<std::string> args(argv + 2, argv + argc);
+    if (std::ranges::any_of(args, isHelpFlag)) {
+        printCommandHelp(std::cout, *spec);
+        return 0;
     }
     try {
-        const CliOptions opts =
-            parseCommandOptions(*spec, args, 1 + spec->positionals);
-        if (cmd == "list")
-            return cmdList();
-        if (cmd == "run")
-            return cmdRun(args[1], opts);
-        if (cmd == "compare")
-            return cmdCompare(args[1], opts);
-        if (cmd == "trace")
-            return cmdTrace(args[1], args[2]);
-        if (cmd == "check")
-            return cmdCheck(args[1], opts);
-        if (cmd == "lint-config")
-            return cmdLintConfig(args[1], opts);
-        if (cmd == "lint-src")
-            return cmdLintSrc(opts);
-        if (cmd == "rules")
-            return cmdRules(opts);
-        if (cmd == "fleet")
-            return cmdFleet(opts);
-        if (cmd == "figures")
-            return cmdFigures(opts);
+        return spec->run(parseCommandOptions(*spec, args));
     } catch (const SimError &e) {
         std::cerr << "memento_sim: error ("
                   << errorCategoryName(e.category()) << "): " << e.what()
                   << "\n";
         return 1;
     }
-    printUsage(std::cerr);
-    return 1;
 }
