@@ -106,15 +106,6 @@ fleetMix(const FleetConfig &fleet)
 }
 
 Cycles
-fleetSwitchCost(const MachineConfig &cfg, std::uint64_t hot_valid)
-{
-    // Definitionally KernelCostModel::chargeContextSwitch for a switch
-    // flushing hot_valid entries (held together by a unit test).
-    return KernelCostModel::kContextSwitchCycles +
-           hot_valid * cfg.memento.hotLatency;
-}
-
-Cycles
 fleetReclaimCost(const MachineConfig &cfg, std::uint64_t pages)
 {
     // Memento reclaims at arena granularity: the hardware returns whole
@@ -128,20 +119,9 @@ fleetReclaimCost(const MachineConfig &cfg, std::uint64_t pages)
                                            kPageSize);
         units = (pages + pages_per_arena - 1) / pages_per_arena;
     }
-    const InstCount instr = VirtualMemory::kMunmapBaseInstructions +
-                            VirtualMemory::kMunmapPerPageInstructions * units;
-    // Same instruction->cycle rounding as Machine::chargeInstructions.
-    return static_cast<Cycles>(
-        static_cast<double>(instr) / cfg.core.baseIpc + 0.5);
-}
-
-Cycles
-fleetColdSetupCost(const MachineConfig &cfg)
-{
-    return static_cast<Cycles>(
-        static_cast<double>(KernelCostModel::kContainerSetupInstructions) /
-            cfg.core.baseIpc +
-        0.5);
+    return cfg.core.instructionCycles(
+        VirtualMemory::kMunmapBaseInstructions +
+        VirtualMemory::kMunmapPerPageInstructions * units);
 }
 
 std::string
@@ -163,7 +143,8 @@ simulateFleet(const std::vector<Arrival> &arrivals,
 
     const Cycles keep_alive = cfg.msToCycles(fleet.keepAliveMs);
     const std::uint64_t budget = fleet.memoryBudgetPages;
-    const Cycles cold_setup = fleetColdSetupCost(cfg);
+    const Cycles cold_setup =
+        cfg.core.instructionCycles(kContainerSetupInstructions);
 
     std::vector<CoreState> cores(fleet.cores);
     // Resident instances in ascending id order: ids only grow, a new
@@ -292,10 +273,10 @@ simulateFleet(const std::vector<Arrival> &arrivals,
         // flushes the HOT residue that instance left (kernel_cost.h).
         InstanceState &inst = instances[run];
         CoreState &core = cores[inst.core];
-        Cycles switch_cost = 0;
-        if (core.lastInstance != inst.id) {
-            switch_cost = fleetSwitchCost(cfg, core.lastHotValid);
-        }
+        const Cycles switch_cost =
+            core.lastInstance != inst.id
+                ? contextSwitchCycles(cfg, core.lastHotValid)
+                : 0;
         const Cycles start = std::max(t, core.freeAt);
         const Cycles end =
             start + switch_cost + setup + prof.serviceCycles;

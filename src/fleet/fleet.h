@@ -23,12 +23,11 @@
  *     (pages), and the HOT residue it leaves on a core (valid entries).
  *  2. Fleet stage (serial, integer-cycle event loop): arrivals are
  *     replayed in time order against per-core and per-instance state.
- *     A context switch onto a core charges the multi-proc sensitivity
- *     cost model of os/kernel_cost.h — kernel.context_switch_cycles
- *     plus one HOT-entry writeback per valid entry left by the
- *     previous instance (fleetSwitchCost() is definitionally equal to
- *     KernelCostModel::chargeContextSwitch, and a unit test holds the
- *     two together).
+ *     A context switch onto a core and a cold start's container set-up
+ *     charge the same definitions Machine and FunctionExecutor charge
+ *     (os/kernel_cost.h): contextSwitchCycles() of the HOT residue the
+ *     core's previous instance left, and kContainerSetupInstructions
+ *     at the core's IPC.
  *
  * Everything the fleet stage computes is integer cycles and counters;
  * reported doubles (latency percentiles in ms, throughput, packing
@@ -124,13 +123,6 @@ struct FleetReport
  * unknown id, like workloadById.
  */
 std::vector<WorkloadSpec> fleetMix(const FleetConfig &fleet);
-
-/**
- * Cost of switching a core to a different instance: exactly what
- * KernelCostModel::chargeContextSwitch charges for a switch that
- * flushes @p hot_valid HOT entries.
- */
-Cycles fleetSwitchCost(const MachineConfig &cfg, std::uint64_t hot_valid);
 
 /**
  * Cost of reclaiming an evicted instance's memory (@p pages).
@@ -258,9 +250,6 @@ class LatencyLog
     std::size_t narrowFrom_ = 0;
     std::size_t wideFrom_ = 0;
 };
-
-/** Container set-up cost of a cold start (kernel_cost.h budget). */
-Cycles fleetColdSetupCost(const MachineConfig &cfg);
 
 /**
  * Canonical `key=value` text of the fleet shape (the fleet.* keys of

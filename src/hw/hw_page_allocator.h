@@ -18,7 +18,6 @@
 
 #include "hw/memento_space.h"
 #include "mem/env.h"
-#include "mem/page_walker.h"
 #include "os/buddy_allocator.h"
 #include "sim/config.h"
 #include "sim/stats.h"

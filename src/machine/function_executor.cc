@@ -3,6 +3,7 @@
 #include <optional>
 #include <string>
 
+#include "os/kernel_cost.h"
 #include "sim/error.h"
 #include "sim/logging.h"
 #include "val/invariants.h"
@@ -135,10 +136,11 @@ FunctionExecutor::run(const WorkloadSpec &spec, const Trace &trace,
     const CheckConfig &check = cfg.check;
     const bool faulted = cfg.inject.appliesTo(spec.id);
 
-    if (opts.coldStart)
-        machine_.kernelCosts().chargeContainerSetup(machine_);
-    if (opts.chargeRpc)
-        chargeRpc(spec); // Fetch inputs.
+    if (opts.coldStart) {
+        CategoryScope scope(machine_.ledger(), CycleCategory::KernelOther);
+        machine_.chargeInstructions(kContainerSetupInstructions);
+    }
+    chargeRpc(spec); // Fetch inputs.
 
     // A truncated trace stops before its FunctionEnd record.
     std::size_t limit = trace.size();
@@ -164,48 +166,39 @@ FunctionExecutor::run(const WorkloadSpec &spec, const Trace &trace,
             e.tagOpIndex(i);
             throw;
         }
-        sim_error_if(truncated, ErrorCategory::Trace,
-                     "trace truncated at op ", limit,
-                     " (missing FunctionEnd)");
-        if (opts.chargeRpc)
-            chargeRpc(spec); // Store results.
-        return;
-    }
-
-    for (std::size_t i = 0; i < limit; ++i) {
-        // A corrupt record frees an object that never existed.
-        const TraceOp op = faulted && cfg.inject.traceCorruptAt == i + 1
-                               ? kCorruptOp
-                               : trace[i];
-        try {
-            sim_error_if(check.maxOps != 0 && i >= check.maxOps,
-                         ErrorCategory::Timeout, "watchdog: op budget (",
-                         check.maxOps, ") exceeded");
-            sim_error_if(check.maxCycles != 0 &&
-                             machine_.now() > check.maxCycles,
-                         ErrorCategory::Timeout,
-                         "watchdog: cycle budget (", check.maxCycles,
-                         ") exceeded at cycle ", machine_.now());
-            execute(spec, op);
-            if (faulted && cfg.inject.arenaBitFlipAt == i + 1)
-                flipArenaBit();
-            if (check.interval != 0 && (i + 1) % check.interval == 0)
-                InvariantChecker::enforce(machine_,
-                                          "op " + std::to_string(i));
-        } catch (SimError &e) {
-            e.tagOpIndex(i);
-            throw;
+    } else {
+        for (std::size_t i = 0; i < limit; ++i) {
+            // A corrupt record frees an object that never existed.
+            const TraceOp op =
+                faulted && cfg.inject.traceCorruptAt == i + 1 ? kCorruptOp
+                                                              : trace[i];
+            try {
+                sim_error_if(check.maxOps != 0 && i >= check.maxOps,
+                             ErrorCategory::Timeout,
+                             "watchdog: op budget (", check.maxOps,
+                             ") exceeded");
+                sim_error_if(check.maxCycles != 0 &&
+                                 machine_.now() > check.maxCycles,
+                             ErrorCategory::Timeout,
+                             "watchdog: cycle budget (", check.maxCycles,
+                             ") exceeded at cycle ", machine_.now());
+                execute(spec, op);
+                if (faulted && cfg.inject.arenaBitFlipAt == i + 1)
+                    flipArenaBit();
+                if (check.interval != 0 && (i + 1) % check.interval == 0)
+                    InvariantChecker::enforce(machine_,
+                                              "op " + std::to_string(i));
+            } catch (SimError &e) {
+                e.tagOpIndex(i);
+                throw;
+            }
         }
     }
-    sim_error_if(truncated, ErrorCategory::Trace,
-                 "trace truncated at op ", limit,
-                 " (missing FunctionEnd)");
-
+    sim_error_if(truncated, ErrorCategory::Trace, "trace truncated at op ",
+                 limit, " (missing FunctionEnd)");
     if (check.interval != 0)
         InvariantChecker::enforce(machine_, "end of run");
-
-    if (opts.chargeRpc)
-        chargeRpc(spec); // Store results.
+    chargeRpc(spec); // Store results.
 }
 
 void

@@ -23,8 +23,6 @@ struct RunOptions
 {
     /** Charge the container set-up path before executing (§6.6). */
     bool coldStart = false;
-    /** Charge RPC bookends (functions fetch inputs / store results). */
-    bool chargeRpc = true;
     /** Hash the final machine state into RunResult::digest. */
     bool computeDigest = false;
 };

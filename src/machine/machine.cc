@@ -1,6 +1,7 @@
 #include "machine/machine.h"
 
 #include "hw/mallacc.h"
+#include "os/kernel_cost.h"
 #include "rt/gomalloc.h"
 #include "rt/jemalloc.h"
 #include "rt/pymalloc.h"
@@ -13,7 +14,6 @@ Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg),
       loadExposed_(1.0 - cfg_.core.memLatencyHiddenFraction),
       storeExposed_(1.0 - cfg_.core.storeLatencyHiddenFraction),
-      kernelCosts_(cfg_),
       instructions_(stats_.counter("machine.instructions")),
       appLoads_(stats_.counter("machine.app_loads")),
       appStores_(stats_.counter("machine.app_stores"))
@@ -22,7 +22,6 @@ Machine::Machine(const MachineConfig &cfg)
     hier_ = std::make_unique<CacheHierarchy>(cfg_, stats_);
     l1Tlb_ = std::make_unique<Tlb>("l1tlb", cfg_.l1Tlb, stats_);
     l2Tlb_ = std::make_unique<Tlb>("l2tlb", cfg_.l2Tlb, stats_);
-    walker_ = std::make_unique<PageWalker>(*hier_);
     // Physical memory starts above a reserved low region so that no
     // valid frame aliases kNullAddr.
     buddy_ = std::make_unique<BuddyAllocator>(1ull << 22,
@@ -42,20 +41,6 @@ Machine::Machine(const MachineConfig &cfg)
 }
 
 Machine::~Machine() = default;
-
-Addr
-Machine::mementoWalk(Addr vaddr)
-{
-    MementoSpace &space = *procs_[current_].space;
-    Cycles walk_latency = 0;
-    WalkResult res = walker_->walk(space.mpt, vaddr, now(), walk_latency);
-    ledger_.charge(walk_latency);
-    if (res.valid)
-        return res.ppage;
-    // Invalid entry: the page allocator expands the table / backs the
-    // page during the walk (§3.2).
-    return hwPage_->populateOnWalk(space, vaddr, *this);
-}
 
 void
 Machine::tlbInvalidate(Addr vaddr)
@@ -122,7 +107,6 @@ Machine::createProcess(const WorkloadSpec &spec)
 
     // Static working set (code + globals + inputs). A warm container
     // has this resident already, so it is populated at set-up.
-    proc.staticWsBytes = spec.staticWsBytes;
     proc.staticBase = vm.mmap(spec.staticWsBytes, nullptr,
                               /*populate=*/true);
 
@@ -139,7 +123,8 @@ Machine::switchTo(unsigned index)
     unsigned flushed = 0;
     if (hot_)
         flushed = hot_->flush();
-    kernelCosts_.chargeContextSwitch(*this, flushed);
+    ledger_.charge(contextSwitchCycles(cfg_, flushed),
+                   CycleCategory::ContextSwitch);
     l1Tlb_->flushAll();
     l2Tlb_->flushAll();
     current_ = index;

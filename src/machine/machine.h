@@ -19,10 +19,9 @@
 #include "hw/memento_allocator.h"
 #include "mem/cache_hierarchy.h"
 #include "mem/env.h"
-#include "mem/page_walker.h"
 #include "mem/tlb.h"
 #include "os/buddy_allocator.h"
-#include "os/kernel_cost.h"
+#include "os/page_table.h"
 #include "os/process.h"
 #include "rt/allocator.h"
 #include "sim/config.h"
@@ -52,8 +51,7 @@ class Machine final : public Env
     void chargeInstructions(InstCount n) override
     {
         instructions_ += n;
-        const double cycles = static_cast<double>(n) / cfg_.core.baseIpc;
-        ledger_.charge(static_cast<Cycles>(cycles + 0.5));
+        ledger_.charge(cfg_.core.instructionCycles(n));
     }
     void chargeCycles(Cycles n) override { ledger_.charge(n); }
     Cycles accessVirtual(Addr vaddr, AccessType type) override;
@@ -132,7 +130,6 @@ class Machine final : public Env
     HwObjectAllocator *hwObjectAllocator() { return hwObj_.get(); }
     HwPageAllocator *hwPageAllocator() { return hwPage_.get(); }
     MementoSpace *mementoSpace();
-    KernelCostModel &kernelCosts() { return kernelCosts_; }
 
     /** Total retired instructions (all categories). */
     std::uint64_t instructions() const { return instructions_.value(); }
@@ -144,13 +141,16 @@ class Machine final : public Env
         std::unique_ptr<MementoSpace> space; ///< Null without Memento.
         std::unique_ptr<Allocator> allocator;
         Addr staticBase = 0;
-        std::uint64_t staticWsBytes = 0;
     };
 
     /** TLB fill + page walk + fault path; returns the physical addr. */
     Addr translate(Addr vaddr);
-    /** Walk the Memento page table, populating on demand. */
-    Addr mementoWalk(Addr vaddr);
+    /** Walk @p table for @p vaddr, charging a read per visited PTE. */
+    WalkResult walk(const PageTable &table, Addr vaddr);
+    /** Fill both TLBs with the 2 MiB mapping of @p vaddr; returns it. */
+    Addr fillHuge(Addr vaddr, Addr paddr);
+    /** A @p latency's @p exposed share that stalls retirement, >= 1. */
+    static Cycles exposedCycles(Cycles latency, double exposed);
 
     MachineConfig cfg_;
     /** 1 - core.memLatencyHiddenFraction: a load's exposed share. */
@@ -163,9 +163,7 @@ class Machine final : public Env
     std::unique_ptr<CacheHierarchy> hier_;
     std::unique_ptr<Tlb> l1Tlb_;
     std::unique_ptr<Tlb> l2Tlb_;
-    std::unique_ptr<PageWalker> walker_;
     std::unique_ptr<BuddyAllocator> buddy_;
-    KernelCostModel kernelCosts_;
 
     // Memento hardware (null when disabled).
     std::unique_ptr<ArenaGeometry> geometry_;
@@ -213,38 +211,29 @@ Machine::translate(Addr vaddr)
     const bool in_region = cfg_.memento.enabled && vaddr >= regs.mrs &&
                            vaddr < regs.mre;
     if (in_region) {
-        ppage = mementoWalk(vaddr);
+        const WalkResult res = walk(proc.space->mpt, vaddr);
+        // Invalid entry: the page allocator expands the table / backs
+        // the page during the walk (§3.2).
+        ppage = res.valid ? res.ppage
+                          : hwPage_->populateOnWalk(*proc.space, vaddr,
+                                                    *this);
     } else {
         VirtualMemory &vm = proc.process->vm();
         // A huge (PMD-level) mapping terminates the walk a level early.
         if (auto huge = vm.lookupHuge(vaddr)) {
             chargeCycles(3 * cfg_.l2.latency / 2); // 3-level walk approx.
-            const Addr base = *huge - (vaddr & ((1ull << kHugePageShift) - 1));
-            l1Tlb_->insert(vaddr, base, kHugePageShift);
-            l2Tlb_->insert(vaddr, base, kHugePageShift);
-            return *huge;
+            return fillHuge(vaddr, *huge);
         }
-        Cycles walk_latency = 0;
-        WalkResult res =
-            walker_->walk(vm.pageTable(), vaddr, now(), walk_latency);
-        ledger_.charge(walk_latency);
+        WalkResult res = walk(vm.pageTable(), vaddr);
         if (!res.valid) {
             // Demand fault, then the access retries the walk.
             sim_error_if(!vm.handleFault(vaddr, *this),
                          ErrorCategory::Trace,
                          "segfault at 0x", std::hex, vaddr);
-            if (auto huge = vm.lookupHuge(vaddr)) {
-                // The fault was satisfied with a huge page (THP).
-                const Addr base =
-                    *huge - (vaddr & ((1ull << kHugePageShift) - 1));
-                l1Tlb_->insert(vaddr, base, kHugePageShift);
-                l2Tlb_->insert(vaddr, base, kHugePageShift);
-                return *huge;
-            }
-            walk_latency = 0;
-            res = walker_->walk(vm.pageTable(), vaddr, now(),
-                                walk_latency);
-            ledger_.charge(walk_latency);
+            // The fault may be satisfied with a huge page (THP).
+            if (auto huge = vm.lookupHuge(vaddr))
+                return fillHuge(vaddr, *huge);
+            res = walk(vm.pageTable(), vaddr);
             panic_if(!res.valid, "walk invalid after fault");
         }
         ppage = res.ppage;
@@ -255,23 +244,44 @@ Machine::translate(Addr vaddr)
     return ppage + (vaddr & (kPageSize - 1));
 }
 
+inline WalkResult
+Machine::walk(const PageTable &table, Addr vaddr)
+{
+    const WalkResult res = table.walk(vaddr);
+    for (Addr pte : res.visitedPtes)
+        accessPhysical(pte, AccessType::Read);
+    return res;
+}
+
+inline Addr
+Machine::fillHuge(Addr vaddr, Addr paddr)
+{
+    const Addr base = paddr - (vaddr & ((1ull << kHugePageShift) - 1));
+    l1Tlb_->insert(vaddr, base, kHugePageShift);
+    l2Tlb_->insert(vaddr, base, kHugePageShift);
+    return paddr;
+}
+
+inline Cycles
+Machine::exposedCycles(Cycles latency, double exposed)
+{
+    const double cycles = static_cast<double>(latency) * exposed;
+    return static_cast<Cycles>(cycles < 1.0 ? 1.0 : cycles);
+}
+
 inline Cycles
 Machine::accessVirtual(Addr vaddr, AccessType type)
 {
     const Cycles before = ledger_.total();
     const Addr paddr = translate(vaddr);
-    AccessResult res = hier_->access(paddr, type, now());
+    const Cycles latency = hier_->access(paddr, type, now()).latency;
     // Stores retire from the store buffer wherever they occur —
     // allocator metadata updates and object zeroing included — so the
     // bulk of a write's hierarchy latency is hidden. Loads on these
     // paths are dependent pointer chases and stay fully exposed.
-    Cycles charge = res.latency;
-    if (type == AccessType::Write) {
-        const double exposed =
-            static_cast<double>(res.latency) * storeExposed_;
-        charge = static_cast<Cycles>(exposed < 1.0 ? 1.0 : exposed);
-    }
-    ledger_.charge(charge);
+    ledger_.charge(type == AccessType::Write
+                       ? exposedCycles(latency, storeExposed_)
+                       : latency);
     return ledger_.total() - before;
 }
 
@@ -316,14 +326,12 @@ Machine::appAccess(Addr vaddr, AccessType type)
             bypass_->onAccess(*procs_[current_].space, vaddr);
     }
 
-    AccessResult res = hier_->access(paddr, type, now(), attrs);
     // The OOO window overlaps part of the hierarchy latency with
     // useful work; stores retire from the store buffer and almost
     // never stall, loads stall on the unhidden remainder.
-    const double exposed =
-        static_cast<double>(res.latency) *
-        (type == AccessType::Write ? storeExposed_ : loadExposed_);
-    ledger_.charge(static_cast<Cycles>(exposed < 1.0 ? 1.0 : exposed));
+    ledger_.charge(exposedCycles(
+        hier_->access(paddr, type, now(), attrs).latency,
+        type == AccessType::Write ? storeExposed_ : loadExposed_));
 }
 
 } // namespace memento

@@ -250,7 +250,7 @@ cellIdentity(const std::string &workload, const MachineConfig &cfg,
              const RunOptions &opts)
 {
     return {workload, canonicalConfigText(cfg), opts.coldStart,
-            opts.chargeRpc, opts.computeDigest};
+            opts.computeDigest};
 }
 
 CellKey
@@ -265,7 +265,6 @@ ResultStore::runCellKey(const std::string &workload,
     d.add(std::string_view(id.workload));
     d.add(std::string_view(id.configText));
     d.add(static_cast<std::uint64_t>(id.coldStart));
-    d.add(static_cast<std::uint64_t>(id.chargeRpc));
     d.add(static_cast<std::uint64_t>(id.computeDigest));
     d.add(salt);
     return CellKey{d.value()};

@@ -71,7 +71,6 @@ struct CellIdentity
     std::string workload;
     std::string configText;
     bool coldStart = false;
-    bool chargeRpc = true;
     bool computeDigest = false;
 
     auto operator<=>(const CellIdentity &) const = default;

@@ -33,10 +33,6 @@ struct AccessResult
 {
     /** Critical-path latency of the access. */
     Cycles latency = 0;
-    /** Level that supplied the data: 1=L1, 2=L2, 3=LLC, 4=DRAM. */
-    unsigned servicedByLevel = 1;
-    /** True when the line was instantiated at the LLC via bypass. */
-    bool bypassed = false;
 };
 
 } // namespace memento

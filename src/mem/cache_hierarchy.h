@@ -135,12 +135,9 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
     const bool is_write = type == AccessType::Write;
     Cache &l1 = type == AccessType::Fetch ? l1i_ : l1d_;
 
-    AccessResult res;
-    res.latency = l1.latency();
-    if (l1.access(line, is_write)) {
-        res.servicedByLevel = 1;
+    AccessResult res{l1.latency()};
+    if (l1.access(line, is_write))
         return res;
-    }
 
     // Every level below a miss has just been probed, so the fills on
     // these paths use installAbsent() (identical semantics, one fewer
@@ -149,7 +146,6 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
     if (l2_.access(line, is_write)) {
         // Refill the L1 from the L2.
         absorbL1Eviction(l1.installAbsent(line, is_write), now);
-        res.servicedByLevel = 2;
         return res;
     }
 
@@ -157,7 +153,6 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
     if (llc_.access(line, is_write)) {
         absorbL2Eviction(l2_.installAbsent(line, false), now);
         absorbL1Eviction(l1.installAbsent(line, is_write), now);
-        res.servicedByLevel = 3;
         return res;
     }
 
@@ -169,8 +164,6 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
         absorbLlcEviction(llc_.installAbsent(line, true), now);
         absorbL2Eviction(l2_.installAbsent(line, false), now);
         absorbL1Eviction(l1.installAbsent(line, is_write), now);
-        res.servicedByLevel = 3;
-        res.bypassed = true;
         return res;
     }
 
@@ -180,7 +173,6 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
     absorbLlcEviction(llc_.installAbsent(line, false), now);
     absorbL2Eviction(l2_.installAbsent(line, false), now);
     absorbL1Eviction(l1.installAbsent(line, is_write), now);
-    res.servicedByLevel = 4;
     return res;
 }
 

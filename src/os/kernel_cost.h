@@ -1,46 +1,40 @@
 /**
  * @file
- * Kernel cost helpers shared by the scheduler-level models: context
- * switches and the container set-up path used by the cold-start study.
+ * Kernel costs outside mmap/fault: the context switch and the container
+ * set-up path of the cold-start study. Machine::switchTo, the function
+ * executor and the fleet stage all charge these definitions.
  */
 
 #ifndef MEMENTO_OS_KERNEL_COST_H
 #define MEMENTO_OS_KERNEL_COST_H
 
-#include "mem/env.h"
+#include <cstdint>
+
 #include "sim/config.h"
 
 namespace memento {
 
-/** Charges scheduler/kernel operations that sit outside mmap/fault. */
-class KernelCostModel
+/**
+ * Instructions modeled for container set-up: namespace creation,
+ * cgroup setup, runtime spawn (crun-like). Deliberately coarse — the
+ * paper treats it as an additive latency outside Memento's reach.
+ */
+inline constexpr InstCount kContainerSetupInstructions = 9'000'000;
+
+/** Context-switch cost, excluding any HOT flush. */
+inline constexpr Cycles kContextSwitchCycles = 3600;
+
+/**
+ * Cycles of a context switch that flushes @p hot_flushed HOT entries
+ * (§4). Each flushed entry issues one metadata writeback that completes
+ * at L1 speed (the entries are small and the write port is pipelined),
+ * so it costs the HOT latency.
+ */
+inline Cycles
+contextSwitchCycles(const MachineConfig &cfg, std::uint64_t hot_flushed)
 {
-  public:
-    explicit KernelCostModel(const MachineConfig &cfg) : cfg_(cfg) {}
-
-    /**
-     * Charge a context switch. @p hot_entries_flushed models Memento's
-     * HOT flush on switch (§4): one writeback per valid entry.
-     */
-    void chargeContextSwitch(Env &env, unsigned hot_entries_flushed) const;
-
-    /**
-     * Charge the container set-up path for a cold-started function:
-     * namespace creation, cgroup setup, runtime spawn (crun-like). The
-     * instruction budget is deliberately coarse — the paper treats it as
-     * an additive latency outside Memento's reach.
-     */
-    void chargeContainerSetup(Env &env) const;
-
-    /** Instructions modeled for container set-up. */
-    static constexpr InstCount kContainerSetupInstructions = 9'000'000;
-
-    /** Context-switch cost, excluding any HOT flush. */
-    static constexpr Cycles kContextSwitchCycles = 3600;
-
-  private:
-    const MachineConfig &cfg_;
-};
+    return kContextSwitchCycles + hot_flushed * cfg.memento.hotLatency;
+}
 
 } // namespace memento
 

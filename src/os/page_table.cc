@@ -143,10 +143,10 @@ PageTable::translate(Addr vaddr) const
 }
 
 WalkResult
-PageTable::walk(Addr vaddr)
+PageTable::walk(Addr vaddr) const
 {
     WalkResult res;
-    Node *node = root_.get();
+    const Node *node = root_.get();
     for (unsigned level = 0; level < kLevels; ++level) {
         const unsigned idx = levelIndex(vaddr, level);
         res.visitedPtes.push_back(node->pteAddr(idx));

@@ -5,9 +5,12 @@
  * Each node occupies one physical page (512 x 8-byte entries). The table
  * is functional — mappings are real and queried by the TLB-miss path —
  * and structural: every node has a physical address so page walks touch
- * PTE cache lines like real hardware. Both the OS (CR3) table and
- * Memento's MPTR table (src/hw/hw_page_allocator) are instances of this
- * class; they differ only in who feeds them page frames.
+ * PTE cache lines like real hardware: Machine charges one hierarchy
+ * access per line a walk visits. Both the OS (CR3) table and Memento's
+ * MPTR table (src/hw/hw_page_allocator) are instances of this class;
+ * they differ only in who feeds them page frames. A walk has no side
+ * effects: Machine asks the page allocator to populate an invalid
+ * Memento entry (§3.2).
  */
 
 #ifndef MEMENTO_OS_PAGE_TABLE_H
@@ -18,7 +21,6 @@
 #include <functional>
 #include <memory>
 
-#include "mem/page_walker.h"
 #include "sim/types.h"
 
 namespace memento {
@@ -34,13 +36,14 @@ class FrameSource
     virtual void freeFrame(Addr paddr) = 0;
 };
 
-/** The radix table. Implements the walker-visible interface. */
-class PageTable : public PageTableBase
+struct WalkResult;
+
+/** The radix table. */
+class PageTable
 {
   public:
     /** Number of radix levels (PGD, PUD, PMD, PTE). */
     static constexpr unsigned kLevels = 4;
-    static_assert(kLevels <= VisitedPtes::kMaxLevels);
     /** Index bits per level. */
     static constexpr unsigned kBitsPerLevel = 9;
     static constexpr unsigned kEntriesPerNode = 1u << kBitsPerLevel;
@@ -50,7 +53,7 @@ class PageTable : public PageTableBase
      *               immediately (as the kernel does on fork/exec).
      */
     explicit PageTable(FrameSource &frames);
-    ~PageTable() override;
+    ~PageTable();
 
     PageTable(const PageTable &) = delete;
     PageTable &operator=(const PageTable &) = delete;
@@ -76,8 +79,8 @@ class PageTable : public PageTableBase
     /** True when the page of @p vaddr has a valid leaf entry. */
     bool isMapped(Addr vaddr) const { return translate(vaddr) != 0; }
 
-    /** PageTableBase: structural walk visiting PTE line addresses. */
-    WalkResult walk(Addr vaddr) override;
+    /** Structural walk for @p vaddr, visiting PTE line addresses. */
+    WalkResult walk(Addr vaddr) const;
 
     /**
      * Visit every leaf mapping as (page virtual address, page physical
@@ -105,6 +108,35 @@ class PageTable : public PageTableBase
     std::unique_ptr<Node> root_;
     std::uint64_t mappedPages_ = 0;
     std::uint64_t nodePages_ = 0;
+};
+
+/**
+ * The PTE addresses one walk touched, root to leaf, held inline: a
+ * walk visits at most one entry per radix level.
+ */
+class VisitedPtes
+{
+  public:
+    void push_back(Addr pte) { ptes_[size_++] = pte; }
+    std::size_t size() const { return size_; }
+    Addr operator[](std::size_t i) const { return ptes_[i]; }
+    const Addr *begin() const { return ptes_.data(); }
+    const Addr *end() const { return ptes_.data() + size_; }
+
+  private:
+    std::array<Addr, PageTable::kLevels> ptes_{};
+    unsigned size_ = 0;
+};
+
+/** Result of walking a table for one virtual address. */
+struct WalkResult
+{
+    /** False when the leaf PTE is absent: the OS must handle a fault. */
+    bool valid = false;
+    /** Physical page base on success. */
+    Addr ppage = 0;
+    /** Physical addresses of the PTE entries touched, root to leaf. */
+    VisitedPtes visitedPtes;
 };
 
 } // namespace memento

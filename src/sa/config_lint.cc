@@ -1,7 +1,6 @@
 #include "sa/config_lint.h"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <map>
 #include <string_view>
@@ -10,23 +9,13 @@
 #include "fleet/arrivals.h"
 #include "rt/jemalloc.h"
 #include "rt/pymalloc.h"
+#include "sim/config_file.h"
 #include "sim/config_schema.h"
 #include "sim/logging.h"
 #include "wl/workloads.h"
 
 namespace memento {
 namespace {
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
 
 /**
  * True for a schema key that configures hardware the enable bit gates:
@@ -45,7 +34,7 @@ lintConfigStream(std::istream &is, const std::string &subject,
                  DiagReport &report)
 {
     MachineConfig cfg = defaultConfig();
-    std::string line;
+    std::string line, key, value;
     unsigned line_no = 0;
     // key -> line of its latest valid assignment, in line order for the
     // cross-key pass.
@@ -54,25 +43,19 @@ lintConfigStream(std::istream &is, const std::string &subject,
 
     while (std::getline(is, line)) {
         ++line_no;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        line = trim(line);
-        if (line.empty())
+        switch (splitConfigLine(line, key, value)) {
+          case ConfigLineKind::Blank:
             continue;
-
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
+          case ConfigLineKind::MissingEquals:
             report.add("config-parse", subject, line_no,
                        "missing '=' (expected 'key = value')");
             continue;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-        if (key.empty() || value.empty()) {
+          case ConfigLineKind::EmptyPart:
             report.add("config-parse", subject, line_no,
                        "empty key or value");
             continue;
+          case ConfigLineKind::Assignment:
+            break;
         }
 
         const ConfigKeyInfo *info = findConfigKey(key);

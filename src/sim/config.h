@@ -77,6 +77,13 @@ struct CoreConfig
      * write-combining; stores rarely stall retirement.
      */
     double storeLatencyHiddenFraction = 0.92;
+
+    /** Cycles to retire @p n instructions at baseIpc, rounded. */
+    Cycles
+    instructionCycles(InstCount n) const
+    {
+        return static_cast<Cycles>(static_cast<double>(n) / baseIpc + 0.5);
+    }
 };
 
 /** Kernel cost model (instruction budgets, calibrated in DESIGN.md). */

@@ -1,6 +1,5 @@
 #include "sim/config_file.h"
 
-#include <cctype>
 #include <fstream>
 #include <map>
 
@@ -11,18 +10,36 @@
 namespace memento {
 namespace {
 
+/** @p s without leading and trailing C-locale white space. */
 std::string
 trim(const std::string &s)
 {
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
+    constexpr const char *kSpace = " \t\n\v\f\r";
+    const std::size_t b = s.find_first_not_of(kSpace);
+    return b == std::string::npos
+               ? std::string()
+               : s.substr(b, s.find_last_not_of(kSpace) - b + 1);
 }
 
 } // namespace
+
+ConfigLineKind
+splitConfigLine(std::string line, std::string &key, std::string &value)
+{
+    const std::size_t hash = line.find('#');
+    if (hash != std::string::npos)
+        line.erase(hash);
+    line = trim(line);
+    if (line.empty())
+        return ConfigLineKind::Blank;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos)
+        return ConfigLineKind::MissingEquals;
+    key = trim(line.substr(0, eq));
+    value = trim(line.substr(eq + 1));
+    return key.empty() || value.empty() ? ConfigLineKind::EmptyPart
+                                        : ConfigLineKind::Assignment;
+}
 
 void
 applyConfigOption(const std::string &key, const std::string &value,
@@ -43,24 +60,23 @@ applyConfigOption(const std::string &key, const std::string &value,
 void
 applyConfigStream(std::istream &is, MachineConfig &cfg)
 {
-    std::string line;
+    std::string line, key, value;
     unsigned line_no = 0;
     std::map<std::string, unsigned> last_set; // key -> latest assignment line
     while (std::getline(is, line)) {
         ++line_no;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        line = trim(line);
-        if (line.empty())
+        switch (splitConfigLine(line, key, value)) {
+          case ConfigLineKind::Blank:
             continue;
-        const std::size_t eq = line.find('=');
-        sim_error_if(eq == std::string::npos, ErrorCategory::Config,
-                     "config: missing '=' on line ", line_no);
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-        sim_error_if(key.empty() || value.empty(), ErrorCategory::Config,
-                     "config: empty key or value on line ", line_no);
+          case ConfigLineKind::MissingEquals:
+            sim_error(ErrorCategory::Config, "config: missing '=' on line ",
+                      line_no);
+          case ConfigLineKind::EmptyPart:
+            sim_error(ErrorCategory::Config,
+                      "config: empty key or value on line ", line_no);
+          case ConfigLineKind::Assignment:
+            break;
+        }
         const auto [it, inserted] = last_set.emplace(key, line_no);
         if (!inserted) {
             warn("config: duplicate key '", key, "' on line ", line_no,

@@ -23,6 +23,22 @@
 
 namespace memento {
 
+/** How one line reads under the config-file line grammar. */
+enum class ConfigLineKind {
+    Blank,         ///< Nothing but spaces and a `#` comment.
+    Assignment,    ///< `key = value` with both parts non-empty.
+    MissingEquals, ///< Text without an `=`.
+    EmptyPart,     ///< An `=` with an empty key or value.
+};
+
+/**
+ * Split @p line by the line grammar that applyConfigStream() and
+ * lint-config share: drop a `#` comment, then cut at the first `=` into
+ * a trimmed @p key and @p value.
+ */
+ConfigLineKind splitConfigLine(std::string line, std::string &key,
+                               std::string &value);
+
 /**
  * Apply `key = value` lines from @p is on top of @p cfg.
  * Throws SimError(Config) on malformed lines or unknown keys.

@@ -64,7 +64,10 @@ struct WorkloadSpec
     /** Static working-set accesses per allocation event. */
     unsigned staticAccesses = 2;
 
-    /** RPC input+output bytes (functions fetch/store via Redis, §5). */
+    /**
+     * RPC input+output bytes (functions fetch/store via Redis, §5);
+     * 0 for a workload that makes no RPC.
+     */
     std::uint64_t rpcBytes = 16 << 10;
 
     /**

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <tuple>
 
+#include "sa/config_lint.h"
 #include "sim/config_file.h"
 #include "sim/error.h"
 
@@ -116,6 +119,52 @@ TEST(ConfigFile, ParsedConfigDrivesRealMachineGeometry)
     applyConfigStream(is, cfg);
     EXPECT_EQ(cfg.l1d.numSets(), (16u << 10) / (4 * 64));
 }
+
+// applyConfigStream() and lint-config read lines by one grammar: a line
+// the loader rejects as malformed is exactly a line lint-config reports
+// as config-parse. Each case is (line, malformed).
+class ConfigLineGrammar
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+};
+
+TEST_P(ConfigLineGrammar, LoaderThrowsExactlyWhereLintReportsParse)
+{
+    const auto &[line, malformed] = GetParam();
+    MachineConfig cfg = defaultConfig();
+    std::istringstream load_in(line + "\n");
+    bool threw = false;
+    try {
+        applyConfigStream(load_in, cfg);
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Config);
+        threw = true;
+    }
+
+    std::istringstream lint_in(line + "\n");
+    DiagReport report;
+    lintConfigStream(lint_in, "conf", report);
+    bool parse_diag = false;
+    for (const Diag &d : report.diags()) {
+        if (d.ruleId == "config-parse") {
+            EXPECT_EQ(d.location, 1u);
+            parse_diag = true;
+        }
+    }
+    EXPECT_EQ(threw, malformed) << "'" << line << "'";
+    EXPECT_EQ(parse_diag, malformed) << "'" << line << "'";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LineShapes, ConfigLineGrammar,
+    ::testing::Values(std::tuple{"core.freq_ghz=1", false},
+                      std::tuple{" core.freq_ghz = 1 # c", false},
+                      std::tuple{"=1", true},
+                      std::tuple{"core.freq_ghz=", true},
+                      std::tuple{"core.freq_ghz", true},
+                      std::tuple{"", false},
+                      std::tuple{"  # only a comment", false},
+                      std::tuple{"core.freq_ghz # = 1", true}));
 
 } // namespace
 } // namespace memento

@@ -163,9 +163,8 @@ TEST(FleetCostModel, SwitchCostMatchesKernelCostModelOnRealMachine)
     // Run two function instances round-robin on one simulated core
     // (the sens_multiproc recipe) and check that every context
     // switch's measured ContextSwitch-category cost equals
-    // fleetSwitchCost() for the HOT residue observed just before the
-    // switch. This pins the fleet scheduler to the machine's own cost
-    // model: if chargeContextSwitch ever changes, this fails.
+    // contextSwitchCycles() for the HOT residue observed just before
+    // the switch: the definition the fleet scheduler charges.
     const MachineConfig cfg = mementoConfig();
     const std::vector<WorkloadSpec> functions =
         workloadsByDomain(Domain::Function);
@@ -203,7 +202,7 @@ TEST(FleetCostModel, SwitchCostMatchesKernelCostModelOnRealMachine)
                                        CycleCategory::ContextSwitch) -
                                    cs_before;
             if (charged != 0) { // switchTo(same) is free
-                EXPECT_EQ(charged, fleetSwitchCost(cfg, hot_valid));
+                EXPECT_EQ(charged, contextSwitchCycles(cfg, hot_valid));
                 ++switches_checked;
             }
 
@@ -219,13 +218,24 @@ TEST(FleetCostModel, SwitchCostMatchesKernelCostModelOnRealMachine)
 
 TEST(FleetCostModel, ColdSetupCostMatchesContainerSetupCharge)
 {
+    // A cold run of an empty trace charges only the container set-up
+    // (KernelOther) and the RPC bookends: the set-up is the fleet's
+    // cold-start cost, kContainerSetupInstructions at the core's IPC.
     const MachineConfig cfg = defaultConfig();
+    const WorkloadSpec spec = workloadsByDomain(Domain::Function)[0];
     Machine machine(cfg);
-    machine.createProcess(workloadsByDomain(Domain::Function)[0]);
-    const Cycles before = machine.cycleLedger().total();
-    machine.kernelCosts().chargeContainerSetup(machine);
-    const Cycles charged = machine.cycleLedger().total() - before;
-    EXPECT_EQ(charged, fleetColdSetupCost(cfg));
+    machine.createProcess(spec);
+    const Cycles before =
+        machine.cycleLedger().category(CycleCategory::KernelOther);
+    const std::uint64_t instructions_before = machine.instructions();
+    RunOptions opts;
+    opts.coldStart = true;
+    FunctionExecutor(machine).run(spec, Trace{}, opts);
+    EXPECT_EQ(machine.cycleLedger().category(CycleCategory::KernelOther) -
+                  before,
+              cfg.core.instructionCycles(kContainerSetupInstructions));
+    EXPECT_EQ(machine.instructions() - instructions_before,
+              kContainerSetupInstructions);
 }
 
 TEST(FleetCostModel, MementoReclaimIsArenaGranular)
@@ -282,8 +292,9 @@ TEST(FleetScheduler, WarmHitWithinKeepAliveColdStartAfterExpiry)
     const MachineConfig cfg = handConfig(1, 1.0 /* ms */, 0);
     const Cycles service = 1000;
     const Cycles keep_alive = cfg.msToCycles(cfg.fleet.keepAliveMs);
-    const Cycles cs = fleetSwitchCost(cfg, 0);
-    const Cycles setup = fleetColdSetupCost(cfg);
+    const Cycles cs = contextSwitchCycles(cfg, 0);
+    const Cycles setup =
+        cfg.core.instructionCycles(kContainerSetupInstructions);
     const Cycles end0 = cs + setup + service;
 
     std::vector<Arrival> arrivals;
@@ -335,7 +346,8 @@ TEST(FleetScheduler, SwitchCostChargedOnlyWhenCoreChangesInstance)
     // Alternating: every arrival after the first switches instances
     // and flushes the previous instance's 7 HOT entries.
     EXPECT_EQ(alt.p99Cycles,
-              fleetSwitchCost(cfg, 7) + fleetColdSetupCost(cfg) +
+              contextSwitchCycles(cfg, 7) +
+                  cfg.core.instructionCycles(kContainerSetupInstructions) +
                   service);
     // Pinned: one cold start, then pure service time.
     EXPECT_EQ(pin.p50Cycles, service);

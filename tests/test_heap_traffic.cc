@@ -213,13 +213,11 @@ TEST(HeapTraffic, FleetStageRequestsTwelveBytesPerInvocation)
     cfg.fleet.ratePerSec = 1000.0;
     // Two 1 ms workloads on 8 cores at 1000 rps: no backlog, so every
     // latency is a few ms, far below 2^32 cycles.
-    std::vector<FleetProfile> profiles(2);
-    for (FleetProfile &p : profiles) {
-        p.id = "w";
-        p.serviceCycles = 3'000'000;
-        p.pages = 64;
-        p.hotValidEntries = 8;
-    }
+    const std::vector<FleetProfile> profiles(
+        2, FleetProfile{.id = "w",
+                        .serviceCycles = 3'000'000,
+                        .pages = 64,
+                        .hotValidEntries = 8});
 
     std::vector<Arrival> arrivals;
     const std::uint64_t arrival_bytes = bytesDuring(

@@ -41,26 +41,17 @@ TEST(ProcessTest, RegistersInitializedFromLayout)
 TEST(KernelCostTest, ContextSwitchScalesWithHotEntries)
 {
     MachineConfig cfg;
-    KernelCostModel costs(cfg);
-    test::TestEnv env;
-    costs.chargeContextSwitch(env, 0);
-    const Cycles bare = env.ledger().total();
-    test::TestEnv env2;
-    costs.chargeContextSwitch(env2, 64);
-    EXPECT_EQ(env2.ledger().total(),
-              bare + 64 * cfg.memento.hotLatency);
-    EXPECT_EQ(env2.ledger().category(CycleCategory::ContextSwitch),
-              env2.ledger().total());
+    EXPECT_EQ(contextSwitchCycles(cfg, 0), kContextSwitchCycles);
+    EXPECT_EQ(contextSwitchCycles(cfg, 64),
+              kContextSwitchCycles + 64 * cfg.memento.hotLatency);
 }
 
 TEST(KernelCostTest, ContainerSetupIsExpensive)
 {
     MachineConfig cfg;
-    KernelCostModel costs(cfg);
-    test::TestEnv env;
-    costs.chargeContainerSetup(env);
     // Millions of instructions -> millions of cycles at IPC 2.
-    EXPECT_GT(env.ledger().total(), 1'000'000u);
+    EXPECT_GT(cfg.core.instructionCycles(kContainerSetupInstructions),
+              1'000'000u);
 }
 
 // ---------------------------------------------------------------------

@@ -192,12 +192,12 @@ TEST(ExecutorTest, RpcChargedWhenEnabled)
     ex.run(spec, trace);
     EXPECT_GT(m.cycleLedger().category(CycleCategory::Rpc), 0u);
 
+    // A workload without RPC says so with rpcBytes = 0.
+    spec.rpcBytes = 0;
     Machine m2(test::smallConfig());
     m2.createProcess(spec);
     FunctionExecutor ex2(m2);
-    RunOptions opts;
-    opts.chargeRpc = false;
-    ex2.run(spec, trace, opts);
+    ex2.run(spec, trace);
     EXPECT_EQ(m2.cycleLedger().category(CycleCategory::Rpc), 0u);
 }
 

@@ -297,8 +297,10 @@ TEST(ResultStore, StoredRecordIsOneLinePerField)
     const RunResult r = richResult();
     std::string payload = "workload aes\ncycles 1311768467463790320\n"
                           "by_category";
-    for (std::size_t i = 0; i < kNumCycleCategories; ++i)
-        payload += " " + std::to_string(1000 + i);
+    for (std::size_t i = 0; i < kNumCycleCategories; ++i) {
+        payload += ' ';
+        payload += std::to_string(1000 + i);
+    }
     payload += "\ninstructions 11\npeak_resident_pages 18\n"
                "hot_valid_entries 30\nfrag_inactive_bits " +
                std::to_string(
