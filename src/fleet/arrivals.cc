@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sa/config_lint.h"
 #include "sim/error.h"
 #include "sim/rng.h"
 
@@ -60,10 +61,7 @@ std::vector<Arrival>
 generateArrivals(const MachineConfig &cfg, std::size_t num_workloads)
 {
     const FleetConfig &fleet = cfg.fleet;
-    if (!validArrivalKind(fleet.arrival)) {
-        sim_error(ErrorCategory::Config, "fleet.arrival '", fleet.arrival,
-                  "' is not one of poisson, bursty, diurnal");
-    }
+    checkConfig(cfg, ConfigRules::Fleet);
     sim_error_if(num_workloads == 0, ErrorCategory::Config,
                  "fleet: the workload mix is empty");
     sim_error_if(num_workloads > kMaxFleetWorkloads, ErrorCategory::Config,

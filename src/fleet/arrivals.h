@@ -66,9 +66,10 @@ bool validArrivalKind(std::string_view kind);
  * Generate fleet.invocations arrivals over @p num_workloads workloads
  * under @p cfg (rate, shape, and seed from cfg.fleet; cycle conversion
  * from cfg.core.freq_ghz). Times are non-decreasing. Throws
- * SimError(Config) on an unknown fleet.arrival kind, on more than
- * kMaxFleetWorkloads workloads, and when an arrival would land at or
- * past kMaxArrivalCycles.
+ * SimError(Config) on a broken fleet rule (checkConfig: the arrival
+ * kind, the mix, an expected window past kMaxArrivalCycles), on more
+ * than kMaxFleetWorkloads workloads, and when an arrival would land at
+ * or past kMaxArrivalCycles.
  */
 std::vector<Arrival> generateArrivals(const MachineConfig &cfg,
                                       std::size_t num_workloads);

@@ -8,6 +8,7 @@
 #include "machine/sweep.h"
 #include "os/kernel_cost.h"
 #include "os/virtual_memory.h"
+#include "sa/config_lint.h"
 #include "sim/config_canon.h"
 #include "sim/error.h"
 #include "sim/json.h"
@@ -331,14 +332,11 @@ simulateFleet(const std::vector<Arrival> &arrivals,
 std::optional<FleetReport>
 runFleet(const MachineConfig &cfg, SweepEngine &engine)
 {
-    if (!validArrivalKind(cfg.fleet.arrival)) {
-        sim_error(ErrorCategory::Config, "fleet.arrival '",
-                  cfg.fleet.arrival,
-                  "' is not one of poisson, bursty, diurnal");
-    }
+    // Every config rule, and the arrivals, before any profile: a bad
+    // config must not wait for (or leave behind) a whole mix's
+    // profiles.
+    checkConfig(cfg, ConfigRules::All);
     const std::vector<WorkloadSpec> mix = fleetMix(cfg.fleet);
-    // Arrivals first: a window past 2^56 cycles is a config error, and
-    // it must not wait for (or leave behind) a whole mix's profiles.
     const std::vector<Arrival> arrivals =
         generateArrivals(cfg, mix.size());
 

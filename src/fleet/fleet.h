@@ -120,7 +120,8 @@ struct FleetReport
 /**
  * Resolve fleet.mix to workload specs: "function" (the 14 function
  * workloads), "all" (all 23), or one workload id. fatal()s on an
- * unknown id, like workloadById.
+ * unknown id, like workloadById; runFleet rejects one first
+ * (checkConfig).
  */
 std::vector<WorkloadSpec> fleetMix(const FleetConfig &fleet);
 

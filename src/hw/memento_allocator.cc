@@ -1,5 +1,6 @@
 #include "hw/memento_allocator.h"
 
+#include "sim/error.h"
 #include "sim/logging.h"
 
 namespace memento {
@@ -34,9 +35,9 @@ MementoAllocator::smallFree(Addr ptr, Env &env)
     }
     std::uint32_t bytes = 0;
     FreeStatus status = hw_.objFree(space_, ptr, env, thread_, &bytes);
-    panic_if(status != FreeStatus::Ok,
-             "memento: hardware raised a free exception for 0x", std::hex,
-             ptr);
+    sim_error_if(status != FreeStatus::Ok, ErrorCategory::Corruption,
+                 "memento: hardware raised a free exception for 0x",
+                 std::hex, ptr);
     return bytes;
 }
 

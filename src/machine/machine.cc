@@ -5,6 +5,7 @@
 #include "rt/gomalloc.h"
 #include "rt/jemalloc.h"
 #include "rt/pymalloc.h"
+#include "sa/config_lint.h"
 #include "sim/error.h"
 #include "sim/logging.h"
 
@@ -18,7 +19,7 @@ Machine::Machine(const MachineConfig &cfg)
       appLoads_(stats_.counter("machine.app_loads")),
       appStores_(stats_.counter("machine.app_stores"))
 {
-    checkGeometry(cfg_);
+    checkConfig(cfg_, ConfigRules::Machine);
     hier_ = std::make_unique<CacheHierarchy>(cfg_, stats_);
     l1Tlb_ = std::make_unique<Tlb>("l1tlb", cfg_.l1Tlb, stats_);
     l2Tlb_ = std::make_unique<Tlb>("l2tlb", cfg_.l2Tlb, stats_);

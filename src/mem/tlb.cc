@@ -9,8 +9,10 @@ namespace {
 /**
  * Set count of a TLB level. A 2048-entry 12-way TLB (Table 3) is not
  * evenly divisible; the count rounds down as real designs do (capacity
- * 2040 here). Checked before any member is computed from it: config
- * validation (checkGeometry) rejects a zero count first.
+ * 2040 here). Checked before any member is computed from it. A
+ * Machine never gets here with a zero count: its constructor rejects
+ * entries below ways as a config error first (checkConfig), so the
+ * panic guards only a Tlb built directly.
  */
 std::uint64_t
 tlbSets(const std::string &name, const TlbConfig &cfg)

@@ -31,14 +31,6 @@ class Tlb
     Tlb(const std::string &name, const TlbConfig &cfg, StatRegistry &stats);
 
     /**
-     * Look up the page containing @p vaddr (both 4 KiB and 2 MiB
-     * granularities are probed).
-     * @return the physical page base on a hit (base of the entry's own
-     *         granularity).
-     */
-    std::optional<Addr> lookup(Addr vaddr);
-
-    /**
      * Insert a translation for the page of @p vaddr at @p shift
      * granularity (4 KiB by default; pass kHugePageShift for THP).
      */
@@ -151,18 +143,6 @@ Tlb::find(Addr vaddr)
     if (!e && hugeEntries_ != 0)
         e = findAt(vaddr, kHugePageShift);
     return e;
-}
-
-inline std::optional<Addr>
-Tlb::lookup(Addr vaddr)
-{
-    if (Entry *e = find(vaddr)) {
-        e->lruStamp = ++lruClock_;
-        ++hits_;
-        return e->pbase;
-    }
-    ++misses_;
-    return std::nullopt;
 }
 
 inline std::optional<Addr>

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sim/error.h"
 #include "sim/logging.h"
 
 namespace memento {
@@ -20,11 +19,6 @@ JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
       purges_(stats.counter("jemalloc.purges")),
       purgedPages_(stats.counter("jemalloc.purged_pages"))
 {
-    sim_error_if(params_.chunkBytes % kSlabBytes != 0,
-                 ErrorCategory::Config, "tuning.jemalloc_chunk (",
-                 params_.chunkBytes, ") must be a multiple of the ",
-                 kSlabBytes, " B slab size");
-
     // tcache bins metadata (stack pointers per class): pre-populated.
     tcacheMeta_ = vm_.mmap(kPageSize, nullptr, /*populate=*/true);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "sim/error.h"
 #include "sim/logging.h"
 
 namespace memento {
@@ -18,10 +17,6 @@ PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
       arenaMunmaps_(stats.counter("pymalloc.arena_munmaps")),
       poolAcquires_(stats.counter("pymalloc.pool_acquires"))
 {
-    sim_error_if(params_.arenaBytes % kPoolBytes != 0,
-                 ErrorCategory::Config, "tuning.pymalloc_arena (",
-                 params_.arenaBytes, ") must be a multiple of the ",
-                 kPoolBytes, " B pool size");
     // Region holding arena_object records (not eagerly populated: the
     // interpreter faults these in as arenas appear).
     arenaObjRegion_ = vm_.mmap(64 * kPageSize, nullptr);

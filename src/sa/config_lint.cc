@@ -11,6 +11,7 @@
 #include "rt/pymalloc.h"
 #include "sim/config_file.h"
 #include "sim/config_schema.h"
+#include "sim/error.h"
 #include "sim/logging.h"
 #include "wl/workloads.h"
 
@@ -28,6 +29,135 @@ isMementoHardwareKey(std::string_view key)
 }
 
 } // namespace
+
+std::vector<ConfigProblem>
+configProblems(const MachineConfig &cfg)
+{
+    std::vector<ConfigProblem> problems;
+
+    // The hardware owns [MRS, MRE) (§3.2): a heap inside it would route
+    // software frees to the Memento allocator. The schema caps MRS at
+    // 2^47 and the region at 64 x 2^40 bytes, so MRE cannot wrap.
+    const Addr mrs = cfg.layout.mementoRegionStart;
+    const Addr mre = cfg.layout.mementoRegionEnd();
+    if (cfg.layout.heapBase >= mrs && cfg.layout.heapBase < mre) {
+        problems.push_back(
+            {"config-region-overlap",
+             {"layout.heap_base", "layout.memento_region_start",
+              "layout.per_class_region_bytes"},
+             detail::formatMsg("heap base 0x", std::hex,
+                               cfg.layout.heapBase,
+                               " falls inside the Memento region [0x", mrs,
+                               ", 0x", mre, ")")});
+    }
+
+    // pymalloc carves an arena into pools, jemalloc a chunk into slabs.
+    const struct
+    {
+        const char *key;
+        std::uint64_t value;
+        std::uint64_t unit;
+        const char *what;
+    } multiples[] = {
+        {"tuning.pymalloc_arena", cfg.tuning.pymallocArenaBytes,
+         PyMalloc::kPoolBytes, "pool size"},
+        {"tuning.jemalloc_chunk", cfg.tuning.jemallocChunkBytes,
+         JeMalloc::kSlabBytes, "slab size"}};
+    for (const auto &m : multiples) {
+        if (m.value % m.unit != 0) {
+            problems.push_back(
+                {"config-bad-value",
+                 {m.key},
+                 detail::formatMsg(m.key, " (", m.value,
+                                   ") must be a multiple of the ", m.unit,
+                                   " B ", m.what)});
+        }
+    }
+
+    // Every cache needs a power-of-two set count (its set index is a
+    // mask), and every TLB at least one set.
+    const std::pair<const char *, const CacheConfig *> caches[] = {
+        {"l1d", &cfg.l1d}, {"l1i", &cfg.l1i}, {"l2", &cfg.l2},
+        {"llc", &cfg.llc}};
+    for (const auto &[name, c] : caches) {
+        const std::string size_key = std::string(name) + ".size";
+        const std::string ways_key = std::string(name) + ".ways";
+        const std::uint64_t sets = c->numSets();
+        if (sets == 0 || !isPowerOfTwo(sets)) {
+            problems.push_back(
+                {"config-bad-value",
+                 {size_key, ways_key},
+                 detail::formatMsg(
+                     size_key, " (", c->sizeBytes, ") / (", ways_key,
+                     " (", c->ways, ") x ", kLineSize, " B lines) gives ",
+                     sets, " set(s); a cache needs a power of two")});
+        }
+    }
+    const std::pair<const char *, const TlbConfig *> tlbs[] = {
+        {"tlb.l1", &cfg.l1Tlb}, {"tlb.l2", &cfg.l2Tlb}};
+    for (const auto &[name, t] : tlbs) {
+        if (t->entries < t->ways) {
+            const std::string entries_key = std::string(name) + "_entries";
+            const std::string ways_key = std::string(name) + "_ways";
+            problems.push_back(
+                {"config-bad-value",
+                 {entries_key, ways_key},
+                 detail::formatMsg(entries_key, " (", t->entries,
+                                   ") is below ", ways_key, " (", t->ways,
+                                   "): the TLB has no set")});
+        }
+    }
+
+    // An arrival is stored in 56 bits of cycles; the expected window is
+    // invocations / rate at the core clock.
+    const double window_cycles =
+        static_cast<double>(cfg.fleet.invocations) / cfg.fleet.ratePerSec *
+        cfg.core.freqGhz * 1.0e9;
+    if (window_cycles >= static_cast<double>(kMaxArrivalCycles)) {
+        problems.push_back(
+            {"config-bad-value",
+             {"fleet.invocations", "fleet.rate_rps"},
+             detail::formatMsg(
+                 "fleet.invocations / fleet.rate_rps spans ",
+                 window_cycles, " cycles at ", cfg.core.freqGhz,
+                 " GHz, past the arrival window limit of 2^56 "
+                 "cycles; lower fleet.invocations or raise "
+                 "fleet.rate_rps")});
+    }
+
+    if (!validArrivalKind(cfg.fleet.arrival)) {
+        problems.push_back(
+            {"config-fleet-bad-arrival",
+             {"fleet.arrival"},
+             detail::formatMsg("fleet.arrival '", cfg.fleet.arrival,
+                               "' is not one of poisson, bursty, diurnal")});
+    }
+
+    const std::string &mix = cfg.fleet.mix;
+    if (mix != "function" && mix != "all" &&
+        std::ranges::none_of(allWorkloads(), [&](const WorkloadSpec &w) {
+            return w.id == mix;
+        })) {
+        problems.push_back(
+            {"config-fleet-bad-mix",
+             {"fleet.mix"},
+             detail::formatMsg("fleet.mix '", mix,
+                               "' is neither 'function', 'all', nor a "
+                               "workload id")});
+    }
+    return problems;
+}
+
+void
+checkConfig(const MachineConfig &cfg, ConfigRules rules)
+{
+    for (const ConfigProblem &p : configProblems(cfg)) {
+        const bool fleet = p.keys.front().starts_with("fleet.");
+        if (rules == ConfigRules::All ||
+            fleet == (rules == ConfigRules::Fleet))
+            sim_error(ErrorCategory::Config, p.message);
+    }
+}
 
 void
 lintConfigStream(std::istream &is, const std::string &subject,
@@ -98,81 +228,17 @@ lintConfigStream(std::istream &is, const std::string &subject,
         assignments.emplace_back(key, line_no);
     }
 
-    // ------------------------------------------------------------------
-    // Cross-key contradictions on the effective configuration.
-    // ------------------------------------------------------------------
+    // Cross-key rules on the effective configuration: first every
+    // error a run raises, then the warnings no run enforces.
     const auto line_of = [&](std::string_view key) -> unsigned {
         const auto it = last_set.find(std::string(key));
         return it == last_set.end() ? 0 : it->second;
     };
-    const bool touches_layout = line_of("layout.heap_base") ||
-                                line_of("layout.memento_region_start") ||
-                                line_of("layout.per_class_region_bytes");
-
-    if (touches_layout) {
-        const Addr mrs = cfg.layout.mementoRegionStart;
-        const std::uint64_t span =
-            cfg.layout.perClassRegionBytes * kNumSmallClasses;
-        const Addr mre = mrs + span;
-        const unsigned at =
-            std::max({line_of("layout.heap_base"),
-                      line_of("layout.memento_region_start"),
-                      line_of("layout.per_class_region_bytes")});
-        if (mre <= mrs ||
-            span / kNumSmallClasses !=
-                cfg.layout.perClassRegionBytes) {
-            report.add("config-region-overlap", subject, at,
-                       detail::formatMsg(
-                           "Memento region is inverted: MRE (MRS + ",
-                           kNumSmallClasses, " x ",
-                           cfg.layout.perClassRegionBytes,
-                           " bytes) wraps below MRS 0x", std::hex, mrs));
-        } else if (cfg.layout.heapBase >= mrs &&
-                   cfg.layout.heapBase < mre) {
-            report.add("config-region-overlap", subject, at,
-                       detail::formatMsg(
-                           "heap base 0x", std::hex, cfg.layout.heapBase,
-                           " falls inside the Memento region [0x", mrs,
-                           ", 0x", mre, ")"));
-        }
-    }
-
-    // The allocator models reject these at construction; report them
-    // here, at the key's line, with the same multiples.
-    const auto multiple_of = [&](std::string_view key, std::uint64_t value,
-                                 std::uint64_t unit, const char *what) {
-        if (value % unit != 0) {
-            report.add("config-bad-value", subject, line_of(key),
-                       detail::formatMsg(key, " (", value,
-                                         ") must be a multiple of the ",
-                                         unit, " B ", what));
-        }
-    };
-    multiple_of("tuning.pymalloc_arena", cfg.tuning.pymallocArenaBytes,
-                PyMalloc::kPoolBytes, "pool size");
-    multiple_of("tuning.jemalloc_chunk", cfg.tuning.jemallocChunkBytes,
-                JeMalloc::kSlabBytes, "slab size");
-    // Machine construction rejects these the same way (checkGeometry).
-    for (const GeometryProblem &p : geometryProblems(cfg)) {
-        report.add("config-bad-value", subject,
-                   std::max(line_of(p.sizeKey), line_of(p.waysKey)),
-                   p.message);
-    }
-    // Arrival generation rejects a time past 2^56 cycles; the expected
-    // window is invocations / rate at the core clock.
-    const double window_cycles =
-        static_cast<double>(cfg.fleet.invocations) / cfg.fleet.ratePerSec *
-        cfg.core.freqGhz * 1.0e9;
-    if (window_cycles >= static_cast<double>(kMaxArrivalCycles)) {
-        report.add("config-bad-value", subject,
-                   std::max(line_of("fleet.invocations"),
-                            line_of("fleet.rate_rps")),
-                   detail::formatMsg(
-                       "fleet.invocations / fleet.rate_rps spans ",
-                       window_cycles, " cycles at ", cfg.core.freqGhz,
-                       " GHz, past the arrival window limit of 2^56 "
-                       "cycles; lower fleet.invocations or raise "
-                       "fleet.rate_rps"));
+    for (const ConfigProblem &p : configProblems(cfg)) {
+        unsigned at = 0;
+        for (const std::string &k : p.keys)
+            at = std::max(at, line_of(k));
+        report.add(p.ruleId, subject, at, p.message);
     }
 
     if (!cfg.memento.enabled) {
@@ -195,33 +261,6 @@ lintConfigStream(std::istream &is, const std::string &subject,
                        ") exceeds the check.max_ops watchdog budget (",
                        cfg.check.maxOps,
                        "); the invariant checker can never fire"));
-    }
-
-    if (line_of("fleet.arrival") && !validArrivalKind(cfg.fleet.arrival)) {
-        report.add("config-fleet-bad-arrival", subject,
-                   line_of("fleet.arrival"),
-                   detail::formatMsg(
-                       "fleet.arrival '", cfg.fleet.arrival,
-                       "' is not one of poisson, bursty, diurnal"));
-    }
-
-    if (line_of("fleet.mix") && cfg.fleet.mix != "function" &&
-        cfg.fleet.mix != "all") {
-        bool known = false;
-        for (const WorkloadSpec &spec : allWorkloads()) {
-            if (spec.id == cfg.fleet.mix) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            report.add("config-fleet-bad-mix", subject,
-                       line_of("fleet.mix"),
-                       detail::formatMsg(
-                           "fleet.mix '", cfg.fleet.mix,
-                           "' is neither 'function', 'all', nor a "
-                           "workload id"));
-        }
     }
 
     if (line_of("fleet.keep_alive_ms") && cfg.fleet.keepAliveMs > 0 &&

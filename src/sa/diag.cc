@@ -57,12 +57,13 @@ allDiagRules()
         {"config-duplicate-key", DiagSeverity::Warning,
          "Key assigned more than once (the last value wins)"},
         {"config-bad-value", DiagSeverity::Error,
-         "Value does not parse as the key's type, or is not a multiple "
-         "of the allocator model's pool or slab size"},
+         "Value does not parse as the key's type, or breaks a model "
+         "rule: an allocator pool or slab multiple, a cache or TLB "
+         "geometry, the fleet's arrival window"},
         {"config-out-of-range", DiagSeverity::Error,
          "Value is outside the key's declared range"},
         {"config-region-overlap", DiagSeverity::Error,
-         "Memento region [MRS, MRE) is inverted or overlaps the heap"},
+         "Heap base falls inside the Memento region [MRS, MRE)"},
         {"config-bypass-no-memento", DiagSeverity::Warning,
          "Memento hardware keys set while memento.enabled is off"},
         {"config-check-conflict", DiagSeverity::Warning,

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/size_class.h"
 #include "sim/types.h"
@@ -306,27 +305,6 @@ struct MachineConfig
 
 /** The paper's Table 3 baseline configuration (Memento disabled). */
 MachineConfig defaultConfig();
-
-/** A cache or TLB geometry the models cannot build. */
-struct GeometryProblem
-{
-    /** The two schema keys that set the level: size (or entries), ways. */
-    std::string sizeKey;
-    std::string waysKey;
-    std::string message;
-};
-
-/**
- * The geometry rules of the cache and TLB models: every cache needs at
- * least one set and a power-of-two set count (its set index is a
- * mask), and every TLB at least one set (entries >= ways). Returns one
- * problem per level that breaks them, in schema order. The config
- * linter reports each at its keys' line as config-bad-value.
- */
-std::vector<GeometryProblem> geometryProblems(const MachineConfig &cfg);
-
-/** Throw SimError(Config) for the first of geometryProblems(@p cfg). */
-void checkGeometry(const MachineConfig &cfg);
 
 /** Table 3 configuration with Memento enabled. */
 MachineConfig mementoConfig();

@@ -187,16 +187,6 @@ JsonWriter::value(bool v)
     return *this;
 }
 
-JsonWriter &
-JsonWriter::valueNull()
-{
-    beforeValue();
-    keyPending_ = false;
-    os_ << "null";
-    wroteRoot_ = true;
-    return *this;
-}
-
 void
 writeSchemaHeader(JsonWriter &w, std::string_view kind)
 {

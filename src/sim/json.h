@@ -76,7 +76,6 @@ class JsonWriter
     }
     JsonWriter &value(double v);
     JsonWriter &value(bool v);
-    JsonWriter &valueNull();
 
     // ---- key+value conveniences ----
     template <typename T>
@@ -95,7 +94,6 @@ class JsonWriter
 
     void beforeValue();
     void newlineIndent();
-    void writeEscaped(std::string_view s);
 
     std::ostream &os_;
     std::vector<Frame> frames_;

@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "fleet/arrivals.h"
+#include "machine/machine.h"
 #include "sa/config_lint.h"
 #include "sim/config_file.h"
 #include "sim/error.h"
+#include "test_util.h"
 
 namespace memento {
 namespace {
@@ -165,6 +170,97 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{"", false},
                       std::tuple{"  # only a comment", false},
                       std::tuple{"core.freq_ghz # = 1", true}));
+
+// Every error lint-config reports on the effective configuration is a
+// run's config error: lint reports rule R at line L exactly when
+// checkConfig throws SimError(Config) with the same message, and the
+// gate the run meets throws it too (Machine's constructor, or
+// generateArrivals for a fleet.* rule). An empty rule is a clean file.
+struct RuleCase
+{
+    const char *text;
+    const char *rule;
+    unsigned line;
+    bool fleet;
+};
+
+void
+PrintTo(const RuleCase &c, std::ostream *os)
+{
+    *os << "'" << c.text << "'";
+}
+
+class ConfigProblems : public ::testing::TestWithParam<RuleCase>
+{
+};
+
+TEST_P(ConfigProblems, LintErrorIsARunError)
+{
+    const RuleCase &c = GetParam();
+    std::istringstream lint_in(c.text);
+    DiagReport report;
+    lintConfigStream(lint_in, "conf", report);
+    std::vector<Diag> errors;
+    for (const Diag &d : report.diags()) {
+        if (d.severity == DiagSeverity::Error)
+            errors.push_back(d);
+    }
+
+    MachineConfig cfg = defaultConfig();
+    std::istringstream load_in(c.text);
+    applyConfigStream(load_in, cfg);
+    const auto checked =
+        test::simErrorOf([&] { checkConfig(cfg, ConfigRules::All); });
+    const auto machine = test::simErrorOf([&] { Machine m(cfg); });
+    const auto arrivals =
+        test::simErrorOf([&] { generateArrivals(cfg, 1); });
+
+    if (*c.rule == '\0') {
+        EXPECT_TRUE(errors.empty()) << errors.front().message;
+        EXPECT_FALSE(checked.has_value()) << checked->what();
+        EXPECT_FALSE(machine.has_value()) << machine->what();
+        EXPECT_FALSE(arrivals.has_value()) << arrivals->what();
+        return;
+    }
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0].ruleId, c.rule);
+    EXPECT_EQ(errors[0].location, c.line);
+    ASSERT_TRUE(checked.has_value());
+    EXPECT_EQ(checked->category(), ErrorCategory::Config);
+    EXPECT_EQ(checked->what(), errors[0].message);
+
+    const auto &gate = c.fleet ? arrivals : machine;
+    const auto &other = c.fleet ? machine : arrivals;
+    ASSERT_TRUE(gate.has_value());
+    EXPECT_EQ(gate->category(), ErrorCategory::Config);
+    EXPECT_EQ(gate->what(), errors[0].message);
+    EXPECT_FALSE(other.has_value()) << other->what();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EachRule, ConfigProblems,
+    ::testing::Values(
+        RuleCase{"l2.ways = 4\n# 3 sets\nl2.size = 768\n",
+                 "config-bad-value", 3, false},
+        RuleCase{"tlb.l1_ways = 1024\n", "config-bad-value", 1, false},
+        RuleCase{"tuning.pymalloc_arena = 6000\n", "config-bad-value", 1,
+                 false},
+        RuleCase{"tuning.jemalloc_chunk = 20480\n", "config-bad-value", 1,
+                 false},
+        RuleCase{"layout.heap_base = 0x400000000000\n",
+                 "config-region-overlap", 1, false},
+        RuleCase{"layout.heap_base = 0x20000080000\n"
+                 "layout.memento_region_start = 0x20000000000\n",
+                 "config-region-overlap", 2, false},
+        RuleCase{"fleet.arrival = uniform\n", "config-fleet-bad-arrival",
+                 1, true},
+        RuleCase{"fleet.mix = nope\n", "config-fleet-bad-mix", 1, true},
+        RuleCase{"fleet.rate_rps = 0.01\n# slow\n"
+                 "fleet.invocations = 300000\n",
+                 "config-bad-value", 3, true},
+        RuleCase{"fleet.mix = aes\nfleet.arrival = bursty\n"
+                 "layout.heap_base = 0x30000000000\n",
+                 "", 0, false}));
 
 } // namespace
 } // namespace memento

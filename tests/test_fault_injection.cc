@@ -107,6 +107,23 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
+TEST(FaultInjectionTest, UncheckedArenaBitFlipIsACorruptionFailure)
+{
+    // With no check.interval, the flipped bit surfaces at the next free
+    // of its slot, as the hardware's free exception. The tiny workloads
+    // never free that slot again, so this runs aes.
+    const WorkloadSpec &spec = workloadById("aes");
+    MachineConfig cfg = mementoConfig();
+    cfg.inject.arenaBitFlipAt = 200;
+    const RunResult res =
+        Experiment::tryRunOne(spec, TraceGenerator(spec).generate(), cfg);
+    ASSERT_TRUE(res.failed());
+    EXPECT_EQ(res.error->category, ErrorCategory::Corruption);
+    EXPECT_NE(res.error->message.find("hardware raised a free exception"),
+              std::string::npos)
+        << res.error->message;
+}
+
 // ---------------------------------------------------------------------
 // Failure localisation and partial metrics
 // ---------------------------------------------------------------------
@@ -312,6 +329,20 @@ TEST(FaultInjectionTest, PymallocArenaOffThePoolSizeIsAConfigFailure)
     EXPECT_FALSE(
         runWithTuning(Language::Python, "tuning.pymalloc_arena", "8192")
             .failed());
+}
+
+TEST(FaultInjectionTest, HeapInsideTheMementoRegionIsAConfigFailure)
+{
+    const WorkloadSpec spec = tinySpec(Language::Python);
+    MachineConfig cfg = test::smallMementoConfig();
+    cfg.layout.heapBase = cfg.layout.mementoRegionStart;
+    const RunResult res =
+        Experiment::tryRunOne(spec, TraceGenerator(spec).generate(), cfg);
+    ASSERT_TRUE(res.failed());
+    EXPECT_EQ(res.error->category, ErrorCategory::Config);
+    EXPECT_NE(res.error->message.find("inside the Memento region"),
+              std::string::npos)
+        << res.error->message;
 }
 
 TEST(FaultInjectionTest, JemallocChunkOffTheSlabSizeIsAConfigFailure)

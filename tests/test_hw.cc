@@ -553,19 +553,25 @@ TEST_F(AdapterBookkeepingTest, LargeObjectsTrackedBySoftwarePath)
     EXPECT_EQ(adapter.liveBytes(), 0u);
 }
 
-TEST_F(AdapterBookkeepingTest, DoubleFreePanics)
+TEST_F(AdapterBookkeepingTest, DoubleFreeIsACorruptionError)
 {
     const Addr a = adapter.malloc(64, env);
     adapter.free(a, env);
-    EXPECT_DEATH(adapter.free(a, env),
-                 "hardware raised a free exception");
+    const auto e = test::simErrorOf([&] { adapter.free(a, env); });
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->category(), ErrorCategory::Corruption);
+    EXPECT_NE(std::string(e->what()).find("hardware raised a free exception"),
+              std::string::npos);
 }
 
-TEST_F(AdapterBookkeepingTest, InteriorFreePanics)
+TEST_F(AdapterBookkeepingTest, InteriorFreeIsACorruptionError)
 {
     const Addr a = adapter.malloc(64, env);
-    EXPECT_DEATH(adapter.free(a + 8, env),
-                 "hardware raised a free exception");
+    const auto e = test::simErrorOf([&] { adapter.free(a + 8, env); });
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->category(), ErrorCategory::Corruption);
+    EXPECT_NE(std::string(e->what()).find("hardware raised a free exception"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -23,11 +23,11 @@ class TlbTest : public ::testing::Test
 
 TEST_F(TlbTest, MissThenHit)
 {
-    EXPECT_FALSE(tlb.lookup(0x5000).has_value());
+    EXPECT_FALSE(tlb.translate(0x5000).has_value());
     tlb.insert(0x5000, 0x9000);
-    auto hit = tlb.lookup(0x5123);
+    auto hit = tlb.translate(0x5123);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, 0x9000u);
+    EXPECT_EQ(*hit, 0x9123u);
     EXPECT_EQ(stats.value("t.hits"), 1u);
     EXPECT_EQ(stats.value("t.misses"), 1u);
 }
@@ -36,14 +36,14 @@ TEST_F(TlbTest, UpdateInPlace)
 {
     tlb.insert(0x5000, 0x9000);
     tlb.insert(0x5000, 0xA000);
-    EXPECT_EQ(*tlb.lookup(0x5000), 0xA000u);
+    EXPECT_EQ(*tlb.translate(0x5000), 0xA000u);
 }
 
 TEST_F(TlbTest, InvalidatePage)
 {
     tlb.insert(0x5000, 0x9000);
     tlb.invalidatePage(0x5FFF);
-    EXPECT_FALSE(tlb.lookup(0x5000).has_value());
+    EXPECT_FALSE(tlb.translate(0x5000).has_value());
 }
 
 TEST_F(TlbTest, FlushAll)
@@ -52,7 +52,7 @@ TEST_F(TlbTest, FlushAll)
         tlb.insert(p << kPageShift, (p + 100) << kPageShift);
     tlb.flushAll();
     for (Addr p = 0; p < 8; ++p)
-        EXPECT_FALSE(tlb.lookup(p << kPageShift).has_value());
+        EXPECT_FALSE(tlb.translate(p << kPageShift).has_value());
 }
 
 TEST_F(TlbTest, EvictsLruWithinSet)
@@ -64,16 +64,16 @@ TEST_F(TlbTest, EvictsLruWithinSet)
         pages.push_back((4ull * i) << kPageShift);
     for (Addr p : pages)
         tlb.insert(p, p + kPageSize);
-    tlb.lookup(pages[0]); // Refresh.
+    tlb.translate(pages[0]); // Refresh.
     tlb.insert((4ull * 10) << kPageShift, 0x1000);
-    EXPECT_TRUE(tlb.lookup(pages[0]).has_value());
-    EXPECT_FALSE(tlb.lookup(pages[1]).has_value());
+    EXPECT_TRUE(tlb.translate(pages[0]).has_value());
+    EXPECT_FALSE(tlb.translate(pages[1]).has_value());
 }
 
 TEST_F(TlbTest, PageOffsetIgnoredOnInsert)
 {
     tlb.insert(0x7ABC, 0x3DEF);
-    auto hit = tlb.lookup(0x7000);
+    auto hit = tlb.translate(0x7000);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, 0x3000u); // Physical page base, not the raw value.
 }
@@ -119,10 +119,10 @@ TEST(TlbGeometry, NonDivisibleEntriesRoundDown)
     StatRegistry stats;
     // Table 3's 2048-entry 12-way TLB: sets round down to 170.
     Tlb tlb("t", TlbConfig{2048, 12}, stats);
-    // Capacity still works for a burst of insert/lookup pairs.
+    // Capacity still works for a burst of insert/translate pairs.
     for (Addr p = 0; p < 100; ++p) {
         tlb.insert(p << kPageShift, (p + 5) << kPageShift);
-        EXPECT_TRUE(tlb.lookup(p << kPageShift).has_value());
+        EXPECT_TRUE(tlb.translate(p << kPageShift).has_value());
     }
 }
 
@@ -140,7 +140,7 @@ TEST(TlbGeometry, SweepConfigurations)
             }
             for (unsigned w = 0; w < ways; ++w) {
                 Addr page = static_cast<Addr>(w) * sets;
-                EXPECT_TRUE(tlb.lookup(page << kPageShift).has_value());
+                EXPECT_TRUE(tlb.translate(page << kPageShift).has_value());
             }
         }
     }

@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "mem/env.h"
 #include "sim/config.h"
+#include "sim/error.h"
 #include "sim/rng.h"
 #include "wl/distributions.h"
 #include "wl/workloads.h"
@@ -79,6 +81,19 @@ class TestEnv : public Env
   private:
     CycleLedger ledger_;
 };
+
+/** The SimError @p fn throws, or nullopt when it returns normally. */
+template <typename Fn>
+std::optional<SimError>
+simErrorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const SimError &e) {
+        return e;
+    }
+    return std::nullopt;
+}
 
 /** A small but structurally valid machine configuration. */
 inline MachineConfig
